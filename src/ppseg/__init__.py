@@ -35,14 +35,10 @@ from .contrasts import (
     segment_cost,
 )
 from .dp import (
-    DpTable,
     SolveResult,
     brute_force,
     build_cost_matrix,
-    contrast_of_indices,
-    dp_tables,
     enumerate_count_vectors,
-    grid_segment_cost,
     solve,
     upsilon_cardinality,
     upsilon_star_cardinality,
@@ -63,15 +59,10 @@ from .metrics import change_point_set, hausdorff, l2_distance, true_change_value
 from .model import (
     CandidateGrid,
     EventSeries,
-    MarkedEventSeries,
     PiecewiseIntensity,
     Segmentation,
-    SegmentStats,
     build_grid,
-    count_vector,
     intensity_from_breaks,
-    segment_lengths,
-    segment_mark_sums,
     segment_stats,
     segmentation_from_indices,
 )
@@ -92,15 +83,12 @@ __all__ = [
     "ContrastSpec",
     "CvConfig",
     "CvCurve",
-    "DpTable",
     "EventSeries",
     "FitResult",
     "KINDS",
-    "MarkedEventSeries",
     "PiecewiseIntensity",
     "ResultDocument",
     "Segmentation",
-    "SegmentStats",
     "SolveResult",
     "alternating_intensity",
     "brute_force",
@@ -108,17 +96,13 @@ __all__ = [
     "build_grid",
     "change_point_set",
     "contrast",
-    "contrast_of_indices",
-    "count_vector",
     "cross_validate",
     "default_spec",
     "default_window",
     "derive_rates",
-    "dp_tables",
     "enumerate_count_vectors",
     "ext_add",
     "fit",
-    "grid_segment_cost",
     "hausdorff",
     "intensity_from_breaks",
     "l2_distance",
@@ -139,8 +123,6 @@ __all__ = [
     "render_metrics",
     "render_result",
     "segment_cost",
-    "segment_lengths",
-    "segment_mark_sums",
     "segment_stats",
     "segmentation_from_indices",
     "simulate_events",

@@ -20,14 +20,7 @@ import sys
 import numpy as np
 
 from .bench import PRESETS, BenchConfig, run_bench
-from .contrasts import (
-    KINDS,
-    default_spec,
-    mle_mark_rate,
-    mle_rate,
-    posterior_mean_mark_rate,
-    posterior_mean_rate,
-)
+from .contrasts import KINDS, MARGINAL_KINDS, default_spec, segment_rates
 from .dp import solve
 from .io import (
     ResultDocument,
@@ -39,17 +32,9 @@ from .io import (
     write_events_file,
 )
 from .metrics import hausdorff, l2_distance, true_change_values
-from .model import (
-    build_grid,
-    count_vector,
-    intensity_from_breaks,
-    segment_lengths,
-    segment_mark_sums,
-)
+from .model import build_grid, intensity_from_breaks, segment_stats
 from .selection import CvConfig, cross_validate, fit
 from .simulate import alternating_intensity, simulate_events, simulate_marked
-
-MARGINAL_KINDS = ("poisson_gamma", "marked_pgeg")
 
 
 def _resolve_seed(value, fallback):
@@ -90,34 +75,16 @@ def _parse_design(text: str):
     return alternating_intensity(*values)
 
 
-def _make_document(command, source, data, spec, kmax, seed, k_hat, seg,
+def _make_document(command, source, data, spec, kmax, seed, seg, counts, rates, mark_rates,
                    contrast_items, curve, fraction, replicates, warnings) -> ResultDocument:
-    grid = build_grid(data)
-    counts = count_vector(grid, seg)
-    lengths = segment_lengths(grid, seg)
-    marginal = spec.kind in MARGINAL_KINDS
-    if marginal:
-        rates = np.atleast_1d(posterior_mean_rate(counts, lengths, spec.a, spec.b))
-    else:
-        rates = np.atleast_1d(mle_rate(counts, lengths))
-    mark_rates = None
-    if spec.requires_marks:
-        sums = segment_mark_sums(grid, seg)
-        if marginal:
-            mark_rates = posterior_mean_mark_rate(counts, sums, spec.a_rho, spec.b_rho)
-        else:
-            mark_rates = mle_mark_rate(counts, sums)
-        mark_rates = np.atleast_1d(mark_rates)
-    width = data.window[1] - data.window[0]
     cv_rows = ()
     if curve is not None:
         cv_rows = tuple(zip(curve.ks, curve.means, curve.stderrs, curve.counts))
     change_points = tuple(
-        (p, grid.side(p), float(grid.values[p]), float(data.to_original(grid.values[p])))
-        for p in seg.indices
+        (p.index, p.side, p.value, float(data.to_original(p.value))) for p in seg.change_points
     )
     segments = tuple(
-        (i + 1, int(counts[i]), float(rates[i]), float(rates[i] / width),
+        (i + 1, int(counts[i]), float(rates[i]), float(rates[i] / data.width),
          None if mark_rates is None else float(mark_rates[i]))
         for i in range(seg.k)
     )
@@ -135,7 +102,7 @@ def _make_document(command, source, data, spec, kmax, seed, k_hat, seg,
         seed=seed,
         window=data.window,
         n_events=data.n,
-        k_hat=k_hat,
+        k_hat=seg.k,
         warnings=tuple(warnings),
         cv_rows=cv_rows,
         contrast_rows=tuple(contrast_items),
@@ -187,15 +154,18 @@ def _cmd_segment(args) -> int:
         if args.k < 1:
             raise ValueError("--k must be at least 1")
         spec = default_spec(data, kind=kind, a=args.prior_shape)
-        results = solve(data, spec, args.k)
+        grid = build_grid(data)
+        results = solve(grid, spec, args.k)
         final = results[args.k - 1]
         if not final.feasible:
             raise ValueError(f"K = {args.k} exceeds the candidate grid of this series")
-        if final.segmentation is None:
+        seg = final.segmentation
+        if seg is None:
             raise ValueError(f"no admissible segmentation with K = {args.k}")
+        counts, lengths, sums = segment_stats(grid, seg.indices)
         doc = _make_document(
-            "segment", args.events, data, spec, args.k, None, args.k,
-            final.segmentation,
+            "segment", args.events, data, spec, args.k, None, seg, counts,
+            *segment_rates(spec, counts, lengths, sums),
             [(r.k, r.contrast if r.feasible else None) for r in results],
             None, None, None, final.warnings,
         )
@@ -204,14 +174,13 @@ def _cmd_segment(args) -> int:
         cfg = CvConfig(fraction=args.fraction, replicates=args.replicates,
                        kmax=args.kmax, seed=seed, prior_shape=args.prior_shape)
         result = fit(data, cfg)
-        spec = default_spec(data, a=args.prior_shape)
         contrast_items = [
             (k, result.contrast_by_k.get(k)) for k in range(1, args.kmax + 1)
         ]
         doc = _make_document(
-            "segment", args.events, data, spec, args.kmax, seed, result.k_hat,
-            result.segmentation, contrast_items, result.curve,
-            args.fraction, args.replicates, result.warnings,
+            "segment", args.events, data, result.spec, args.kmax, seed,
+            result.segmentation, result.counts, result.rates, result.mark_rates,
+            contrast_items, result.curve, args.fraction, args.replicates, result.warnings,
         )
     _write_output(args.output, render_result(doc))
     return 0

@@ -25,21 +25,18 @@ single code path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
 
-from .model import (
-    CandidateGrid,
-    Segmentation,
-    build_grid,
-    segment_index_path,
-)
+from .model import CandidateGrid, build_grid, segment_stats
 
 KINDS = ("poisson", "poisson_gamma", "marked_poisson", "marked_pgeg")
 MARKED_KINDS = ("marked_poisson", "marked_pgeg")
+MARGINAL_KINDS = ("poisson_gamma", "marked_pgeg")
 
 
 def _scalar_or_array(out):
@@ -52,6 +49,11 @@ def ext_add(x, y):
     -inf + inf evaluates to +inf: an infinite-likelihood segment cannot
     rescue a forbidden or infeasible configuration.
     """
+    if np.ndim(x) == 0 and np.ndim(y) == 0:
+        # scalars skip the array machinery; float addition is the same
+        # IEEE operation, so the bits agree
+        x, y = float(x), float(y)
+        return math.inf if math.inf in (x, y) else x + y
     a = np.asarray(x, dtype=np.float64)
     b = np.asarray(y, dtype=np.float64)
     with np.errstate(invalid="ignore"):
@@ -251,28 +253,24 @@ def default_spec(data, kind: str | None = None, a: float = 1.0) -> ContrastSpec:
     return ContrastSpec(kind, a=a, b=b)
 
 
-def contrast(seg: Segmentation, data, spec: ContrastSpec):
-    """Total cost of a segmentation, accumulated right to left.
+def contrast(data, spec: ContrastSpec, indices) -> float:
+    """Total cost of the segmentation with change-points at ``indices``.
 
-    Right-to-left accumulation matches the dynamic program exactly, so
+    ``data`` is a series or its candidate grid and ``indices`` the
+    interior grid indices of the change-points (``seg.indices`` for a
+    Segmentation). Empty zero-length segments, possible only with tied
+    event times, are priced at +inf as in the solver's cost matrix. The
+    pieces are summed right to left, matching the dynamic program, so
     an optimal value reported by the solver reproduces bit for bit here.
     """
     grid = data if isinstance(data, CandidateGrid) else build_grid(data)
-    if spec.requires_marks and not grid.is_marked:
-        raise ValueError(f"contrast kind {spec.kind!r} requires marked data")
-    path = segment_index_path(grid, seg)
-    pieces = []
-    for lo, hi in zip(path[:-1], path[1:]):
-        count = grid.count_between(lo, hi)
-        length = grid.values[hi] - grid.values[lo]
-        s = None
-        if grid.mark_prefix is not None:
-            s = grid.mark_prefix[hi // 2] - grid.mark_prefix[lo // 2]
-        pieces.append(segment_cost(spec, count, length, s))
+    counts, lengths, sums = segment_stats(grid, indices)
+    pieces = np.asarray(segment_cost(spec, counts, lengths, sums), dtype=np.float64)
+    pieces[(counts == 0) & (lengths == 0.0)] = np.inf
     total = pieces[-1]
     for piece in pieces[-2::-1]:
         total = ext_add(piece, total)
-    return total
+    return float(total)
 
 
 def posterior_mean_rate(count, length, a, b):
@@ -300,6 +298,24 @@ def mle_rate(count, length):
 
 def mle_mark_rate(count, mark_sum):
     return mle_rate(count, mark_sum)
+
+
+def segment_rates(spec: ContrastSpec, counts, lengths, mark_sums=None):
+    """Per-segment rate and mark-rate estimates under ``spec``.
+
+    The marginal kinds report posterior means under their Gamma priors,
+    the likelihood kinds the maximum-likelihood rates. Mark rates are
+    None unless the kind models marks.
+    """
+    marked = spec.requires_marks
+    if spec.kind in MARGINAL_KINDS:
+        rates = posterior_mean_rate(counts, lengths, spec.a, spec.b)
+        mark_rates = (posterior_mean_mark_rate(counts, mark_sums, spec.a_rho, spec.b_rho)
+                      if marked else None)
+    else:
+        rates = mle_rate(counts, lengths)
+        mark_rates = mle_mark_rate(counts, mark_sums) if marked else None
+    return rates, mark_rates
 
 
 def poisson_loglik(counts, lengths, rates) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EventSeries, MarkedEventSeries
+from .model import EventSeries
 
 FORMAT_LINE = "ppseg-result v1"
 
@@ -109,9 +109,7 @@ def load_series(path, window: tuple[float, float] | None = None):
     times, marks = read_events_file(path)
     if window is None:
         window = default_window(times)
-    if marks is None:
-        return EventSeries.from_window(times, window)
-    return MarkedEventSeries.from_window(times, marks, window)
+    return EventSeries.from_window(times, window, marks)
 
 
 def read_intensity_file(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:

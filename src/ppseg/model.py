@@ -16,8 +16,7 @@ the segment between grid indices p_lo and p_hi is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +30,8 @@ def _validated_times(times) -> np.ndarray:
     if t.ndim != 1:
         raise ValueError("event times must be a one-dimensional sequence")
     if t.size:
+        if not np.all(np.isfinite(t)):
+            raise ValueError("event times must be finite")
         if np.any(np.diff(t) < 0.0):
             raise ValueError("event times must be sorted ascending")
         if t[0] <= 0.0 or t[-1] >= 1.0:
@@ -41,15 +42,28 @@ def _validated_times(times) -> np.ndarray:
     return t
 
 
+def _validated_window(window) -> tuple[float, float]:
+    w0, w1 = float(window[0]), float(window[1])
+    if not w1 > w0:
+        raise ValueError("window must satisfy t_min < t_max")
+    return w0, w1
+
+
 @dataclass(eq=False)
 class EventSeries:
-    """Sorted event times on (0, 1) with the original observation window.
+    """Sorted event times on (0, 1), optional marks, and the original window.
 
     Parameters
     ----------
     times:
-        Event times, sorted ascending, each strictly inside (0, 1).
-        Tied times are legal but flagged through ``has_ties``.
+        Event times, sorted ascending, finite and each strictly inside
+        (0, 1). Tied times are legal but flagged through ``has_ties``.
+    marks:
+        One finite, strictly positive mark per event, or None for
+        unmarked data. Marks ride along with their events through
+        thinning and segmentation; per-segment mark sums come from the
+        prefix sums in ``mark_prefix`` (None when unmarked), so repeated
+        queries stay O(1).
     window:
         The original observation window (t_min, t_max) that was mapped
         onto (0, 1). Kept so results can be reported on the original
@@ -57,15 +71,29 @@ class EventSeries:
     """
 
     times: np.ndarray
+    marks: np.ndarray | None = None
     window: tuple[float, float] = (0.0, 1.0)
-    marks = None
 
     def __post_init__(self) -> None:
         self.times = _validated_times(self.times)
-        w0, w1 = float(self.window[0]), float(self.window[1])
-        if not w1 > w0:
-            raise ValueError("window must satisfy t_min < t_max")
-        self.window = (w0, w1)
+        self.window = _validated_window(self.window)
+        self.mark_prefix = None
+        if self.marks is None:
+            return
+        m = np.asarray(self.marks, dtype=np.float64)
+        if m.shape != self.times.shape:
+            raise ValueError("marks must align one-to-one with event times")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("marks must be finite")
+        if m.size and np.any(m <= 0.0):
+            raise ValueError("marks must be strictly positive")
+        with np.errstate(over="ignore"):
+            prefix = np.concatenate(([0.0], np.cumsum(m)))
+        if not np.isfinite(prefix[-1]):
+            raise ValueError("marks must have a finite total; their sum overflows")
+        self.marks = m
+        # entry m is the sum of the first m marks
+        self.mark_prefix = prefix
 
     @property
     def n(self) -> int:
@@ -86,71 +114,15 @@ class EventSeries:
         """Map normalized positions back to the original time scale."""
         return self.window[0] + np.asarray(u, dtype=np.float64) * self.width
 
+    def select(self, mask) -> "EventSeries":
+        """The events where ``mask`` is true, marks included, same window."""
+        marks = None if self.marks is None else self.marks[mask]
+        return EventSeries(self.times[mask], marks, self.window)
+
     @classmethod
-    def from_window(cls, raw_times, window) -> "EventSeries":
+    def from_window(cls, raw_times, window, marks=None) -> "EventSeries":
         """Normalize raw times living in ``window`` onto (0, 1)."""
-        w0, w1 = float(window[0]), float(window[1])
-        if not w1 > w0:
-            raise ValueError("window must satisfy t_min < t_max")
-        raw = np.asarray(raw_times, dtype=np.float64)
-        return cls((raw - w0) / (w1 - w0), window=(w0, w1))
-
-
-@dataclass(eq=False)
-class MarkedEventSeries:
-    """Event times with one positive mark per event.
-
-    Marks ride along with their events through thinning and
-    segmentation; per-segment mark sums come from a cached prefix sum so
-    repeated queries stay O(1).
-    """
-
-    times: np.ndarray
-    marks: np.ndarray
-    window: tuple[float, float] = (0.0, 1.0)
-
-    def __post_init__(self) -> None:
-        self.times = _validated_times(self.times)
-        m = np.asarray(self.marks, dtype=np.float64)
-        if m.shape != self.times.shape:
-            raise ValueError("marks must align one-to-one with event times")
-        if m.size and np.any(m <= 0.0):
-            raise ValueError("marks must be strictly positive")
-        self.marks = m
-        w0, w1 = float(self.window[0]), float(self.window[1])
-        if not w1 > w0:
-            raise ValueError("window must satisfy t_min < t_max")
-        self.window = (w0, w1)
-        self._mark_prefix = np.concatenate(([0.0], np.cumsum(m)))
-
-    @property
-    def n(self) -> int:
-        return int(self.times.size)
-
-    @property
-    def has_ties(self) -> bool:
-        return bool(self.times.size > 1 and np.any(np.diff(self.times) == 0.0))
-
-    @property
-    def width(self) -> float:
-        return self.window[1] - self.window[0]
-
-    @property
-    def mark_prefix(self) -> np.ndarray:
-        """Prefix sums of the marks; entry m is the sum of the first m marks."""
-        return self._mark_prefix
-
-    def original_times(self) -> np.ndarray:
-        return self.window[0] + self.times * self.width
-
-    def to_original(self, u):
-        return self.window[0] + np.asarray(u, dtype=np.float64) * self.width
-
-    @classmethod
-    def from_window(cls, raw_times, marks, window) -> "MarkedEventSeries":
-        w0, w1 = float(window[0]), float(window[1])
-        if not w1 > w0:
-            raise ValueError("window must satisfy t_min < t_max")
+        w0, w1 = _validated_window(window)
         raw = np.asarray(raw_times, dtype=np.float64)
         return cls((raw - w0) / (w1 - w0), marks, window=(w0, w1))
 
@@ -184,7 +156,7 @@ class CandidateGrid:
         self.n = n
         # number of interior candidate positions, indices 1 .. size
         self.size = 2 * n
-        self.mark_prefix = getattr(events, "mark_prefix", None)
+        self.mark_prefix = events.mark_prefix
 
     @property
     def last_index(self) -> int:
@@ -222,29 +194,26 @@ def build_grid(events) -> CandidateGrid:
     return CandidateGrid(events)
 
 
-class SegmentStats(NamedTuple):
-    count: int
-    length: float
-    mark_sum: float | None
+def segment_stats(grid: CandidateGrid, indices):
+    """Counts, lengths and mark sums of the segments cut by ``indices``.
 
-
-def segment_stats(grid: CandidateGrid, p_lo: int, p_hi: int) -> SegmentStats:
-    """Count, length and (for marked data) mark sum of a grid segment.
-
-    The segment is (value(p_lo), value(p_hi)] with before/at semantics
-    resolved by the indices. Raises IndexError for out-of-range indices
-    and ValueError when p_lo >= p_hi.
+    ``indices`` are the change-points as interior grid indices; the
+    boundaries 0 and 2n + 1 are implied. Returns three arrays with one
+    entry per segment, the mark sums being None for unmarked data.
+    Raises ValueError unless the indices are strictly increasing
+    interior positions.
     """
-    p_lo = grid._check_index(p_lo)
-    p_hi = grid._check_index(p_hi)
-    if p_lo >= p_hi:
-        raise ValueError("segment requires p_lo < p_hi")
-    count = p_hi // 2 - p_lo // 2
-    length = float(grid.values[p_hi] - grid.values[p_lo])
+    path = np.array([0, *indices, grid.last_index])
+    if np.any(path[1:] <= path[:-1]):
+        raise ValueError("change-points must be strictly increasing interior grid indices")
+    ev = path // 2
+    counts = ev[1:] - ev[:-1]
+    vals = grid.values[path]
+    lengths = vals[1:] - vals[:-1]
     if grid.mark_prefix is None:
-        return SegmentStats(count, length, None)
-    s = float(grid.mark_prefix[p_hi // 2] - grid.mark_prefix[p_lo // 2])
-    return SegmentStats(count, length, s)
+        return counts, lengths, None
+    pref = grid.mark_prefix[ev]
+    return counts, lengths, pref[1:] - pref[:-1]
 
 
 @dataclass(frozen=True)
@@ -285,31 +254,6 @@ def segmentation_from_indices(grid: CandidateGrid, indices) -> Segmentation:
         if grid.count_between(lo, hi) == 0 and grid.values[hi] == grid.values[lo]:
             raise ValueError("segmentation contains an empty zero-length segment")
     return Segmentation(len(idx) + 1, tuple(grid.point(p) for p in idx))
-
-
-def segment_index_path(grid: CandidateGrid, seg: Segmentation) -> list[int]:
-    """Grid indices bounding each segment, boundaries included."""
-    return [0, *seg.indices, grid.last_index]
-
-
-def count_vector(grid: CandidateGrid, seg: Segmentation) -> np.ndarray:
-    """Per-segment event counts; always sums to n."""
-    path = np.asarray(segment_index_path(grid, seg))
-    return path[1:] // 2 - path[:-1] // 2
-
-
-def segment_lengths(grid: CandidateGrid, seg: Segmentation) -> np.ndarray:
-    path = segment_index_path(grid, seg)
-    vals = grid.values[path]
-    return vals[1:] - vals[:-1]
-
-
-def segment_mark_sums(grid: CandidateGrid, seg: Segmentation) -> np.ndarray:
-    if grid.mark_prefix is None:
-        raise ValueError("series carries no marks")
-    path = np.asarray(segment_index_path(grid, seg))
-    pref = grid.mark_prefix[path // 2]
-    return pref[1:] - pref[:-1]
 
 
 @dataclass(eq=False)

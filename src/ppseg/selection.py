@@ -43,21 +43,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .contrasts import (
+    ContrastSpec,
     default_spec,
     poisson_gamma_cost,
     posterior_mean_mark_rate,
-    posterior_mean_rate,
+    segment_rates,
 )
 from .dp import TIES_WARNING, solve
 from .model import (
     EventSeries,
-    MarkedEventSeries,
     Segmentation,
     build_grid,
-    count_vector,
     intensity_from_breaks,
-    segment_lengths,
-    segment_mark_sums,
+    segment_stats,
 )
 
 
@@ -89,14 +87,18 @@ class CvConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.fraction < 1.0:
             raise ValueError("fraction must lie strictly between 0 and 1")
+        for name in ("replicates", "kmax"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if self.kmax < 1:
             raise ValueError("kmax must be at least 1")
         if not 0.0 <= self.min_defined_fraction <= 1.0:
             raise ValueError("min_defined_fraction must lie in [0, 1]")
-        if not self.prior_shape > 0.0:
-            raise ValueError("prior_shape must be positive")
+        if not (math.isfinite(self.prior_shape) and self.prior_shape > 0.0):
+            raise ValueError("prior_shape must be finite and positive")
 
 
 def thin(data, fraction: float, rng: np.random.Generator):
@@ -108,13 +110,7 @@ def thin(data, fraction: float, rng: np.random.Generator):
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie strictly between 0 and 1")
     keep = rng.random(data.n) < fraction
-    if data.marks is None:
-        learn = EventSeries(data.times[keep], window=data.window)
-        test = EventSeries(data.times[~keep], window=data.window)
-    else:
-        learn = MarkedEventSeries(data.times[keep], data.marks[keep], window=data.window)
-        test = MarkedEventSeries(data.times[~keep], data.marks[~keep], window=data.window)
-    return learn, test
+    return data.select(keep), data.select(~keep)
 
 
 def _counts_between(times: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -123,7 +119,7 @@ def _counts_between(times: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return pos[1:] - pos[:-1]
 
 
-def _mark_sums_between(series: MarkedEventSeries, bounds: np.ndarray) -> np.ndarray:
+def _mark_sums_between(series: EventSeries, bounds: np.ndarray) -> np.ndarray:
     pos = np.searchsorted(series.times, bounds, side="right")
     pref = series.mark_prefix[pos]
     return pref[1:] - pref[:-1]
@@ -204,17 +200,13 @@ def cross_validate(data, config: CvConfig | None = None) -> CvCurve:
             if not res.feasible or res.segmentation is None:
                 continue
             seg = res.segmentation
-            counts = count_vector(grid, seg)
+            counts, lengths, sums = segment_stats(grid, seg.indices)
             bounds = np.concatenate(([0.0], seg.values, [1.0]))
             test_counts = _counts_between(test.times, bounds)
-            score = _test_score(spec, ratio, counts, segment_lengths(grid, seg), test_counts)
+            score = _test_score(spec, ratio, counts, lengths, test_counts)
             if marked:
                 score += _mark_test_score(
-                    spec,
-                    counts,
-                    segment_mark_sums(grid, seg),
-                    test_counts,
-                    _mark_sums_between(test, bounds),
+                    spec, counts, sums, test_counts, _mark_sums_between(test, bounds)
                 )
             gammas[m, res.k - 1] = score
     defined = ~np.isnan(gammas)
@@ -246,13 +238,16 @@ def cross_validate(data, config: CvConfig | None = None) -> CvCurve:
 class FitResult:
     """Selected model with posterior-mean rate estimates.
 
-    Rates are per unit normalized time; divide by the window width for
-    original-scale rates. ``contrast_by_k`` maps each feasible K to its
-    optimal full-data contrast.
+    ``spec`` is the contrast of the full-data fit and ``counts`` the
+    events per segment. Rates are per unit normalized time; divide by
+    the window width for original-scale rates. ``contrast_by_k`` maps
+    each feasible K to its optimal full-data contrast.
     """
 
     k_hat: int
+    spec: ContrastSpec
     segmentation: Segmentation
+    counts: tuple[int, ...]
     change_point_values: tuple[float, ...]
     change_point_times: tuple[float, ...]
     rates: tuple[float, ...]
@@ -288,14 +283,8 @@ def fit(data, config: CvConfig | None = None) -> FitResult:
     final = results[k_hat - 1]
     assert final.feasible and final.segmentation is not None
     seg = final.segmentation
-    counts = count_vector(grid, seg)
-    lengths = segment_lengths(grid, seg)
-    rates = posterior_mean_rate(counts, lengths, spec.a, spec.b)
-    mark_rates = None
-    if data.marks is not None:
-        mark_rates = posterior_mean_mark_rate(
-            counts, segment_mark_sums(grid, seg), spec.a_rho, spec.b_rho
-        )
+    counts, lengths, sums = segment_stats(grid, seg.indices)
+    rates, mark_rates = segment_rates(spec, counts, lengths, sums)
     contrast_by_k = {
         res.k: float(res.contrast)
         for res in results
@@ -304,13 +293,13 @@ def fit(data, config: CvConfig | None = None) -> FitResult:
     warnings = curve.warnings + tuple(w for w in final.warnings if w not in curve.warnings)
     return FitResult(
         k_hat=k_hat,
+        spec=spec,
         segmentation=seg,
+        counts=tuple(int(c) for c in counts),
         change_point_values=tuple(float(v) for v in seg.values),
         change_point_times=tuple(float(v) for v in data.to_original(np.asarray(seg.values))),
-        rates=tuple(float(r) for r in np.atleast_1d(rates)),
-        mark_rates=None
-        if mark_rates is None
-        else tuple(float(r) for r in np.atleast_1d(mark_rates)),
+        rates=tuple(float(r) for r in rates),
+        mark_rates=None if mark_rates is None else tuple(float(r) for r in mark_rates),
         contrast=float(final.contrast),
         contrast_by_k=contrast_by_k,
         curve=curve,

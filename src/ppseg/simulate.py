@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import EventSeries, MarkedEventSeries, PiecewiseIntensity
+from .model import EventSeries, PiecewiseIntensity
 
 ALTERNATING_BREAKPOINTS = np.array([0.0, 7.0, 8.0, 14.0, 16.0, 20.0, 24.0]) / 24.0
 
@@ -90,7 +90,7 @@ def simulate_events(intensity: PiecewiseIntensity, seed=None) -> EventSeries:
     return EventSeries(times)
 
 
-def simulate_marked(intensity: PiecewiseIntensity, seed=None) -> MarkedEventSeries:
+def simulate_marked(intensity: PiecewiseIntensity, seed=None) -> EventSeries:
     """One realization with exponential marks drawn per segment."""
     if intensity.mark_rates is None:
         raise ValueError("intensity carries no mark rates")
@@ -103,4 +103,4 @@ def simulate_marked(intensity: PiecewiseIntensity, seed=None) -> MarkedEventSeri
     times = np.concatenate(time_parts)
     marks = np.concatenate(mark_parts)
     order = np.argsort(times, kind="stable")
-    return MarkedEventSeries(times[order], marks[order])
+    return EventSeries(times[order], marks[order])

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from ppseg import ContrastSpec, EventSeries, MarkedEventSeries
+from ppseg import ContrastSpec, EventSeries
 
 INF = float("inf")
 
@@ -83,7 +83,7 @@ def random_series(rng: np.random.Generator, n_max=6, marked=False, allow_ties=Tr
         i = int(rng.integers(0, n - 1))
         times[i + 1] = times[i]
     if marked:
-        return MarkedEventSeries(times, rng.exponential(2.0, size=n) + 1e-9)
+        return EventSeries(times, rng.exponential(2.0, size=n) + 1e-9)
     return EventSeries(times)
 
 

@@ -32,8 +32,7 @@ from ppseg import (
     upsilon_star_cardinality,
 )
 from ppseg.bench import BenchConfig, run_bench
-from ppseg.contrasts import ContrastSpec, ext_add, segment_cost
-from ppseg.dp import grid_segment_cost
+from ppseg.contrasts import ContrastSpec, contrast, ext_add, segment_cost
 
 from helpers import ACCEPTANCE_LINES, random_series
 
@@ -122,9 +121,9 @@ def test_criterion_02_concavity_and_cell_corner_dominance():
             s_right = float(grid.mark_prefix[n] - grid.mark_prefix[m])
         continuous = ext_add(float(segment_cost(spec, m, tau, s_left)),
                              float(segment_cost(spec, n - m, 1.0 - tau, s_right)))
+        # a corner on the boundary 0 or 2n + 1 leaves a single segment
         corners = [
-            ext_add(grid_segment_cost(grid, spec, 0, p),
-                    grid_segment_cost(grid, spec, p, grid.last_index))
+            contrast(grid, spec, (p,) if 0 < p < grid.last_index else ())
             for p in (2 * m, min(2 * m + 1, grid.last_index))
         ]
         margin = continuous - min(corners)

@@ -16,7 +16,6 @@ from scipy.special import gammaln
 from ppseg import (
     ContrastSpec,
     EventSeries,
-    MarkedEventSeries,
     build_grid,
     contrast,
     default_spec,
@@ -196,17 +195,17 @@ def test_negated_contrast_equals_loglik_at_mles():
     series = EventSeries(np.array([0.25, 0.6, 0.8]))
     grid = build_grid(series)
     seg = segmentation_from_indices(grid, (3,))
-    value = contrast(seg, grid, ContrastSpec("poisson"))
+    value = contrast(grid, ContrastSpec("poisson"), seg.indices)
     counts = np.array([1.0, 2.0])
     lengths = np.array([0.6, 0.4])
     assert -value == pytest.approx(
         poisson_loglik(counts, lengths, mle_rate(counts, lengths)), rel=1e-12
     )
 
-    marked = MarkedEventSeries(np.array([0.3, 0.6]), np.array([1.5, 2.5]))
+    marked = EventSeries(np.array([0.3, 0.6]), np.array([1.5, 2.5]))
     mgrid = build_grid(marked)
     mseg = segmentation_from_indices(mgrid, (3,))
-    mvalue = contrast(mseg, mgrid, ContrastSpec("marked_poisson"))
+    mvalue = contrast(mgrid, ContrastSpec("marked_poisson"), mseg.indices)
     mcounts = np.array([1.0, 1.0])
     mlengths = np.array([0.6, 0.4])
     msums = np.array([1.5, 2.5])
@@ -288,7 +287,7 @@ def test_default_spec_rules():
     assert spec.b == 0.25
     assert default_spec(plain, a=2.5).b == 0.625
 
-    marked = MarkedEventSeries(np.array([0.3, 0.7]), np.array([2.0, 4.0]))
+    marked = EventSeries(np.array([0.3, 0.7]), np.array([2.0, 4.0]))
     mspec = default_spec(marked)
     assert mspec.kind == "marked_pgeg"
     assert mspec.a_rho == 2.01
@@ -307,4 +306,4 @@ def test_contrast_requires_marks_for_marked_kind():
     grid = build_grid(series)
     seg = segmentation_from_indices(grid, (1,))
     with pytest.raises(ValueError, match="requires marked data"):
-        contrast(seg, grid, ContrastSpec("marked_poisson"))
+        contrast(grid, ContrastSpec("marked_poisson"), seg.indices)

@@ -6,6 +6,7 @@ tolerance, because both accumulate costs in the same order.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,15 +15,11 @@ import pytest
 from ppseg import (
     ContrastSpec,
     EventSeries,
-    MarkedEventSeries,
     brute_force,
     build_cost_matrix,
     build_grid,
     contrast,
-    contrast_of_indices,
-    dp_tables,
     enumerate_count_vectors,
-    grid_segment_cost,
     segment_cost,
     segment_stats,
     segmentation_from_indices,
@@ -31,8 +28,7 @@ from ppseg import (
     upsilon_star_cardinality,
 )
 from ppseg.contrasts import ext_add
-from ppseg.dp import DEGENERATE_WARNING, TIES_WARNING
-from ppseg.model import count_vector
+from ppseg.dp import DEGENERATE_WARNING, TIES_WARNING, _suffix_table, solve_bytes
 
 from helpers import naive_contrast, random_series, spec_variants
 
@@ -65,9 +61,7 @@ def test_leftmost_tie_prefers_the_before_position():
     assert res.segmentation.indices == (1,)
     assert res.segmentation.change_points[0].side == "before"
     grid = build_grid(series)
-    assert contrast_of_indices(grid, UNIT_PG, (1,)) == contrast_of_indices(
-        grid, UNIT_PG, (2,)
-    )
+    assert contrast(grid, UNIT_PG, (1,)) == contrast(grid, UNIT_PG, (2,))
 
 
 def test_two_event_worked_example():
@@ -83,11 +77,11 @@ def test_two_event_worked_example():
     assert res.contrast == pytest.approx(0.03834149397654753, rel=1e-13)
     grid = build_grid(series)
     # cutting between the events scores far worse
-    middle = contrast_of_indices(grid, spec, (2,))
+    middle = contrast(grid, spec, (2,))
     assert middle == pytest.approx(0.32602356642832847, rel=1e-13)
     assert middle > res.contrast
     # the mirror cut ties the optimum; lexicographic order breaks it
-    assert contrast_of_indices(grid, spec, (4,)) == res.contrast
+    assert contrast(grid, spec, (4,)) == res.contrast
 
 
 def _assert_same_result(a, b):
@@ -155,23 +149,23 @@ def test_solutions_have_isolated_interior_zeros():
             for res in solve(series, spec, 4):
                 if not res.feasible or res.segmentation is None:
                     continue
-                vec = count_vector(grid, res.segmentation).tolist()
+                vec = segment_stats(grid, res.segmentation.indices)[0].tolist()
                 k = len(vec)
                 assert sum(vec) == series.n
                 for i in range(1, k - 1):
                     assert not (vec[i] == 0 and (vec[i - 1] == 0 or vec[i + 1] == 0))
 
 
-def test_reported_contrast_reproduces_through_both_evaluators():
+def test_reported_contrast_reproduces_through_the_evaluator():
     series = EventSeries(np.array([0.1, 0.35, 0.35, 0.8]))
     spec = ContrastSpec("poisson_gamma", a=1.0, b=0.25)
     grid = build_grid(series)
     for res in solve(series, spec, 4):
         if res.segmentation is None:
             continue
-        seg = res.segmentation
-        assert contrast_of_indices(grid, spec, seg.indices) == res.contrast
-        assert contrast(seg, grid, spec) == res.contrast
+        indices = res.segmentation.indices
+        assert contrast(grid, spec, indices) == res.contrast
+        assert contrast(series, spec, indices) == res.contrast
 
 
 def test_cardinalities_match_enumeration():
@@ -208,27 +202,21 @@ def test_cardinality_empty_series():
 
 
 def test_dp_tables_invariants():
+    # S[k, j] is the best cost of splitting (tp_j, 1] into k segments
     rng = np.random.default_rng(5)
     series = random_series(rng, n_max=5, marked=True, allow_ties=False)
     spec = ContrastSpec("marked_pgeg", a=1.0, b=0.5)
-    table = dp_tables(series, spec, kmax=4)
-    cost = table.cost
+    cost = build_cost_matrix(series, spec)
+    suffix = _suffix_table(cost, 4)
     A = cost.shape[0] - 2
-    assert np.array_equal(table.prefix[1], cost[1])
-    assert np.array_equal(table.suffix[1], cost[1:, A + 1])
-    assert np.all(np.isposinf(table.prefix[0]))
-    assert np.all(np.isposinf(table.suffix[0]))
+    assert np.array_equal(suffix[1], cost[1:, A + 1])
+    assert np.all(np.isposinf(suffix[0]))
     for k in range(2, 5):
-        for h in range(A + 2):
-            want = np.min(
-                [ext_add(table.prefix[k - 1][j], cost[j + 1, h]) for j in range(A + 1)]
-            )
-            assert table.prefix[k, h] == want
         for j in range(A + 1):
             want = np.min(
-                [ext_add(cost[j + 1, l], table.suffix[k - 1][l]) for l in range(A + 1)]
+                [ext_add(cost[j + 1, l], suffix[k - 1][l]) for l in range(A + 1)]
             )
-            assert table.suffix[k, j] == want
+            assert suffix[k, j] == want
 
 
 def test_infeasible_segment_counts_are_flagged():
@@ -274,15 +262,15 @@ def test_forbidding_empty_segments_keeps_solver_exact():
                 if res.k > series.n:
                     assert res.segmentation is None
                 elif res.segmentation is not None:
-                    assert count_vector(grid, res.segmentation).min() >= 1
+                    assert segment_stats(grid, res.segmentation.indices)[0].min() >= 1
     series = EventSeries(np.array([0.1, 0.9]))
     spec = replace(UNIT_PG, forbid_empty=True)
     assert segment_cost(spec, 0, 0.5) == np.inf
     assert segment_cost(spec, 1, 0.5) == segment_cost(UNIT_PG, 1, 0.5)
     # the unrestricted optimum at K = 3 isolates the empty middle gap
     free = solve(series, UNIT_PG, 3)[2].segmentation
-    assert count_vector(build_grid(series), free).tolist() == [1, 0, 1]
-    assert contrast(free, series, spec) == np.inf
+    assert segment_stats(build_grid(series), free.indices)[0].tolist() == [1, 0, 1]
+    assert contrast(series, spec, free.indices) == np.inf
 
 
 def test_degenerate_optimum_is_returned_with_warning():
@@ -309,8 +297,6 @@ def test_kmax_validation():
     with pytest.raises(ValueError, match="at least 1"):
         solve(series, UNIT_PG, 0)
     with pytest.raises(ValueError, match="at least 1"):
-        dp_tables(series, UNIT_PG, 0)
-    with pytest.raises(ValueError, match="at least 1"):
         brute_force(series, UNIT_PG, 0)
 
 
@@ -328,20 +314,49 @@ def test_marked_kinds_need_marked_data():
         brute_force(series, ContrastSpec("marked_poisson"), 2)
 
 
-def test_grid_segment_cost_conventions():
+def test_contrast_prices_grid_segments():
     series = EventSeries(np.array([0.5, 0.5]))
     grid = build_grid(series)
     spec = UNIT_PG
-    assert grid_segment_cost(grid, spec, 2, 2) == 0.0
-    assert grid_segment_cost(grid, spec, 2, 3) == np.inf  # empty, zero length
-    assert grid_segment_cost(grid, spec, 0, 2) == pytest.approx(
-        2.0 * math.log(1.5), rel=1e-13
+    # (0, 0.5] holds both tied events, (0.5, 1] is empty
+    assert contrast(grid, spec, (4,)) == ext_add(
+        segment_cost(spec, 2, 0.5), segment_cost(spec, 0, 0.5)
     )
-    marked = MarkedEventSeries(np.array([0.2, 0.6, 0.9]), np.array([1.0, 0.5, 2.0]))
+    assert contrast(grid, spec, (2,)) == pytest.approx(4.0 * math.log(1.5), rel=1e-13)
+    assert contrast(grid, spec, (2, 3)) == np.inf  # empty, zero length
+    marked = EventSeries(np.array([0.2, 0.6, 0.9]), np.array([1.0, 0.5, 2.0]))
     mgrid = build_grid(marked)
     mspec = ContrastSpec("marked_pgeg", a=1.0, b=0.5)
-    for p_lo, p_hi in ((0, 3), (2, 7), (1, 4)):
-        stats = segment_stats(mgrid, p_lo, p_hi)
-        assert grid_segment_cost(mgrid, mspec, p_lo, p_hi) == segment_cost(
-            mspec, stats.count, stats.length, stats.mark_sum
-        )
+    for indices in ((3,), (2, 6), (1, 4)):
+        counts, lengths, sums = segment_stats(mgrid, indices)
+        pieces = [segment_cost(mspec, c, d, m) for c, d, m in zip(counts, lengths, sums)]
+        total = pieces[-1]
+        for piece in pieces[-2::-1]:
+            total = ext_add(piece, total)
+        assert contrast(mgrid, mspec, indices) == total
+    with pytest.raises(ValueError, match="strictly increasing interior"):
+        contrast(mgrid, mspec, (4, 4))
+
+
+def test_solve_refuses_series_beyond_physical_memory():
+    # the estimate is hundreds of terabytes; the guard fires before any
+    # dense table is allocated
+    series = EventSeries(np.linspace(0.1, 0.9, 10**6))
+    with pytest.raises(ValueError, match=r"n = 1000000 events needs about \d+\.\d GiB"):
+        solve(series, UNIT_PG, 2)
+
+
+@pytest.mark.parametrize("marked", [False, True])
+def test_memory_estimate_bounds_the_traced_peak(marked):
+    rng = np.random.default_rng(2)
+    n, kmax = 300, 12
+    times = np.sort(rng.uniform(0.01, 0.99, n))
+    series = EventSeries(times, rng.exponential(1.0, n) if marked else None)
+    for spec in spec_variants(marked):
+        tracemalloc.start()
+        try:
+            solve(series, spec, kmax)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= solve_bytes(n, kmax), (spec.kind, peak)

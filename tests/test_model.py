@@ -7,14 +7,10 @@ from hypothesis import strategies as st
 
 from ppseg import (
     EventSeries,
-    MarkedEventSeries,
     PiecewiseIntensity,
     Segmentation,
     build_grid,
-    count_vector,
     intensity_from_breaks,
-    segment_lengths,
-    segment_mark_sums,
     segment_stats,
     segmentation_from_indices,
 )
@@ -113,17 +109,39 @@ def test_window_must_be_increasing():
         EventSeries.from_window([0.5], window=(3.0, 1.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_times_must_be_finite(bad):
+    with pytest.raises(ValueError, match="event times must be finite"):
+        EventSeries(np.array([0.5, bad]))
+    with pytest.raises(ValueError, match="event times must be finite"):
+        EventSeries.from_window([bad, 2.0], window=(1.0, 3.0))
+
+
 def test_marks_validation():
     with pytest.raises(ValueError, match="align one-to-one"):
-        MarkedEventSeries(np.array([0.5]), np.array([1.0, 2.0]))
+        EventSeries(np.array([0.5]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="strictly positive"):
-        MarkedEventSeries(np.array([0.3, 0.5]), np.array([1.0, 0.0]))
+        EventSeries(np.array([0.3, 0.5]), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_marks_must_be_finite(bad):
+    with pytest.raises(ValueError, match="marks must be finite"):
+        EventSeries(np.array([0.3, 0.5]), np.array([1.0, bad]))
+
+
+def test_mark_total_must_not_overflow():
+    # each mark is finite, but their prefix sums overflow to inf
+    times = np.linspace(0.05, 0.95, 20)
+    with pytest.raises(ValueError, match="finite total"):
+        EventSeries(times, np.full(20, 1e307))
+    assert np.isfinite(EventSeries(times, np.full(20, 1e306)).mark_prefix[-1])
 
 
 def test_has_ties_flag():
     assert not EventSeries(np.array([0.2, 0.5])).has_ties
     assert EventSeries(np.array([0.2, 0.2])).has_ties
-    assert MarkedEventSeries(np.array([0.4, 0.4]), np.array([1.0, 1.0])).has_ties
+    assert EventSeries(np.array([0.4, 0.4]), np.array([1.0, 1.0])).has_ties
 
 
 def test_from_window_dyadic_round_trip():
@@ -139,15 +157,19 @@ def test_from_window_general_round_trip():
     raw = np.array([0.13, 0.47, 0.81])
     series = EventSeries.from_window(raw, window=(0.1, 0.9))
     assert np.allclose(series.original_times(), raw, rtol=1e-12, atol=0.0)
-    marked = MarkedEventSeries.from_window(raw, [1.0, 2.0, 3.0], window=(0.1, 0.9))
+    marked = EventSeries.from_window(raw, (0.1, 0.9), marks=[1.0, 2.0, 3.0])
+    assert marked.marks.tolist() == [1.0, 2.0, 3.0]
     assert np.allclose(marked.original_times(), raw, rtol=1e-12, atol=0.0)
     assert marked.to_original(0.0) == 0.1
 
 
 def test_mark_prefix_is_cumulative():
-    series = MarkedEventSeries(np.array([0.2, 0.5, 0.7]), np.array([1.5, 2.0, 0.25]))
+    series = EventSeries(np.array([0.2, 0.5, 0.7]), np.array([1.5, 2.0, 0.25]))
     assert series.mark_prefix.tolist() == [0.0, 1.5, 3.5, 3.75]
     assert build_grid(series).is_marked
+    plain = EventSeries(series.times)
+    assert plain.marks is None and plain.mark_prefix is None
+    assert not build_grid(plain).is_marked
 
 
 def test_segmentation_from_indices_valid():
@@ -187,14 +209,12 @@ def test_segmentation_constructor_checks_k():
 
 
 def test_segment_summaries_are_consistent():
-    series = MarkedEventSeries(
+    series = EventSeries(
         np.array([0.1, 0.4, 0.6, 0.85]), np.array([2.0, 1.0, 0.5, 4.0])
     )
     grid = build_grid(series)
     seg = segmentation_from_indices(grid, (3, 6))
-    counts = count_vector(grid, seg)
-    lengths = segment_lengths(grid, seg)
-    sums = segment_mark_sums(grid, seg)
+    counts, lengths, sums = segment_stats(grid, seg.indices)
     assert counts.tolist() == [1, 2, 1]
     assert counts.sum() == series.n
     assert lengths.sum() == pytest.approx(1.0, rel=1e-15)
@@ -203,24 +223,19 @@ def test_segment_summaries_are_consistent():
     assert sums.sum() == series.marks.sum()
 
 
-def test_segment_mark_sums_needs_marks():
-    grid = build_grid(EventSeries(np.array([0.5])))
-    seg = segmentation_from_indices(grid, (1,))
-    with pytest.raises(ValueError, match="no marks"):
-        segment_mark_sums(grid, seg)
-
-
 def test_segment_stats():
-    series = MarkedEventSeries(np.array([0.2, 0.5, 0.9]), np.array([1.0, 2.0, 3.0]))
+    series = EventSeries(np.array([0.2, 0.5, 0.9]), np.array([1.0, 2.0, 3.0]))
     grid = build_grid(series)
-    stats = segment_stats(grid, 0, 3)
-    assert (stats.count, stats.length, stats.mark_sum) == (1, 0.5, 1.0)
-    plain = segment_stats(build_grid(EventSeries(series.times)), 0, 3)
-    assert plain.mark_sum is None
-    with pytest.raises(ValueError, match="p_lo < p_hi"):
-        segment_stats(grid, 3, 3)
-    with pytest.raises(IndexError):
-        segment_stats(grid, -1, 3)
+    counts, lengths, sums = segment_stats(grid, (3,))
+    assert (counts.tolist(), lengths.tolist(), sums.tolist()) == ([1, 2], [0.5, 0.5], [1.0, 5.0])
+    counts, lengths, sums = segment_stats(grid, ())
+    assert (counts.tolist(), lengths.tolist(), sums.tolist()) == ([3], [1.0], [6.0])
+    # unmarked data has no mark sums
+    counts, _, sums = segment_stats(build_grid(EventSeries(series.times)), (3,))
+    assert counts.tolist() == [1, 2] and sums is None
+    for bad in ((3, 3), (5, 3), (0,), (7,), (-1,), (9,)):
+        with pytest.raises(ValueError, match="strictly increasing interior"):
+            segment_stats(grid, bad)
 
 
 def test_intensity_segments_are_right_closed():

@@ -10,7 +10,6 @@ from ppseg import (
     CvConfig,
     CvCurve,
     EventSeries,
-    MarkedEventSeries,
     cross_validate,
     fit,
     intensity_from_breaks,
@@ -36,11 +35,29 @@ def test_config_validation():
         CvConfig(prior_shape=0.0)
 
 
+def test_config_rejects_non_integer_counts():
+    with pytest.raises(ValueError, match="replicates must be an integer"):
+        CvConfig(replicates=2.5)
+    with pytest.raises(ValueError, match="kmax must be an integer"):
+        CvConfig(kmax=3.0)
+    with pytest.raises(ValueError, match="replicates must be an integer"):
+        CvConfig(replicates=True)
+    assert CvConfig(replicates=np.int64(3), kmax=np.int32(2)).replicates == 3
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_config_rejects_non_finite_fraction_and_shape(value):
+    with pytest.raises(ValueError, match="fraction"):
+        CvConfig(fraction=value)
+    with pytest.raises(ValueError, match="prior_shape must be finite"):
+        CvConfig(prior_shape=value)
+
+
 def test_thin_partitions_the_series():
     rng = np.random.default_rng(0)
     times = np.sort(rng.uniform(0.01, 0.99, 500))
     marks = rng.exponential(2.0, 500)
-    data = MarkedEventSeries(times, marks, window=(0.0, 2.0))
+    data = EventSeries(times, marks, window=(0.0, 2.0))
     learn, test = thin(data, 0.8, np.random.default_rng(1))
     assert learn.n + test.n == data.n
     assert learn.window == test.window == (0.0, 2.0)
