@@ -21,16 +21,13 @@ from .contrasts import (
     ContrastSpec,
     contrast,
     default_spec,
-    ext_add,
     marked_loglik,
     marked_pgeg_cost,
     marked_poisson_cost,
-    mle_mark_rate,
     mle_rate,
     poisson_cost,
     poisson_gamma_cost,
     poisson_loglik,
-    posterior_mean_mark_rate,
     posterior_mean_rate,
     segment_cost,
 )
@@ -101,7 +98,6 @@ __all__ = [
     "default_window",
     "derive_rates",
     "enumerate_count_vectors",
-    "ext_add",
     "fit",
     "hausdorff",
     "intensity_from_breaks",
@@ -110,13 +106,11 @@ __all__ = [
     "marked_loglik",
     "marked_pgeg_cost",
     "marked_poisson_cost",
-    "mle_mark_rate",
     "mle_rate",
     "parse_result",
     "poisson_cost",
     "poisson_gamma_cost",
     "poisson_loglik",
-    "posterior_mean_mark_rate",
     "posterior_mean_rate",
     "read_events_file",
     "read_intensity_file",

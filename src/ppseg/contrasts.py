@@ -13,10 +13,14 @@ segmentation is the quantity to minimize:
 - "marked_pgeg": the marginal cost with Gamma priors on both the event
   rate and the exponential mark rate.
 
-Costs are extended reals. A zero-length segment holding events drives
-the likelihood costs to -inf; setting ``forbid_zero_length`` turns that
-into +inf so the optimizer avoids such segments. +inf always absorbs in
-``ext_add``, because +inf marks forbidden configurations.
+Every cost lies in (-inf, +inf]. A zero-length segment holding events
+has an unbounded maximized likelihood: the likelihood optimum would be
+-inf as soon as K can isolate one event, a degenerate maximum and not
+an estimate. The likelihood kinds therefore price such a segment at
++inf; the marginal costs are finite there. A positive length or mark
+sum so small that count / length overflows keeps a finite cost through
+log count - log length. +inf marks forbidden configurations and absorbs
+under IEEE addition, so totals need no special arithmetic.
 
 Every function accepts scalars or numpy arrays of matching shape, which
 keeps the dynamic-programming cost matrices and scalar evaluations on a
@@ -25,9 +29,7 @@ single code path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
@@ -43,27 +45,6 @@ def _scalar_or_array(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def ext_add(x, y):
-    """Extended-real addition in which +inf absorbs and NaN never appears.
-
-    -inf + inf evaluates to +inf: an infinite-likelihood segment cannot
-    rescue a forbidden or infeasible configuration.
-    """
-    if np.ndim(x) == 0 and np.ndim(y) == 0:
-        # scalars skip the array machinery; float addition is the same
-        # IEEE operation, so the bits agree
-        x, y = float(x), float(y)
-        return math.inf if math.inf in (x, y) else x + y
-    a = np.asarray(x, dtype=np.float64)
-    b = np.asarray(y, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        out = a + b
-    mask = np.isposinf(a) | np.isposinf(b)
-    if mask.any():
-        out = np.where(mask, np.inf, out)
-    return _scalar_or_array(out)
-
-
 def _lgamma_shifted(count, shift):
     # Large integer-count arrays go through a lookup table: gammaln is
     # by far the most expensive piece of a cost matrix and counts only
@@ -76,20 +57,32 @@ def _lgamma_shifted(count, shift):
     return gammaln(arr + shift)
 
 
-def poisson_cost(count, length, forbid_zero_length: bool = False):
+def _log_ratio(c, x):
+    """log(c / x), taken as log c - log x where c / x overflows for x > 0.
+
+    The quotient overflows once x is below about c * 5.6e-309 although
+    its logarithm is finite; every other entry keeps the plain log of
+    the quotient.
+    """
+    out = np.log(c / x)
+    over = np.isposinf(out) & (x > 0.0)
+    if over.any():
+        out = np.where(over, np.log(c) - np.log(x), out)
+    return out
+
+
+def poisson_cost(count, length):
     """Negated maximized Poisson log-likelihood of one segment.
 
     Zero counts cost exactly 0 whatever the length. A positive count on
-    a zero-length segment costs -inf, or +inf when such segments are
-    forbidden.
+    a zero-length segment costs +inf: its likelihood is unbounded.
     """
     c = np.asarray(count, dtype=np.float64)
     d = np.asarray(length, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = c * (1.0 - np.log(c / d))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = c * (1.0 - _log_ratio(c, d))
     out = np.where(c == 0.0, 0.0, out)
-    if forbid_zero_length:
-        out = np.where((c > 0.0) & (d == 0.0), np.inf, out)
+    out = np.where((c > 0.0) & (d == 0.0), np.inf, out)
     return _scalar_or_array(out)
 
 
@@ -107,16 +100,19 @@ def poisson_gamma_cost(count, length, a, b):
     return _scalar_or_array(out)
 
 
-def marked_poisson_cost(count, length, mark_sum, forbid_zero_length: bool = False):
-    """Negated maximized log-likelihood with exponential marks."""
+def marked_poisson_cost(count, length, mark_sum):
+    """Negated maximized log-likelihood with exponential marks.
+
+    As for ``poisson_cost``, a positive count on a zero length or a zero
+    mark sum costs +inf.
+    """
     c = np.asarray(count, dtype=np.float64)
     d = np.asarray(length, dtype=np.float64)
     s = np.asarray(mark_sum, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = c * (2.0 - np.log(c / d) - np.log(c / s))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = c * (2.0 - _log_ratio(c, d) - _log_ratio(c, s))
     out = np.where(c == 0.0, 0.0, out)
-    if forbid_zero_length:
-        out = np.where((c > 0.0) & ((d == 0.0) | (s == 0.0)), np.inf, out)
+    out = np.where((c > 0.0) & ((d == 0.0) | (s == 0.0)), np.inf, out)
     return _scalar_or_array(out)
 
 
@@ -144,21 +140,12 @@ def marked_pgeg_cost(count, length, mark_sum, a, b, a_rho, b_rho):
 
 @dataclass(frozen=True)
 class ContrastSpec:
-    """Cost family plus hyper-parameters and optional length penalty.
-
-    ``forbid_zero_length`` defaults per kind: the pure likelihood costs
-    ("poisson", "marked_poisson") forbid zero-length segments because
-    their optimum otherwise degenerates to -inf for K >= 2; the marginal
-    costs are finite everywhere and keep them allowed.
+    """Cost family plus hyper-parameters.
 
     ``forbid_empty`` prices every segment holding no event at +inf, so
     each segment of an optimum holds at least one event and K above n is
     inadmissible. Counts are constant inside a grid cell, so the
     restricted optimum still lies on the candidate grid.
-
-    ``penalty`` is an optional (f, beta) pair adding f(length) + beta to
-    every segment cost. f must be concave in the segment length; this is
-    spot-checked numerically at construction.
     """
 
     kind: str
@@ -166,9 +153,7 @@ class ContrastSpec:
     b: float = 1.0
     a_rho: float = 2.01
     b_rho: float = 1.0
-    forbid_zero_length: bool | None = None
     forbid_empty: bool = False
-    penalty: tuple[Callable, float] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -181,27 +166,10 @@ class ContrastSpec:
                 raise ValueError("a_rho must exceed 2 so the mark-rate prior has a variance")
             if not self.b_rho > 0.0:
                 raise ValueError("b_rho must be positive")
-        if self.penalty is not None:
-            f, beta = self.penalty
-            if not np.isfinite(beta):
-                raise ValueError("penalty offset beta must be finite")
-            grid = np.linspace(1e-3, 1.0, 33)
-            vals = np.asarray(f(grid), dtype=np.float64)
-            if vals.shape != grid.shape or not np.all(np.isfinite(vals)):
-                raise ValueError("penalty f must map positive lengths to finite values")
-            second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
-            if np.any(second > 1e-8):
-                raise ValueError("penalty f must be concave in segment length")
 
     @property
     def requires_marks(self) -> bool:
         return self.kind in MARKED_KINDS
-
-    @property
-    def forbids_zero_length(self) -> bool:
-        if self.forbid_zero_length is not None:
-            return self.forbid_zero_length
-        return self.kind in ("poisson", "marked_poisson")
 
 
 def segment_cost(spec: ContrastSpec, count, length, mark_sum=None):
@@ -210,20 +178,15 @@ def segment_cost(spec: ContrastSpec, count, length, mark_sum=None):
         if mark_sum is None:
             raise ValueError(f"contrast kind {spec.kind!r} requires marked data")
         if spec.kind == "marked_poisson":
-            out = marked_poisson_cost(count, length, mark_sum, spec.forbids_zero_length)
+            out = marked_poisson_cost(count, length, mark_sum)
         else:
             out = marked_pgeg_cost(
                 count, length, mark_sum, spec.a, spec.b, spec.a_rho, spec.b_rho
             )
     elif spec.kind == "poisson":
-        out = poisson_cost(count, length, spec.forbids_zero_length)
+        out = poisson_cost(count, length)
     else:
         out = poisson_gamma_cost(count, length, spec.a, spec.b)
-    if spec.penalty is not None:
-        f, beta = spec.penalty
-        d = np.asarray(length, dtype=np.float64)
-        out = out + (np.asarray(f(d), dtype=np.float64) + beta)
-        out = _scalar_or_array(out)
     if spec.forbid_empty:
         out = _scalar_or_array(np.where(np.asarray(count) == 0, np.inf, out))
     return out
@@ -267,23 +230,22 @@ def contrast(data, spec: ContrastSpec, indices) -> float:
     counts, lengths, sums = segment_stats(grid, indices)
     pieces = np.asarray(segment_cost(spec, counts, lengths, sums), dtype=np.float64)
     pieces[(counts == 0) & (lengths == 0.0)] = np.inf
+    pieces = pieces.tolist()
     total = pieces[-1]
-    for piece in pieces[-2::-1]:
-        total = ext_add(piece, total)
-    return float(total)
+    for piece in reversed(pieces[:-1]):
+        total = piece + total
+    return total
 
 
 def posterior_mean_rate(count, length, a, b):
-    """Posterior expectation of a segment rate under a Gamma(a, b) prior."""
+    """Posterior expectation of a segment rate under a Gamma(a, b) prior.
+
+    With the segment's mark sum as ``length`` this is the posterior mean
+    of its exponential mark rate.
+    """
     c = np.asarray(count, dtype=np.float64)
     d = np.asarray(length, dtype=np.float64)
     return _scalar_or_array((c + a) / (d + b))
-
-
-def posterior_mean_mark_rate(count, mark_sum, a_rho, b_rho):
-    c = np.asarray(count, dtype=np.float64)
-    s = np.asarray(mark_sum, dtype=np.float64)
-    return _scalar_or_array((c + a_rho) / (s + b_rho))
 
 
 def mle_rate(count, length):
@@ -296,10 +258,6 @@ def mle_rate(count, length):
     return _scalar_or_array(out)
 
 
-def mle_mark_rate(count, mark_sum):
-    return mle_rate(count, mark_sum)
-
-
 def segment_rates(spec: ContrastSpec, counts, lengths, mark_sums=None):
     """Per-segment rate and mark-rate estimates under ``spec``.
 
@@ -310,11 +268,11 @@ def segment_rates(spec: ContrastSpec, counts, lengths, mark_sums=None):
     marked = spec.requires_marks
     if spec.kind in MARGINAL_KINDS:
         rates = posterior_mean_rate(counts, lengths, spec.a, spec.b)
-        mark_rates = (posterior_mean_mark_rate(counts, mark_sums, spec.a_rho, spec.b_rho)
+        mark_rates = (posterior_mean_rate(counts, mark_sums, spec.a_rho, spec.b_rho)
                       if marked else None)
     else:
         rates = mle_rate(counts, lengths)
-        mark_rates = mle_mark_rate(counts, mark_sums) if marked else None
+        mark_rates = mle_rate(counts, mark_sums) if marked else None
     return rates, mark_rates
 
 

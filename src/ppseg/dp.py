@@ -12,10 +12,14 @@ Ties are broken toward the lexicographically smallest change-point
 index vector. The solver achieves this with a suffix table: the first
 change-point is chosen as the smallest grid index attaining the optimum
 of (first segment cost) + (optimal remaining cost), then the argument
-repeats on the remainder. ``numpy.argmin`` returns the first minimizing
-index, which is exactly the rule needed. Once a -inf segment enters the
-running prefix every continuation short of +inf ties at -inf, so from
-that point the reconstruction switches to the first admissible index.
+repeats on the remainder. Two partial sums can differ by an ulp while
+the whole right-to-left totals tie exactly, so each step folds the
+pieces already chosen onto the candidate row, in the order ``contrast``
+sums them, and takes the first index whose total equals the optimum.
+Rounding is monotone, so this is the lexicographically first optimum.
+
+Every segment cost lies in (-inf, +inf] (see ``contrasts``), so plain
+IEEE addition accumulates the tables and +inf absorbs.
 
 Configurations with zero events and zero length (possible only with
 tied event times) carry no information and are excluded from the search
@@ -31,7 +35,7 @@ from math import comb
 
 import numpy as np
 
-from .contrasts import ContrastSpec, contrast, ext_add, segment_cost
+from .contrasts import ContrastSpec, contrast, segment_cost
 from .model import (
     CandidateGrid,
     Segmentation,
@@ -39,10 +43,6 @@ from .model import (
     segmentation_from_indices,
 )
 
-DEGENERATE_WARNING = (
-    "optimal contrast is -inf: a zero-length segment captures events; "
-    "use forbid_zero_length or a marginal-likelihood contrast"
-)
 TIES_WARNING = "event times contain ties"
 
 # Peak bytes that ``solve`` allocates per entry of the (2n + 2)^2 cost
@@ -64,8 +64,6 @@ def build_cost_matrix(data, spec: ContrastSpec) -> np.ndarray:
     C[K, h] = min_j C[K-1, j] + C(j+1 : h).
     """
     grid = _as_grid(data)
-    if spec.requires_marks and not grid.is_marked:
-        raise ValueError(f"contrast kind {spec.kind!r} requires marked data")
     A = grid.size
     idx = np.arange(A + 2)
     ev = idx // 2
@@ -94,14 +92,9 @@ def _suffix_table(cost: np.ndarray, kmax: int) -> np.ndarray:
     S[1] = cost[1:, A + 1]
     if kmax >= 2:
         m = cost[1:, : A + 1]  # m[j, l] = cost of (tp_j, tp_l]
-        has_neg = bool(np.isneginf(m).any())
         w = np.empty_like(m)
         for r in range(2, kmax + 1):
-            if has_neg:
-                w = ext_add(m, S[r - 1][None, :])
-            else:
-                # without -inf costs IEEE addition already lets +inf absorb
-                np.add(m, S[r - 1][None, :], out=w)
+            np.add(m, S[r - 1][None, :], out=w)
             S[r] = w.min(axis=1)
     return S
 
@@ -117,19 +110,16 @@ class SolveResult:
 
 def _reconstruct(cost: np.ndarray, suffix: np.ndarray, k: int) -> list[int]:
     A = suffix.shape[1] - 1
+    best = suffix[k, 0]
     indices: list[int] = []
+    pieces: list[float] = []
     prev = 0
-    neg_prefix = False
     for r in range(k - 1, 0, -1):
-        row = ext_add(cost[prev + 1, : A + 1], suffix[r])
-        if neg_prefix:
-            # the total is -inf through any continuation that avoids
-            # +inf, so the lexicographic rule picks the first such index
-            j = int(np.flatnonzero(row < np.inf)[0])
-        else:
-            j = int(np.argmin(row))
-        if np.isneginf(cost[prev + 1, j]):
-            neg_prefix = True
+        total = cost[prev + 1, : A + 1] + suffix[r]
+        for piece in reversed(pieces):
+            total = piece + total
+        j = int(np.argmax(total == best))
+        pieces.append(cost[prev + 1, j])
         indices.append(j)
         prev = j
     return indices
@@ -146,9 +136,8 @@ def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:
 
     A segment count K is infeasible when K - 1 exceeds the number of
     interior grid positions; such entries are flagged rather than given
-    a sentinel cost. A -inf optimum is returned as found, with a
-    warning, since it signals a degenerate likelihood maximum. Series
-    whose dense tables would not fit in physical memory are refused.
+    a sentinel cost. Series whose dense tables would not fit in physical
+    memory are refused.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
@@ -176,8 +165,7 @@ def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:
             )
             continue
         seg = segmentation_from_indices(grid, _reconstruct(cost, suffix, k))
-        warn = base_warn + ((DEGENERATE_WARNING,) if value == -np.inf else ())
-        results.append(SolveResult(k, True, seg, value, warn))
+        results.append(SolveResult(k, True, seg, value, base_warn))
     return results
 
 
@@ -191,8 +179,6 @@ def brute_force(data, spec: ContrastSpec, k: int, limit: int = 1_000_000) -> Sol
     if k < 1:
         raise ValueError("k must be at least 1")
     grid = _as_grid(data)
-    if spec.requires_marks and not grid.is_marked:
-        raise ValueError(f"contrast kind {spec.kind!r} requires marked data")
     A = grid.size
     if k - 1 > A:
         return SolveResult(k, False, None, None)
@@ -208,9 +194,7 @@ def brute_force(data, spec: ContrastSpec, k: int, limit: int = 1_000_000) -> Sol
     assert best_value is not None
     if best_value == np.inf:
         return SolveResult(k, True, None, np.inf, ("no admissible segmentation",))
-    seg = segmentation_from_indices(grid, best)
-    warn = (DEGENERATE_WARNING,) if best_value == -np.inf else ()
-    return SolveResult(k, True, seg, best_value, warn)
+    return SolveResult(k, True, segmentation_from_indices(grid, best), best_value)
 
 
 def upsilon_cardinality(n: int, k: int) -> int:

@@ -162,10 +162,6 @@ class CandidateGrid:
     def last_index(self) -> int:
         return self.size + 1
 
-    @property
-    def is_marked(self) -> bool:
-        return self.mark_prefix is not None
-
     def _check_index(self, p: int) -> int:
         p = int(p)
         if not 0 <= p <= self.last_index:

@@ -46,7 +46,7 @@ from .contrasts import (
     ContrastSpec,
     default_spec,
     poisson_gamma_cost,
-    posterior_mean_mark_rate,
+    posterior_mean_rate,
     segment_rates,
 )
 from .dp import TIES_WARNING, solve
@@ -145,7 +145,7 @@ def _mark_test_score(spec, counts, mark_sums, test_counts, test_sums) -> float:
     The mark rate is the reciprocal of the posterior mean of the mean
     mark under the Gamma(a_rho, b_rho) rate prior.
     """
-    rho = posterior_mean_mark_rate(counts, mark_sums, spec.a_rho - 1.0, spec.b_rho)
+    rho = posterior_mean_rate(counts, mark_sums, spec.a_rho - 1.0, spec.b_rho)
     return float(np.sum(rho * test_sums - test_counts * np.log(rho)))
 
 

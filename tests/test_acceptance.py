@@ -32,7 +32,7 @@ from ppseg import (
     upsilon_star_cardinality,
 )
 from ppseg.bench import BenchConfig, run_bench
-from ppseg.contrasts import ContrastSpec, contrast, ext_add, segment_cost
+from ppseg.contrasts import ContrastSpec, contrast, segment_cost
 
 from helpers import ACCEPTANCE_LINES, random_series
 
@@ -119,8 +119,8 @@ def test_criterion_02_concavity_and_cell_corner_dominance():
         if grid.mark_prefix is not None:
             s_left = float(grid.mark_prefix[m])
             s_right = float(grid.mark_prefix[n] - grid.mark_prefix[m])
-        continuous = ext_add(float(segment_cost(spec, m, tau, s_left)),
-                             float(segment_cost(spec, n - m, 1.0 - tau, s_right)))
+        continuous = (float(segment_cost(spec, m, tau, s_left))
+                      + float(segment_cost(spec, n - m, 1.0 - tau, s_right)))
         # a corner on the boundary 0 or 2n + 1 leaves a single segment
         corners = [
             contrast(grid, spec, (p,) if 0 < p < grid.last_index else ())

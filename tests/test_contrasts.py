@@ -19,16 +19,13 @@ from ppseg import (
     build_grid,
     contrast,
     default_spec,
-    ext_add,
     marked_loglik,
     marked_pgeg_cost,
     marked_poisson_cost,
-    mle_mark_rate,
     mle_rate,
     poisson_cost,
     poisson_gamma_cost,
     poisson_loglik,
-    posterior_mean_mark_rate,
     posterior_mean_rate,
     segment_cost,
     segmentation_from_indices,
@@ -95,22 +92,10 @@ def test_lgamma_lookup_table_is_bit_identical():
     assert np.array_equal(_lgamma_shifted(small, 1.0), gammaln(small + 1.0))
 
 
-def test_ext_add_absorbs_infinities():
-    assert ext_add(INF, -INF) == INF
-    assert ext_add(-INF, INF) == INF
-    assert ext_add(-INF, -INF) == -INF
-    assert ext_add(INF, INF) == INF
-    assert ext_add(1.5, 2.0) == 3.5
-    out = ext_add(np.array([INF, -INF, 1.0]), np.array([-INF, 2.0, 2.0]))
-    assert out.tolist() == [INF, -INF + 2.0, 3.0]
-    assert not np.any(np.isnan(out))
-
-
 def test_poisson_cost_edges():
     assert poisson_cost(0, 0.7) == 0.0
     assert poisson_cost(0, 0.0) == 0.0
-    assert poisson_cost(2, 0.0) == -INF
-    assert poisson_cost(2, 0.0, forbid_zero_length=True) == INF
+    assert poisson_cost(2, 0.0) == INF
 
 
 def test_poisson_gamma_cost_edges():
@@ -125,14 +110,40 @@ def test_poisson_gamma_cost_edges():
 
 def test_marked_cost_edges():
     assert marked_poisson_cost(0, 0.5, 0.0) == 0.0
-    assert marked_poisson_cost(3, 0.0, 1.0) == -INF
-    assert marked_poisson_cost(3, 0.5, 0.0) == -INF
-    assert marked_poisson_cost(3, 0.0, 1.0, forbid_zero_length=True) == INF
-    assert marked_poisson_cost(3, 0.5, 0.0, forbid_zero_length=True) == INF
+    assert marked_poisson_cost(3, 0.0, 1.0) == INF
+    assert marked_poisson_cost(3, 0.5, 0.0) == INF
     # with no events the mark factor drops out entirely
     assert marked_pgeg_cost(0, 0.4, 0.0, 1.0, 0.5, 2.5, 2.0) == pytest.approx(
         poisson_gamma_cost(0, 0.4, 1.0, 0.5), rel=1e-13
     )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_costs_are_never_minus_infinity(kind):
+    spec = ContrastSpec(kind, a=0.8, b=0.4, a_rho=2.5, b_rho=1.5)
+    for c in (0, 1, 5):
+        for d in (0.0, 5e-324, 1e-308, 0.5):
+            for s in (0.0, 5e-324, 1.0):
+                got = segment_cost(spec, c, d, s if spec.requires_marks else None)
+                assert not (math.isnan(got) or got == -INF), (c, d, s, got)
+                got = segment_cost(spec, np.array([c]), np.array([d]),
+                                   np.array([s]) if spec.requires_marks else None)
+                assert not (np.isnan(got[0]) or got[0] == -INF), (c, d, s, got)
+
+
+def test_overflowing_ratio_takes_the_difference_of_logs():
+    # count / length overflows to inf although the length is positive
+    assert poisson_cost(3, 1e-308) == pytest.approx(
+        3.0 * (1.0 - (math.log(3.0) - math.log(1e-308))), rel=1e-13
+    )
+    assert marked_poisson_cost(1, 0.5, 5e-324) == pytest.approx(
+        2.0 - math.log(2.0) - (math.log(1.0) - math.log(5e-324)), rel=1e-13
+    )
+    assert marked_poisson_cost(2, 5e-324, 5e-324) == pytest.approx(
+        2.0 * (2.0 - 2.0 * (math.log(2.0) - math.log(5e-324))), rel=1e-13
+    )
+    # a quotient just short of overflow keeps the plain log
+    assert poisson_cost(1, 1e-300) == 1.0 - np.log(1.0 / 1e-300)
 
 
 def test_vectorized_costs_match_scalar_reference():
@@ -178,7 +189,7 @@ def test_poisson_cost_never_rewards_merging(c1, c2, d1, d2):
 
 def test_posterior_means_approach_mles():
     assert posterior_mean_rate(6, 0.5, 1e-12, 1e-12) == pytest.approx(12.0, rel=1e-9)
-    assert posterior_mean_mark_rate(4, 8.0, 2.0 + 1e-12, 2e-12) == pytest.approx(
+    assert posterior_mean_rate(4, 8.0, 2.0 + 1e-12, 2e-12) == pytest.approx(
         (4 + 2.0) / 8.0, rel=1e-9
     )
     assert posterior_mean_rate(3, 0.4, 1.0, 0.5) == pytest.approx(4.0 / 0.9, rel=1e-15)
@@ -188,7 +199,7 @@ def test_mle_rate_conventions():
     assert mle_rate(4, 0.5) == 8.0
     assert mle_rate(0, 0.0) == 0.0
     assert mle_rate(2, 0.0) == INF
-    assert mle_mark_rate(3, 6.0) == 0.5
+    assert mle_rate(3, 6.0) == 0.5
 
 
 def test_negated_contrast_equals_loglik_at_mles():
@@ -211,7 +222,7 @@ def test_negated_contrast_equals_loglik_at_mles():
     msums = np.array([1.5, 2.5])
     assert -mvalue == pytest.approx(
         marked_loglik(mcounts, mlengths, msums,
-                      mle_rate(mcounts, mlengths), mle_mark_rate(mcounts, msums)),
+                      mle_rate(mcounts, mlengths), mle_rate(mcounts, msums)),
         rel=1e-12,
     )
 
@@ -245,34 +256,15 @@ def test_spec_validation():
 
 
 def test_spec_zero_length_defaults():
-    assert ContrastSpec("poisson").forbids_zero_length
-    assert ContrastSpec("marked_poisson").forbids_zero_length
-    assert not ContrastSpec("poisson_gamma").forbids_zero_length
-    assert not ContrastSpec("marked_pgeg").forbids_zero_length
-    assert not ContrastSpec("poisson", forbid_zero_length=False).forbids_zero_length
-    assert ContrastSpec("poisson_gamma", forbid_zero_length=True).forbids_zero_length
+    # the likelihood kinds forbid zero-length segments holding events,
+    # the marginal kinds keep them finite
+    assert segment_cost(ContrastSpec("poisson"), 2, 0.0) == INF
+    assert segment_cost(ContrastSpec("marked_poisson"), 2, 0.0, 1.0) == INF
+    assert np.isfinite(segment_cost(ContrastSpec("poisson_gamma"), 2, 0.0))
+    assert np.isfinite(segment_cost(ContrastSpec("marked_pgeg"), 2, 0.0, 1.0))
     assert ContrastSpec("marked_pgeg").requires_marks
     assert not ContrastSpec("poisson_gamma").requires_marks
     assert set(MARKED_KINDS) < set(KINDS)
-
-
-def test_penalty_is_added_per_segment():
-    base = ContrastSpec("poisson_gamma", a=1.0, b=0.5)
-    penalized = ContrastSpec("poisson_gamma", a=1.0, b=0.5,
-                             penalty=(np.sqrt, 0.7))
-    plain = segment_cost(base, 2, 0.5)
-    assert segment_cost(penalized, 2, 0.5) == pytest.approx(
-        plain + math.sqrt(0.5) + 0.7, rel=1e-15
-    )
-
-
-def test_penalty_validation():
-    with pytest.raises(ValueError, match="concave"):
-        ContrastSpec("poisson_gamma", penalty=(lambda d: d ** 2, 0.0))
-    with pytest.raises(ValueError, match="finite"):
-        ContrastSpec("poisson_gamma", penalty=(np.log, INF))
-    with pytest.raises(ValueError, match="finite values"):
-        ContrastSpec("poisson_gamma", penalty=(lambda d: d * np.nan, 0.0))
 
 
 def test_segment_cost_requires_marks_for_marked_kinds():

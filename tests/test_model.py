@@ -166,10 +166,10 @@ def test_from_window_general_round_trip():
 def test_mark_prefix_is_cumulative():
     series = EventSeries(np.array([0.2, 0.5, 0.7]), np.array([1.5, 2.0, 0.25]))
     assert series.mark_prefix.tolist() == [0.0, 1.5, 3.5, 3.75]
-    assert build_grid(series).is_marked
+    assert build_grid(series).mark_prefix is not None
     plain = EventSeries(series.times)
     assert plain.marks is None and plain.mark_prefix is None
-    assert not build_grid(plain).is_marked
+    assert build_grid(plain).mark_prefix is None
 
 
 def test_segmentation_from_indices_valid():
