@@ -63,7 +63,7 @@ from .model import (
     segment_stats,
     segmentation_from_indices,
 )
-from .selection import CvConfig, CvCurve, FitResult, cross_validate, fit, thin
+from .selection import CvConfig, CvCurve, FitResult, cross_validate, fit, refit, thin
 from .simulate import (
     ALTERNATING_BREAKPOINTS,
     alternating_intensity,
@@ -114,6 +114,7 @@ __all__ = [
     "posterior_mean_rate",
     "read_events_file",
     "read_intensity_file",
+    "refit",
     "render_metrics",
     "render_result",
     "segment_cost",

@@ -20,8 +20,7 @@ import sys
 import numpy as np
 
 from .bench import PRESETS, BenchConfig, run_bench
-from .contrasts import KINDS, MARGINAL_KINDS, default_spec, segment_rates
-from .dp import solve
+from .contrasts import KINDS, default_spec
 from .io import (
     ResultDocument,
     load_series,
@@ -32,8 +31,8 @@ from .io import (
     write_events_file,
 )
 from .metrics import hausdorff, l2_distance, true_change_values
-from .model import build_grid, intensity_from_breaks, segment_stats
-from .selection import CvConfig, cross_validate, fit
+from .model import intensity_from_breaks
+from .selection import CvConfig, cross_validate, fit, refit
 from .simulate import alternating_intensity, simulate_events, simulate_marked
 
 
@@ -75,37 +74,38 @@ def _parse_design(text: str):
     return alternating_intensity(*values)
 
 
-def _make_document(command, source, data, spec, kmax, seed, seg, counts, rates, mark_rates,
-                   contrast_items, curve, fraction, replicates, warnings) -> ResultDocument:
+def _make_document(source, data, result, kmax, cfg) -> ResultDocument:
+    """The result document of a fit; ``cfg`` is None when K was fixed."""
+    spec, seg, curve = result.spec, result.segmentation, result.curve
     cv_rows = ()
     if curve is not None:
         cv_rows = tuple(zip(curve.ks, curve.means, curve.stderrs, curve.counts))
     change_points = tuple(
-        (p.index, p.side, p.value, float(data.to_original(p.value))) for p in seg.change_points
+        (p.index, p.side, p.value, t) for p, t in zip(seg.change_points, result.change_point_times)
     )
     segments = tuple(
-        (i + 1, int(counts[i]), float(rates[i]), float(rates[i] / data.width),
-         None if mark_rates is None else float(mark_rates[i]))
+        (i + 1, result.counts[i], result.rates[i], result.rates[i] / data.width,
+         None if result.mark_rates is None else result.mark_rates[i])
         for i in range(seg.k)
     )
     return ResultDocument(
-        command=command,
+        command="segment",
         source=source,
         contrast_kind=spec.kind,
         a=spec.a,
         b=spec.b,
         a_rho=spec.a_rho if spec.requires_marks else None,
         b_rho=spec.b_rho if spec.requires_marks else None,
-        fraction=fraction,
-        cv_replicates=replicates,
+        fraction=None if cfg is None else cfg.fraction,
+        cv_replicates=None if cfg is None else cfg.replicates,
         kmax=kmax,
-        seed=seed,
+        seed=None if cfg is None else cfg.seed,
         window=data.window,
         n_events=data.n,
-        k_hat=seg.k,
-        warnings=tuple(warnings),
+        k_hat=result.k_hat,
+        warnings=result.warnings,
         cv_rows=cv_rows,
-        contrast_rows=tuple(contrast_items),
+        contrast_rows=tuple((k, result.contrast_by_k.get(k)) for k in range(1, kmax + 1)),
         change_points=change_points,
         segments=segments,
     )
@@ -144,45 +144,22 @@ def _cmd_segment(args) -> int:
     data = _load(args)
     if data.n == 0:
         raise ValueError("the events file is empty; nothing to segment")
-    kind = args.contrast
-    if args.k is None and kind is not None and kind not in MARGINAL_KINDS:
-        raise ValueError(
-            f"cross-validated selection needs a marginal contrast "
-            f"({' or '.join(MARGINAL_KINDS)}); use --k for {kind!r}"
-        )
     if args.k is not None:
         if args.k < 1:
             raise ValueError("--k must be at least 1")
-        spec = default_spec(data, kind=kind, a=args.prior_shape)
-        grid = build_grid(data)
-        results = solve(grid, spec, args.k)
-        final = results[args.k - 1]
-        if not final.feasible:
-            raise ValueError(f"K = {args.k} exceeds the candidate grid of this series")
-        seg = final.segmentation
-        if seg is None:
-            raise ValueError(f"no admissible segmentation with K = {args.k}")
-        counts, lengths, sums = segment_stats(grid, seg.indices)
-        doc = _make_document(
-            "segment", args.events, data, spec, args.k, None, seg, counts,
-            *segment_rates(spec, counts, lengths, sums),
-            [(r.k, r.contrast if r.feasible else None) for r in results],
-            None, None, None, final.warnings,
-        )
+        spec = default_spec(data, kind=args.contrast, a=args.prior_shape)
+        cfg, kmax = None, args.k
+        result = refit(data, spec, kmax, args.k)
     else:
-        seed = _resolve_seed(args.seed, 0)
-        cfg = CvConfig(fraction=args.fraction, replicates=args.replicates,
-                       kmax=args.kmax, seed=seed, prior_shape=args.prior_shape)
+        kind = default_spec(data).kind
+        if args.contrast not in (None, kind):
+            raise ValueError(f"cross-validation fits {kind!r} to these data; "
+                             f"use --k for {args.contrast!r}")
+        cfg = CvConfig(fraction=args.fraction, replicates=args.replicates, kmax=args.kmax,
+                       seed=_resolve_seed(args.seed, 0), prior_shape=args.prior_shape)
+        kmax = cfg.kmax
         result = fit(data, cfg)
-        contrast_items = [
-            (k, result.contrast_by_k.get(k)) for k in range(1, args.kmax + 1)
-        ]
-        doc = _make_document(
-            "segment", args.events, data, result.spec, args.kmax, seed,
-            result.segmentation, result.counts, result.rates, result.mark_rates,
-            contrast_items, result.curve, args.fraction, args.replicates, result.warnings,
-        )
-    _write_output(args.output, render_result(doc))
+    _write_output(args.output, render_result(_make_document(args.events, data, result, kmax, cfg)))
     return 0
 
 
@@ -288,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=float, nargs=2, metavar=("T0", "T1"), default=None,
                    help="observation window (default: data range padded by 1%%)")
     p.add_argument("--contrast", choices=KINDS, default=None,
-                   help="cost family (default: marginal kind chosen from the data)")
+                   help="cost family (default: the data's marginal kind; others need --k)")
     p.add_argument("--k", type=int, default=None,
                    help="fixed segment count; skips cross-validation")
     _add_cv_options(p, replicates=500)

@@ -138,6 +138,15 @@ def marked_pgeg_cost(count, length, mark_sum, a, b, a_rho, b_rho):
     return _scalar_or_array(out)
 
 
+def _check_prior_constant(a_name, a, b_name, b) -> None:
+    # every marginal cost adds lgamma(a) - a log b; were it not finite, costs would be NaN
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(gammaln(a) - a * np.log(b))
+    if not finite:
+        raise ValueError(f"hyper-parameters {a_name} = {a!r} and {b_name} = {b!r} give a "
+                         f"non-finite prior constant lgamma({a_name}) - {a_name} log {b_name}")
+
+
 @dataclass(frozen=True)
 class ContrastSpec:
     """Cost family plus hyper-parameters.
@@ -158,14 +167,16 @@ class ContrastSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown contrast kind {self.kind!r}; choose from {KINDS}")
-        if self.kind in ("poisson_gamma", "marked_pgeg"):
+        if self.kind in MARGINAL_KINDS:
             if not (self.a > 0.0 and self.b > 0.0):
                 raise ValueError("hyper-parameters a and b must be positive")
+            _check_prior_constant("a", self.a, "b", self.b)
         if self.kind == "marked_pgeg":
             if not self.a_rho > 2.0:
                 raise ValueError("a_rho must exceed 2 so the mark-rate prior has a variance")
             if not self.b_rho > 0.0:
                 raise ValueError("b_rho must be positive")
+            _check_prior_constant("a_rho", self.a_rho, "b_rho", self.b_rho)
 
     @property
     def requires_marks(self) -> bool:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BOUNDARY = "boundary"
 BEFORE = "before"
 AT = "at"
 
@@ -131,9 +130,8 @@ class EventSeries:
 class GridPoint:
     """One candidate change-point position.
 
-    ``side`` is "before" for odd indices (just left of an event), "at"
-    for even interior indices (the event time itself) and "boundary"
-    for the interval endpoints 0 and 2n + 1.
+    ``side`` is "before" for odd indices (just left of an event) and
+    "at" for even ones (the event time itself).
     """
 
     index: int
@@ -161,29 +159,6 @@ class CandidateGrid:
     @property
     def last_index(self) -> int:
         return self.size + 1
-
-    def _check_index(self, p: int) -> int:
-        p = int(p)
-        if not 0 <= p <= self.last_index:
-            raise IndexError(f"grid index {p} out of range [0, {self.last_index}]")
-        return p
-
-    def value(self, p: int) -> float:
-        return float(self.values[self._check_index(p)])
-
-    def side(self, p: int) -> str:
-        p = self._check_index(p)
-        if p == 0 or p == self.last_index:
-            return BOUNDARY
-        return BEFORE if p % 2 else AT
-
-    def point(self, p: int) -> GridPoint:
-        p = self._check_index(p)
-        return GridPoint(p, self.side(p), float(self.values[p]))
-
-    def count_between(self, p_lo: int, p_hi: int) -> int:
-        """Events in the open-closed segment between two grid indices."""
-        return p_hi // 2 - p_lo // 2
 
 
 def build_grid(events) -> CandidateGrid:
@@ -235,21 +210,20 @@ class Segmentation:
 def segmentation_from_indices(grid: CandidateGrid, indices) -> Segmentation:
     """Build and validate a segmentation from interior grid indices.
 
-    Indices must be strictly increasing interior positions. Segments
-    that would contain no event and have zero length are rejected; they
-    only arise with tied event times and carry no information.
+    One pass over the path ``[0, *indices, 2n + 1]`` rejects, with
+    ValueError, indices that are not strictly increasing interior
+    positions and segments with no event and zero length (possible only
+    with tied times). Sides follow from the parity of the indices.
     """
-    idx = [grid._check_index(p) for p in indices]
-    for p in idx:
-        if p == 0 or p == grid.last_index:
-            raise ValueError("change-points must be interior grid positions")
-    path = [0, *idx, grid.last_index]
-    for lo, hi in zip(path[:-1], path[1:]):
-        if lo >= hi:
-            raise ValueError("change-point indices must be strictly increasing")
-        if grid.count_between(lo, hi) == 0 and grid.values[hi] == grid.values[lo]:
-            raise ValueError("segmentation contains an empty zero-length segment")
-    return Segmentation(len(idx) + 1, tuple(grid.point(p) for p in idx))
+    path = np.array([0, *indices, grid.last_index])
+    if np.any(path[1:] <= path[:-1]):
+        raise ValueError("change-points must be strictly increasing interior grid indices")
+    ev, vals = path // 2, grid.values[path]
+    if np.any((ev[1:] == ev[:-1]) & (vals[1:] == vals[:-1])):
+        raise ValueError("segmentation contains an empty zero-length segment")
+    points = tuple(GridPoint(p, BEFORE if p % 2 else AT, v)
+                   for p, v in zip(path[1:-1].tolist(), vals[1:-1].tolist()))
+    return Segmentation(len(points) + 1, points)
 
 
 @dataclass(eq=False)

@@ -58,6 +58,8 @@ from .model import (
     segment_stats,
 )
 
+MIN_DEFINED_FRACTION = 0.5  # share of replicates in which a K must be scored
+
 
 @dataclass(frozen=True)
 class CvConfig:
@@ -72,16 +74,13 @@ class CvConfig:
     scores the test set. On the robust-a and robust-f benchmark presets
     (20 samples, 100 replicates) the mean selected K is 5.4, 5.1, 5.6,
     5.85 and 6.25 for a = 0.1, 0.5, 1, 2 and 10, and 5.8, 5.0, 5.6 and
-    5.85 for f = 0.5, 2/3, 0.8 and 0.9. K values that were feasible in
-    fewer than min_defined_fraction of the replicates are excluded from
-    selection.
+    5.85 for f = 0.5, 2/3, 0.8 and 0.9.
     """
 
     fraction: float = 0.8
     replicates: int = 500
     kmax: int = 12
     seed: int = 0
-    min_defined_fraction: float = 0.5
     prior_shape: float = 1.0
 
     def __post_init__(self) -> None:
@@ -95,8 +94,6 @@ class CvConfig:
             raise ValueError("need at least one replicate")
         if self.kmax < 1:
             raise ValueError("kmax must be at least 1")
-        if not 0.0 <= self.min_defined_fraction <= 1.0:
-            raise ValueError("min_defined_fraction must lie in [0, 1]")
         if not (math.isfinite(self.prior_shape) and self.prior_shape > 0.0):
             raise ValueError("prior_shape must be finite and positive")
 
@@ -160,9 +157,10 @@ class CvCurve:
     replicates: int
     warnings: tuple[str, ...] = ()
 
-    def best_k(self, min_defined_fraction: float = 0.5) -> int:
-        """Smallest K attaining the minimal average test contrast."""
-        threshold = min_defined_fraction * self.replicates
+    def best_k(self) -> int:
+        """Smallest K attaining the minimal average test contrast among
+        those scored in at least MIN_DEFINED_FRACTION of the replicates."""
+        threshold = MIN_DEFINED_FRACTION * self.replicates
         best = None
         best_mean = None
         for k, mean, count in zip(self.ks, self.means, self.counts):
@@ -236,12 +234,13 @@ def cross_validate(data, config: CvConfig | None = None) -> CvCurve:
 
 @dataclass(eq=False)
 class FitResult:
-    """Selected model with posterior-mean rate estimates.
+    """Fitted model with rate estimates, posterior means for marginal kinds.
 
     ``spec`` is the contrast of the full-data fit and ``counts`` the
     events per segment. Rates are per unit normalized time; divide by
     the window width for original-scale rates. ``contrast_by_k`` maps
-    each feasible K to its optimal full-data contrast.
+    each feasible K to its optimal full-data contrast. ``curve`` is the
+    cross-validation curve that chose K, or None when K was fixed.
     """
 
     k_hat: int
@@ -254,7 +253,7 @@ class FitResult:
     mark_rates: tuple[float, ...] | None
     contrast: float
     contrast_by_k: dict[int, float]
-    curve: CvCurve
+    curve: CvCurve | None
     window: tuple[float, float]
     warnings: tuple[str, ...]
 
@@ -267,32 +266,30 @@ class FitResult:
         return intensity_from_breaks(self.breakpoints(), self.rates, self.mark_rates)
 
 
-def fit(data, config: CvConfig | None = None) -> FitResult:
-    """Select K by cross-validation, then refit on the full data.
+def refit(data, spec: ContrastSpec, kmax: int, k: int, curve: CvCurve | None = None) -> FitResult:
+    """The optimal segmentation of the full data at K = k under ``spec``.
 
-    The final segmentation optimizes the marginal contrast on the whole
-    series with hyper-parameters refreshed from it, and the reported
-    rates are posterior means under that segmentation.
+    Solves K = 1..kmax for ``contrast_by_k`` and estimates the rates with
+    ``segment_rates``. ``curve`` is the curve that chose k, or None when
+    k is fixed. Raises ValueError when k lies outside 1..kmax, exceeds
+    the candidate grid or admits no segmentation.
     """
-    cfg = config if config is not None else CvConfig()
-    curve = cross_validate(data, cfg)
-    k_hat = curve.best_k(cfg.min_defined_fraction)
-    spec = default_spec(data, a=cfg.prior_shape)
+    if not 1 <= k <= kmax:
+        raise ValueError(f"K = {k} must lie between 1 and kmax = {kmax}")
     grid = build_grid(data)
-    results = solve(grid, spec, cfg.kmax)
-    final = results[k_hat - 1]
-    assert final.feasible and final.segmentation is not None
+    results = solve(grid, spec, kmax)
+    final = results[k - 1]
+    if not final.feasible:
+        raise ValueError(f"K = {k} exceeds the candidate grid of this series")
     seg = final.segmentation
+    if seg is None:
+        raise ValueError(f"no admissible segmentation with K = {k}")
     counts, lengths, sums = segment_stats(grid, seg.indices)
     rates, mark_rates = segment_rates(spec, counts, lengths, sums)
-    contrast_by_k = {
-        res.k: float(res.contrast)
-        for res in results
-        if res.feasible and res.contrast is not None
-    }
-    warnings = curve.warnings + tuple(w for w in final.warnings if w not in curve.warnings)
+    contrast_by_k = {res.k: float(res.contrast) for res in results if res.feasible}
+    cv_warnings = () if curve is None else curve.warnings
     return FitResult(
-        k_hat=k_hat,
+        k_hat=k,
         spec=spec,
         segmentation=seg,
         counts=tuple(int(c) for c in counts),
@@ -304,5 +301,18 @@ def fit(data, config: CvConfig | None = None) -> FitResult:
         contrast_by_k=contrast_by_k,
         curve=curve,
         window=data.window,
-        warnings=warnings,
+        warnings=cv_warnings + tuple(w for w in final.warnings if w not in cv_warnings),
     )
+
+
+def fit(data, config: CvConfig | None = None) -> FitResult:
+    """Select K by cross-validation, then refit on the full data.
+
+    ``cross_validate`` chooses K; ``refit`` then optimizes the marginal
+    contrast of ``default_spec`` on the whole series, with
+    hyper-parameters refreshed from it, and reports posterior-mean
+    rates under that segmentation.
+    """
+    cfg = config if config is not None else CvConfig()
+    curve = cross_validate(data, cfg)
+    return refit(data, default_spec(data, a=cfg.prior_shape), cfg.kmax, curve.best_k(), curve)

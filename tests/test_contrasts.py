@@ -255,6 +255,34 @@ def test_spec_validation():
         ContrastSpec("marked_pgeg", b_rho=0.0)
 
 
+NON_FINITE_PRIORS = [
+    ("poisson_gamma", {"a": math.inf}, "a = inf"),
+    ("poisson_gamma", {"a": 1e308}, "a = 1e+308"),
+    ("poisson_gamma", {"b": math.inf}, "b = inf"),
+    ("poisson_gamma", {"a": 1e-310}, "a = 1e-310"),
+    ("marked_pgeg", {"a": math.inf}, "a = inf"),
+    ("marked_pgeg", {"a_rho": math.inf}, "a_rho = inf"),
+    ("marked_pgeg", {"b_rho": math.inf}, "b_rho = inf"),
+    ("marked_pgeg", {"a_rho": 1e308}, "a_rho = 1e+308"),
+]
+
+
+@pytest.mark.parametrize("kind, params, named", NON_FINITE_PRIORS,
+                         ids=[f"{k}-{n.replace(' ', '')}" for k, _, n in NON_FINITE_PRIORS])
+def test_spec_rejects_a_non_finite_prior_constant(kind, params, named):
+    # these used to give NaN costs, and solve then failed with the
+    # misleading "change-points must be interior grid positions"
+    with pytest.raises(ValueError, match="non-finite prior constant") as err:
+        ContrastSpec(kind, **params)
+    assert named in str(err.value)
+
+
+def test_spec_keeps_extreme_but_finite_priors():
+    for a, b in ((1e-300, 1e-300), (1e300, 1e300), (1e-300, 1e300)):
+        ContrastSpec("poisson_gamma", a=a, b=b)
+        ContrastSpec("marked_pgeg", a=a, b=b, a_rho=max(a, 2.01), b_rho=b)
+
+
 def test_spec_zero_length_defaults():
     # the likelihood kinds forbid zero-length segments holding events,
     # the marginal kinds keep them finite

@@ -404,6 +404,25 @@ def test_cli_rejects_bad_env_seed(tmp_path, monkeypatch, capsys):
     assert "CPT_SEED must be an integer" in capsys.readouterr().err
 
 
+def test_cross_validated_segment_rejects_another_contrast(tmp_path, capsys):
+    # cross-validation always fits the data's own marginal kind, so a
+    # different --contrast used to be accepted and silently ignored
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    assert _run(["simulate", "--design", "100,8", "--seed", "1", "-o", str(plain)]) == 0
+    assert _run(["simulate", "--design", "100,8", "--marks", "0.1,0.005", "--seed", "1",
+                 "-o", str(marked)]) == 0
+    for events, kind in ((marked, "poisson_gamma"), (plain, "marked_pgeg")):
+        assert _run(["segment", str(events), "--window", "0", "1", "--contrast", kind,
+                     "--replicates", "5", "-o", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.rstrip().endswith(f"use --k for {kind!r}")
+    # the data's own kind is accepted
+    assert _run(["segment", str(plain), "--window", "0", "1", "--contrast", "poisson_gamma",
+                 "--replicates", "5", "--kmax", "3", "-o", "-"]) == 0
+    assert "contrast: poisson_gamma" in capsys.readouterr().out
+
+
 def test_cli_error_paths(tmp_path, capsys):
     events = tmp_path / "events.csv"
     empty = tmp_path / "empty.csv"

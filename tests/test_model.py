@@ -14,7 +14,13 @@ from ppseg import (
     segment_stats,
     segmentation_from_indices,
 )
-from ppseg.model import AT, BEFORE, BOUNDARY
+from ppseg.model import AT, BEFORE
+
+
+def _count(grid, p_lo, p_hi):
+    # events in the segment (p_lo, p_hi], read off segment_stats
+    cuts = tuple(p for p in (p_lo, p_hi) if 0 < p < grid.last_index)
+    return int(segment_stats(grid, cuts)[0][int(p_lo > 0)])
 
 
 def test_grid_layout():
@@ -23,10 +29,9 @@ def test_grid_layout():
     assert grid.size == 6
     assert grid.last_index == 7
     assert grid.values.tolist() == [0.0, 0.2, 0.2, 0.5, 0.5, 0.9, 0.9, 1.0]
-    assert [grid.side(p) for p in range(8)] == [
-        BOUNDARY, BEFORE, AT, BEFORE, AT, BEFORE, AT, BOUNDARY,
-    ]
-    pt = grid.point(3)
+    points = segmentation_from_indices(grid, range(1, 7)).change_points
+    assert [p.side for p in points] == [BEFORE, AT, BEFORE, AT, BEFORE, AT]
+    pt = points[2]
     assert (pt.index, pt.side, pt.value) == (3, BEFORE, 0.5)
 
 
@@ -34,26 +39,16 @@ def test_grid_empty_series():
     grid = build_grid(EventSeries(np.array([])))
     assert grid.size == 0
     assert grid.values.tolist() == [0.0, 1.0]
-    assert grid.count_between(0, 1) == 0
-
-
-def test_grid_index_range_checked():
-    grid = build_grid(EventSeries(np.array([0.5])))
-    with pytest.raises(IndexError):
-        grid.value(4)
-    with pytest.raises(IndexError):
-        grid.side(-1)
+    assert _count(grid, 0, 1) == 0
 
 
 def _contains(grid, p_lo, p_hi, m):
-    # membership by values and sides; only valid for distinct event times
+    # membership by values and sides; only valid for distinct event times.
+    # Odd indices sit just before their event, even ones at it; the
+    # boundaries 0 and 1 never equal an event time.
     t = grid.events.times[m]
-    after_start = t > grid.values[p_lo] or (
-        t == grid.values[p_lo] and grid.side(p_lo) == BEFORE
-    )
-    before_end = t < grid.values[p_hi] or (
-        t == grid.values[p_hi] and grid.side(p_hi) == AT
-    )
+    after_start = t > grid.values[p_lo] or (t == grid.values[p_lo] and p_lo % 2 == 1)
+    before_end = t < grid.values[p_hi] or (t == grid.values[p_hi] and p_hi % 2 == 0)
     return after_start and before_end
 
 
@@ -70,20 +65,20 @@ def test_count_between_matches_interval_semantics(times):
         for p_hi in range(p_lo + 1, grid.last_index + 1):
             by_value = sum(_contains(grid, p_lo, p_hi, m) for m in range(grid.n))
             by_index = sum(p_lo < 2 * (m + 1) <= p_hi for m in range(grid.n))
-            assert grid.count_between(p_lo, p_hi) == by_value == by_index
+            assert _count(grid, p_lo, p_hi) == by_value == by_index
 
 
 def test_count_between_with_ties():
     # value-based reasoning breaks on ties; the index rule still holds
     grid = build_grid(EventSeries(np.array([0.5, 0.5])))
-    assert grid.count_between(0, 5) == 2
-    assert grid.count_between(1, 2) == 1
-    assert grid.count_between(2, 3) == 0
-    assert grid.count_between(2, 4) == 1
+    assert _count(grid, 0, 5) == 2
+    assert _count(grid, 1, 2) == 1
+    assert _count(grid, 2, 3) == 0
+    assert _count(grid, 2, 4) == 1
     for p_lo in range(6):
         for p_hi in range(p_lo + 1, 6):
             expected = sum(p_lo < 2 * m <= p_hi for m in (1, 2))
-            assert grid.count_between(p_lo, p_hi) == expected
+            assert _count(grid, p_lo, p_hi) == expected
 
 
 def test_times_must_be_sorted():
@@ -191,7 +186,7 @@ def test_segmentation_from_indices_rejects_bad_input():
         segmentation_from_indices(grid, (5, 3))
     with pytest.raises(ValueError, match="strictly increasing"):
         segmentation_from_indices(grid, (3, 3))
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="interior"):
         segmentation_from_indices(grid, (9,))
 
 

@@ -1,6 +1,11 @@
 """Thinning-based cross-validation and the full fit pipeline."""
 
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +16,10 @@ from ppseg import (
     CvCurve,
     EventSeries,
     cross_validate,
+    default_spec,
     fit,
     intensity_from_breaks,
+    refit,
     thin,
 )
 from ppseg.dp import TIES_WARNING
@@ -29,8 +36,6 @@ def test_config_validation():
         CvConfig(replicates=0)
     with pytest.raises(ValueError, match="kmax"):
         CvConfig(kmax=0)
-    with pytest.raises(ValueError, match="min_defined_fraction"):
-        CvConfig(min_defined_fraction=1.5)
     with pytest.raises(ValueError, match="prior_shape"):
         CvConfig(prior_shape=0.0)
 
@@ -51,6 +56,13 @@ def test_config_rejects_non_finite_fraction_and_shape(value):
         CvConfig(fraction=value)
     with pytest.raises(ValueError, match="prior_shape must be finite"):
         CvConfig(prior_shape=value)
+
+
+def test_fit_rejects_a_prior_shape_whose_prior_constant_overflows():
+    # the costs used to be NaN and the error blamed the change-points
+    data = EventSeries(np.array([0.3, 0.6]))
+    with pytest.raises(ValueError, match="non-finite prior constant"):
+        fit(data, CvConfig(replicates=5, kmax=2, prior_shape=1e308))
 
 
 def test_thin_partitions_the_series():
@@ -91,8 +103,8 @@ def test_best_k_takes_the_smallest_minimizer():
 def test_best_k_skips_rarely_defined_candidates():
     curve = CvCurve(ks=(1, 2, 3), means=(5.0, 3.0, 4.0), stderrs=(0.0, 0.0, 0.0),
                     counts=(10, 4, 10), replicates=10)
-    assert curve.best_k(min_defined_fraction=0.5) == 3
-    assert curve.best_k(min_defined_fraction=0.2) == 2
+    # K = 2 is scored in 4 of 10 replicates, under the 0.5 share
+    assert curve.best_k() == 3
 
 
 def test_best_k_ignores_undefined_and_may_fail():
@@ -212,3 +224,45 @@ def test_fit_respects_window_scaling():
     assert result.window == (2.0, 10.0)
     for u, t in zip(result.change_point_values, result.change_point_times):
         assert t == pytest.approx(2.0 + 8.0 * u, rel=1e-12)
+
+
+def test_fit_is_a_refit_at_the_selected_k():
+    # three repeated times, so both the curve and the solve warn of ties
+    times = simulate_events(alternating_intensity(60.0, 8.0), seed=2).times
+    data = EventSeries(np.sort(np.concatenate((times, times[:3]))))
+    cfg = CvConfig(replicates=20, kmax=8, seed=3)
+    fitted = fit(data, cfg)
+    direct = refit(data, default_spec(data), cfg.kmax, fitted.k_hat)
+    assert fitted.k_hat > 1
+    assert fitted.curve is not None and direct.curve is None
+    for field in dataclasses.fields(fitted):
+        if field.name not in ("curve", "warnings"):
+            assert getattr(fitted, field.name) == getattr(direct, field.name), field.name
+    assert TIES_WARNING in direct.warnings
+    cv_warnings = fitted.curve.warnings
+    assert fitted.warnings == cv_warnings + tuple(
+        w for w in direct.warnings if w not in cv_warnings)
+
+
+REFIT_ERRORS = """
+from ppseg import EventSeries, default_spec, refit
+for times, message in (([0.5], "exceeds the candidate grid"),
+                       ([0.5, 0.5], "no admissible segmentation")):
+    data = EventSeries(times)
+    try:
+        refit(data, default_spec(data), 5, 5)
+    except ValueError as exc:
+        assert message in str(exc), exc
+    else:
+        raise SystemExit("refit accepted K = 5")
+"""
+
+
+def test_refit_raises_clear_errors_without_asserts():
+    # under python -O, where assert statements are stripped
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-O", "-c", REFIT_ERRORS], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 0, run.stderr
+    with pytest.raises(ValueError, match="between 1 and kmax"):
+        refit(EventSeries(np.array([0.5])), ContrastSpec("poisson"), 2, 3)
