@@ -16,45 +16,18 @@ Typical use::
     result.k_hat, result.change_point_times, result.rates
 """
 
-from .contrasts import (
-    KINDS,
-    ContrastSpec,
-    contrast,
-    default_spec,
-    marked_loglik,
-    marked_pgeg_cost,
-    marked_poisson_cost,
-    mle_rate,
-    poisson_cost,
-    poisson_gamma_cost,
-    poisson_loglik,
-    posterior_mean_rate,
-    segment_cost,
-)
+from .contrasts import KINDS, ContrastSpec, contrast, default_spec, segment_cost
 from .dp import (
     SolveResult,
     brute_force,
-    build_cost_matrix,
     enumerate_count_vectors,
     solve,
     upsilon_cardinality,
     upsilon_star_cardinality,
 )
-from .io import (
-    ResultDocument,
-    default_window,
-    load_series,
-    parse_result,
-    read_events_file,
-    read_intensity_file,
-    render_metrics,
-    render_result,
-    write_events_file,
-    write_intensity_file,
-)
-from .metrics import change_point_set, hausdorff, l2_distance, true_change_values
+from .io import ResultDocument, load_series, parse_result, render_result
+from .metrics import hausdorff, l2_distance
 from .model import (
-    CandidateGrid,
     EventSeries,
     PiecewiseIntensity,
     Segmentation,
@@ -63,20 +36,12 @@ from .model import (
     segment_stats,
     segmentation_from_indices,
 )
-from .selection import CvConfig, CvCurve, FitResult, cross_validate, fit, refit, thin
-from .simulate import (
-    ALTERNATING_BREAKPOINTS,
-    alternating_intensity,
-    derive_rates,
-    simulate_events,
-    simulate_marked,
-)
+from .selection import CvConfig, CvCurve, FitResult, cross_validate, fit, refit
+from .simulate import alternating_intensity, simulate_events, simulate_marked
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALTERNATING_BREAKPOINTS",
-    "CandidateGrid",
     "ContrastSpec",
     "CvConfig",
     "CvCurve",
@@ -89,33 +54,18 @@ __all__ = [
     "SolveResult",
     "alternating_intensity",
     "brute_force",
-    "build_cost_matrix",
     "build_grid",
-    "change_point_set",
     "contrast",
     "cross_validate",
     "default_spec",
-    "default_window",
-    "derive_rates",
     "enumerate_count_vectors",
     "fit",
     "hausdorff",
     "intensity_from_breaks",
     "l2_distance",
     "load_series",
-    "marked_loglik",
-    "marked_pgeg_cost",
-    "marked_poisson_cost",
-    "mle_rate",
     "parse_result",
-    "poisson_cost",
-    "poisson_gamma_cost",
-    "poisson_loglik",
-    "posterior_mean_rate",
-    "read_events_file",
-    "read_intensity_file",
     "refit",
-    "render_metrics",
     "render_result",
     "segment_cost",
     "segment_stats",
@@ -123,10 +73,6 @@ __all__ = [
     "simulate_events",
     "simulate_marked",
     "solve",
-    "thin",
-    "true_change_values",
     "upsilon_cardinality",
     "upsilon_star_cardinality",
-    "write_events_file",
-    "write_intensity_file",
 ]

@@ -111,6 +111,14 @@ def _make_document(source, data, result, kmax, cfg) -> ResultDocument:
     )
 
 
+def _read_intensity(path):
+    """An intensity table mapped onto (0, 1), and the domain (lo, hi) it spans."""
+    bp, rates, mark_rates = read_intensity_file(path)
+    lo, hi = float(bp[0]), float(bp[-1])
+    width = hi - lo
+    return intensity_from_breaks((bp - lo) / width, rates * width, mark_rates), (lo, hi)
+
+
 def _cmd_simulate(args) -> int:
     if args.design is not None:
         if args.marks is not None:
@@ -118,20 +126,15 @@ def _cmd_simulate(args) -> int:
             intensity = alternating_intensity(*_floats(args.design, "--design", (2,)), *rho)
         else:
             intensity = _parse_design(args.design)
-        lo, width = 0.0, 1.0
+        lo, hi = 0.0, 1.0
     else:
         if args.marks is not None:
             raise ValueError("with --intensity-file, set marks via its mark_rate column")
-        bp, rates, mark_rates = read_intensity_file(args.intensity_file)
-        lo, width = float(bp[0]), float(bp[-1] - bp[0])
-        intensity = intensity_from_breaks((bp - lo) / width, rates * width, mark_rates)
+        intensity, (lo, hi) = _read_intensity(args.intensity_file)
     seed = _resolve_seed(args.seed, None)
-    if intensity.mark_rates is not None:
-        series = simulate_marked(intensity, seed=seed)
-        write_events_file(args.output, lo + series.times * width, series.marks)
-    else:
-        series = simulate_events(intensity, seed=seed)
-        write_events_file(args.output, lo + series.times * width)
+    simulate = simulate_events if intensity.mark_rates is None else simulate_marked
+    series = simulate(intensity, seed=seed)
+    write_events_file(args.output, lo + series.times * (hi - lo), series.marks)
     return 0
 
 
@@ -140,7 +143,20 @@ def _load(args):
     return load_series(args.events, window)
 
 
+def _cv_config(args) -> CvConfig:
+    """Cross-validation settings from the flags given; CvConfig fills in the rest."""
+    given = {name: getattr(args, name) for name in ("fraction", "replicates", "kmax")
+             if getattr(args, name) is not None}
+    return CvConfig(seed=_resolve_seed(args.seed, 0), prior_shape=args.prior_shape, **given)
+
+
 def _cmd_segment(args) -> int:
+    if args.k is not None:
+        ignored = [f"--{name}" for name in ("kmax", "replicates", "fraction", "seed")
+                   if getattr(args, name) is not None]
+        if ignored:
+            raise ValueError(f"{', '.join(ignored)} only apply to cross-validation, "
+                             "which --k skips")
     data = _load(args)
     if data.n == 0:
         raise ValueError("the events file is empty; nothing to segment")
@@ -155,8 +171,7 @@ def _cmd_segment(args) -> int:
         if args.contrast not in (None, kind):
             raise ValueError(f"cross-validation fits {kind!r} to these data; "
                              f"use --k for {args.contrast!r}")
-        cfg = CvConfig(fraction=args.fraction, replicates=args.replicates, kmax=args.kmax,
-                       seed=_resolve_seed(args.seed, 0), prior_shape=args.prior_shape)
+        cfg = _cv_config(args)
         kmax = cfg.kmax
         result = fit(data, cfg)
     _write_output(args.output, render_result(_make_document(args.events, data, result, kmax, cfg)))
@@ -164,11 +179,7 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_cv_curve(args) -> int:
-    data = _load(args)
-    seed = _resolve_seed(args.seed, 0)
-    cfg = CvConfig(fraction=args.fraction, replicates=args.replicates,
-                   kmax=args.kmax, seed=seed, prior_shape=args.prior_shape)
-    curve = cross_validate(data, cfg)
+    curve = cross_validate(_load(args), _cv_config(args))
     lines = ["k,mean,stderr,count"]
     for k, mean, se, count in zip(curve.ks, curve.means, curve.stderrs, curve.counts):
         lines.append(f"{k},{repr(mean)},{repr(se)},{count}")
@@ -182,14 +193,9 @@ def _cmd_evaluate(args) -> int:
     if args.truth.startswith("design:"):
         truth = _parse_design(args.truth[len("design:"):])
     else:
-        bp, rates, mark_rates = read_intensity_file(args.truth)
-        lo, hi = float(bp[0]), float(bp[-1])
-        if (lo, hi) == (0.0, 1.0):
-            truth = intensity_from_breaks(bp, rates, mark_rates)
-        elif (lo, hi) == doc.window:
-            width = hi - lo
-            truth = intensity_from_breaks((bp - lo) / width, rates * width, mark_rates)
-        else:
+        # a truth table on (0, 1) maps onto itself bit for bit
+        truth, (lo, hi) = _read_intensity(args.truth)
+        if (lo, hi) not in ((0.0, 1.0), doc.window):
             raise ValueError(
                 f"mismatched windows: truth spans [{lo}, {hi}] but the "
                 f"result window is [{doc.window[0]}, {doc.window[1]}]"
@@ -228,12 +234,13 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _add_cv_options(p: argparse.ArgumentParser, replicates: int) -> None:
-    p.add_argument("--kmax", type=int, default=12, help="largest segment count tried")
-    p.add_argument("--fraction", type=float, default=0.8,
-                   help="thinning keep probability (default 0.8)")
-    p.add_argument("--replicates", type=int, default=replicates,
-                   help=f"thinning replicates (default {replicates})")
+def _add_cv_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kmax", type=int, default=None,
+                   help=f"largest segment count tried (default {CvConfig.kmax})")
+    p.add_argument("--fraction", type=float, default=None,
+                   help=f"thinning keep probability (default {CvConfig.fraction})")
+    p.add_argument("--replicates", type=int, default=None,
+                   help=f"thinning replicates (default {CvConfig.replicates})")
     p.add_argument("--seed", type=int, default=None,
                    help="random seed (default: CPT_SEED or 0)")
     p.add_argument("--prior-shape", type=float, default=1.0,
@@ -268,14 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cost family (default: the data's marginal kind; others need --k)")
     p.add_argument("--k", type=int, default=None,
                    help="fixed segment count; skips cross-validation")
-    _add_cv_options(p, replicates=500)
+    _add_cv_options(p)
     p.add_argument("-o", "--output", default="-", help="result file to write ('-' = stdout)")
     p.set_defaults(func=_cmd_segment)
 
     p = sub.add_parser("cv-curve", help="write the cross-validation curve as CSV")
     p.add_argument("events", help="events file (columns: time[,mark])")
     p.add_argument("--window", type=float, nargs=2, metavar=("T0", "T1"), default=None)
-    _add_cv_options(p, replicates=500)
+    _add_cv_options(p)
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=_cmd_cv_curve)
 

@@ -286,33 +286,3 @@ def segment_rates(spec: ContrastSpec, counts, lengths, mark_sums=None):
         mark_rates = mle_rate(counts, mark_sums) if marked else None
     return rates, mark_rates
 
-
-def poisson_loglik(counts, lengths, rates) -> float:
-    """Log-likelihood of per-segment counts under given rates.
-
-    Terms with a zero count contribute only the exposure -rate * length;
-    a positive count on a zero rate yields -inf.
-    """
-    c = np.asarray(counts, dtype=np.float64)
-    d = np.asarray(lengths, dtype=np.float64)
-    r = np.asarray(rates, dtype=np.float64)
-    if not (c.shape == d.shape == r.shape):
-        raise ValueError("counts, lengths and rates must have matching shapes")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        occ = c * np.log(r)
-    occ = np.where(c == 0.0, 0.0, occ)
-    return float(np.sum(occ - r * d))
-
-
-def marked_loglik(counts, lengths, mark_sums, rates, mark_rates) -> float:
-    """Joint log-likelihood of counts and exponential marks."""
-    c = np.asarray(counts, dtype=np.float64)
-    s = np.asarray(mark_sums, dtype=np.float64)
-    rho = np.asarray(mark_rates, dtype=np.float64)
-    if not (c.shape == s.shape == rho.shape):
-        raise ValueError("counts, mark sums and mark rates must have matching shapes")
-    base = poisson_loglik(counts, lengths, rates)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        occ = c * np.log(rho)
-    occ = np.where(c == 0.0, 0.0, occ)
-    return base + float(np.sum(occ - rho * s))

@@ -35,40 +35,46 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def read_events_file(path) -> tuple[np.ndarray, np.ndarray | None]:
-    """Load times (and marks when present) from an events table."""
+def _read_columns(path, what: str, headers) -> np.ndarray:
+    """The columns of a comma-separated table, as the rows of a float array.
+
+    The header row, stripped and lower-cased, must equal one of
+    ``headers``. Blank rows are skipped; every other row must hold one
+    number per header field.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip().lower() for h in next(reader)]
         except StopIteration:
-            raise ValueError(f"{path}: empty events file") from None
-        if header not in (["time"], ["time", "mark"]):
-            raise ValueError(
-                f"{path}: expected header 'time' or 'time,mark', got {','.join(header)!r}"
-            )
-        marked = len(header) == 2
-        times: list[float] = []
-        marks: list[float] = []
+            raise ValueError(f"{path}: empty {what} file") from None
+        if header not in headers:
+            wanted = " or ".join(repr(",".join(h)) for h in headers)
+            raise ValueError(f"{path}: expected header {wanted}, got {','.join(header)!r}")
+        rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} fields")
             try:
-                times.append(float(row[0]))
-                if marked:
-                    marks.append(float(row[1]))
+                rows.append([float(v) for v in row])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric value") from None
-    t = np.asarray(times, dtype=np.float64)
+    return np.array(rows, dtype=np.float64).reshape(-1, len(header)).T.copy()
+
+
+def read_events_file(path) -> tuple[np.ndarray, np.ndarray | None]:
+    """Load times (and marks when present) from an events table."""
+    columns = _read_columns(path, "events", (["time"], ["time", "mark"]))
+    t = columns[0]
     if t.size and not np.all(np.isfinite(t)):
         raise ValueError(f"{path}: event times must be finite")
     if np.any(np.diff(t) < 0.0):
         raise ValueError(f"{path}: event times must be sorted ascending")
-    if not marked:
+    if len(columns) == 1:
         return t, None
-    m = np.asarray(marks, dtype=np.float64)
+    m = columns[1]
     if m.size and (not np.all(np.isfinite(m)) or np.any(m <= 0.0)):
         raise ValueError(f"{path}: marks must be finite and strictly positive")
     return t, m
@@ -114,51 +120,19 @@ def load_series(path, window: tuple[float, float] | None = None):
 
 def read_intensity_file(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Step-function table -> (breakpoints, rates, mark_rates or None)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip().lower() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty intensity file") from None
-        if header not in (["start", "end", "rate"], ["start", "end", "rate", "mark_rate"]):
-            raise ValueError(f"{path}: expected header 'start,end,rate[,mark_rate]'")
-        marked = len(header) == 4
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric value") from None
-            if len(rows[-1]) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields")
-    if not rows:
+    columns = _read_columns(
+        path, "intensity", (["start", "end", "rate"], ["start", "end", "rate", "mark_rate"])
+    )
+    if columns.shape[1] == 0:
         raise ValueError(f"{path}: intensity file has no segments")
-    arr = np.asarray(rows, dtype=np.float64)
-    starts, ends, rates = arr[:, 0], arr[:, 1], arr[:, 2]
+    starts, ends, rates = columns[:3]
     if np.any(ends <= starts):
         raise ValueError(f"{path}: each segment needs end > start")
     if np.any(starts[1:] != ends[:-1]):
         raise ValueError(f"{path}: segments must tile the domain contiguously")
     breakpoints = np.concatenate((starts[:1], ends))
-    mark_rates = arr[:, 3] if marked else None
+    mark_rates = columns[3] if len(columns) == 4 else None
     return breakpoints, rates, mark_rates
-
-
-def write_intensity_file(path, breakpoints, rates, mark_rates=None) -> None:
-    bp = np.asarray(breakpoints, dtype=np.float64)
-    r = np.asarray(rates, dtype=np.float64)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if mark_rates is None:
-            fh.write("start,end,rate\n")
-            for lo, hi, v in zip(bp[:-1], bp[1:], r):
-                fh.write(f"{_fmt(lo)},{_fmt(hi)},{_fmt(v)}\n")
-        else:
-            mr = np.asarray(mark_rates, dtype=np.float64)
-            fh.write("start,end,rate,mark_rate\n")
-            for lo, hi, v, w in zip(bp[:-1], bp[1:], r, mr):
-                fh.write(f"{_fmt(lo)},{_fmt(hi)},{_fmt(v)},{_fmt(w)}\n")
 
 
 @dataclass(eq=False)

@@ -106,9 +106,6 @@ class EventSeries:
     def width(self) -> float:
         return self.window[1] - self.window[0]
 
-    def original_times(self) -> np.ndarray:
-        return self.window[0] + self.times * self.width
-
     def to_original(self, u):
         """Map normalized positions back to the original time scale."""
         return self.window[0] + np.asarray(u, dtype=np.float64) * self.width
@@ -231,8 +228,10 @@ class PiecewiseIntensity:
     """Piecewise-constant intensity on (0, 1].
 
     breakpoints has K + 1 strictly increasing entries running from 0 to
-    1; rates holds the K positive segment intensities. mark_rates, when
-    present, holds the exponential rate of the marks on each segment.
+    1; rates holds the K nonnegative segment intensities. mark_rates,
+    when present, holds the exponential rate of the marks on each
+    segment, positive except on a segment of rate 0, where it may be 0
+    (the maximum-likelihood convention 0 / 0 = 0 of an empty segment).
     """
 
     breakpoints: np.ndarray
@@ -248,16 +247,18 @@ class PiecewiseIntensity:
             raise ValueError("breakpoints must run from 0 to 1")
         if np.any(np.diff(bp) <= 0.0):
             raise ValueError("breakpoints must be strictly increasing")
-        if np.any(r <= 0.0):
-            raise ValueError("rates must be strictly positive")
+        if not np.all(r >= 0.0):
+            raise ValueError("rates must be nonnegative")
         self.breakpoints = bp
         self.rates = r
         if self.mark_rates is not None:
             mr = np.asarray(self.mark_rates, dtype=np.float64)
             if mr.shape != r.shape:
                 raise ValueError("need one mark rate per segment")
-            if np.any(mr <= 0.0):
-                raise ValueError("mark rates must be strictly positive")
+            if not np.all((mr > 0.0) | ((mr == 0.0) & (r == 0.0))):
+                raise ValueError(
+                    "mark rates must be strictly positive, or 0 on a segment of rate 0"
+                )
             self.mark_rates = mr
         self._cum = np.concatenate(([0.0], np.cumsum(r * np.diff(bp))))
 
@@ -270,9 +271,6 @@ class PiecewiseIntensity:
         t = np.asarray(t, dtype=np.float64)
         idx = np.searchsorted(self.breakpoints, t, side="left") - 1
         return np.clip(idx, 0, self.k - 1)
-
-    def rate_at(self, t):
-        return self.rates[self.segment_of(t)]
 
     def cumulative(self, t):
         """Integral of the intensity from 0 to t, evaluated exactly."""

@@ -97,3 +97,22 @@ def spec_variants(marked=False):
             ContrastSpec("marked_pgeg", a=0.5, b=1.0, a_rho=3.0, b_rho=2.0),
         ]
     return specs
+
+
+def poisson_loglik(counts, lengths, rates) -> float:
+    """Log-likelihood of per-segment counts under given rates.
+
+    Terms with a zero count contribute only the exposure -rate * length.
+    """
+    total = 0.0
+    for c, d, r in zip(counts, lengths, rates):
+        total += (c * math.log(r) if c else 0.0) - r * d
+    return total
+
+
+def marked_loglik(counts, lengths, mark_sums, rates, mark_rates) -> float:
+    """Joint log-likelihood of counts and exponential marks."""
+    total = poisson_loglik(counts, lengths, rates)
+    for c, s, rho in zip(counts, mark_sums, mark_rates):
+        total += (c * math.log(rho) if c else 0.0) - rho * s
+    return total

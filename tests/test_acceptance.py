@@ -27,12 +27,12 @@ from ppseg import (
     simulate_events,
     simulate_marked,
     solve,
-    thin,
     upsilon_cardinality,
     upsilon_star_cardinality,
 )
 from ppseg.bench import BenchConfig, run_bench
 from ppseg.contrasts import ContrastSpec, contrast, segment_cost
+from ppseg.selection import thin
 
 from helpers import ACCEPTANCE_LINES, random_series
 

@@ -19,20 +19,22 @@ from ppseg import (
     build_grid,
     contrast,
     default_spec,
-    marked_loglik,
+    segment_cost,
+    segmentation_from_indices,
+)
+from ppseg.contrasts import (
+    KINDS,
+    MARKED_KINDS,
+    _lgamma_shifted,
     marked_pgeg_cost,
     marked_poisson_cost,
     mle_rate,
     poisson_cost,
     poisson_gamma_cost,
-    poisson_loglik,
     posterior_mean_rate,
-    segment_cost,
-    segmentation_from_indices,
 )
-from ppseg.contrasts import KINDS, MARKED_KINDS, _lgamma_shifted
 
-from helpers import naive_cost, spec_variants
+from helpers import marked_loglik, naive_cost, poisson_loglik, spec_variants
 
 INF = float("inf")
 
@@ -225,21 +227,6 @@ def test_negated_contrast_equals_loglik_at_mles():
                       mle_rate(mcounts, mlengths), mle_rate(mcounts, msums)),
         rel=1e-12,
     )
-
-
-def test_loglik_conventions():
-    assert poisson_loglik([0.0], [0.5], [3.0]) == -1.5
-    assert poisson_loglik([2.0], [0.5], [0.0]) == -INF
-    assert poisson_loglik([2.0, 1.0], [0.5, 0.5], [4.0, 2.0]) == pytest.approx(
-        0.46573590279972654, rel=1e-13
-    )
-    assert marked_loglik([2.0], [0.5], [4.0], [4.0], [0.5]) == pytest.approx(
-        -2.613705638880109, rel=1e-13
-    )
-    with pytest.raises(ValueError, match="matching shapes"):
-        poisson_loglik([1.0], [0.5, 0.5], [1.0])
-    with pytest.raises(ValueError, match="matching shapes"):
-        marked_loglik([1.0], [0.5], [1.0, 2.0], [1.0], [1.0])
 
 
 def test_spec_validation():

@@ -18,19 +18,17 @@ from ppseg import (
     ContrastSpec,
     EventSeries,
     brute_force,
-    build_cost_matrix,
     build_grid,
     contrast,
     enumerate_count_vectors,
     segment_cost,
     segment_stats,
-    segmentation_from_indices,
     solve,
     upsilon_cardinality,
     upsilon_star_cardinality,
 )
 from ppseg.contrasts import KINDS
-from ppseg.dp import TIES_WARNING, _suffix_table, solve_bytes
+from ppseg.dp import TIES_WARNING, _suffix_table, build_cost_matrix, solve_bytes
 
 from helpers import naive_contrast, random_series, spec_variants
 

@@ -3,20 +3,16 @@
 import numpy as np
 import pytest
 
-from ppseg import (
-    ResultDocument,
+from ppseg import ResultDocument, load_series, parse_result, render_result
+from ppseg.bench import CSV_COLUMNS
+from ppseg.cli import main
+from ppseg.io import (
     default_window,
-    load_series,
-    parse_result,
     read_events_file,
     read_intensity_file,
     render_metrics,
-    render_result,
     write_events_file,
-    write_intensity_file,
 )
-from ppseg.bench import CSV_COLUMNS
-from ppseg.cli import main
 
 
 def test_events_file_round_trip_is_exact(tmp_path):
@@ -50,6 +46,8 @@ def test_events_file_validation(tmp_path):
     assert ":2:" in msg
     msg = failing("time\n1.0\noops\n", "non-numeric value")
     assert ":3:" in msg
+    msg = failing("time,mark\n1.0,2.0\n2.0,heavy\n", "non-numeric value")
+    assert ":3:" in msg
     failing("time\n2.0\n1.0\n", "sorted ascending")
     failing("time\n1.0\ninf\n", "must be finite")
     failing("time,mark\n1.0,2.0\n3.0,-1.0\n", "strictly positive")
@@ -67,12 +65,13 @@ def test_intensity_file_round_trip(tmp_path):
     bp = np.array([0.0, 7.0, 8.0, 24.0])
     rates = np.array([1.5, 12.0, 1.5])
     mark_rates = np.array([0.1, 0.005, 0.1])
-    write_intensity_file(path, bp, rates, mark_rates)
+    path.write_text("start,end,rate,mark_rate\n0.0,7.0,1.5,0.1\n"
+                    "7.0,8.0,12.0,0.005\n8.0,24.0,1.5,0.1\n")
     got_bp, got_rates, got_marks = read_intensity_file(path)
     assert np.array_equal(got_bp, bp)
     assert np.array_equal(got_rates, rates)
     assert np.array_equal(got_marks, mark_rates)
-    write_intensity_file(path, bp, rates)
+    path.write_text("start,end,rate\n0.0,7.0,1.5\n7.0,8.0,12.0\n8.0,24.0,1.5\n")
     assert read_intensity_file(path)[2] is None
 
 
@@ -80,13 +79,19 @@ def test_intensity_file_validation(tmp_path):
     def failing(text, match):
         path = tmp_path / "bad.csv"
         path.write_text(text)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=match) as err:
             read_intensity_file(path)
+        return str(err.value)
 
     failing("", "empty intensity file")
     failing("start,stop,rate\n", "expected header")
     failing("start,end,rate\n", "no segments")
     failing("start,end,rate\n0.0,x,1.0\n", "non-numeric value")
+    msg = failing("start,end,rate\n0.0,1.0,2.0\n1.0,x\n", "expected 3 fields")
+    assert ":3:" in msg
+    path = tmp_path / "blank.csv"
+    path.write_text("start,end,rate\n0.0,1.0,2.0\n\n1.0,3.0,4.0\n")
+    assert read_intensity_file(path)[0].tolist() == [0.0, 1.0, 3.0]
     failing("start,end,rate\n0.0,0.0,1.0\n", "end > start")
     failing("start,end,rate\n0.0,1.0,1.0\n2.0,3.0,1.0\n", "contiguously")
 
@@ -452,3 +457,9 @@ def test_cli_error_paths(tmp_path, capsys):
     assert _run(["segment", str(single), "--window", "0", "1", "--k", "5",
                  "-o", "-"]) == 2
     assert "exceeds the candidate grid" in capsys.readouterr().err
+
+    assert _run(["segment", str(events), "--window", "0", "1", "--k", "3", "--kmax", "2",
+                 "--replicates", "7", "--fraction", "0.5", "--seed", "9", "-o", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--kmax, --replicates, --fraction, --seed only apply" in captured.err

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from ppseg import (
     PiecewiseIntensity,
     alternating_intensity,
-    change_point_set,
     hausdorff,
     intensity_from_breaks,
     l2_distance,
-    true_change_values,
 )
+from ppseg.metrics import change_point_set, true_change_values
 
 point_sets = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),

@@ -144,17 +144,17 @@ def test_from_window_dyadic_round_trip():
     raw = np.array([3.25, 5.5, 7.125])
     series = EventSeries.from_window(raw, window=(3.0, 11.0))
     assert series.times.tolist() == [0.03125, 0.3125, 0.515625]
-    assert np.array_equal(series.original_times(), raw)
+    assert np.array_equal(series.to_original(series.times), raw)
     assert series.width == 8.0
 
 
 def test_from_window_general_round_trip():
     raw = np.array([0.13, 0.47, 0.81])
     series = EventSeries.from_window(raw, window=(0.1, 0.9))
-    assert np.allclose(series.original_times(), raw, rtol=1e-12, atol=0.0)
+    assert np.allclose(series.to_original(series.times), raw, rtol=1e-12, atol=0.0)
     marked = EventSeries.from_window(raw, (0.1, 0.9), marks=[1.0, 2.0, 3.0])
     assert marked.marks.tolist() == [1.0, 2.0, 3.0]
-    assert np.allclose(marked.original_times(), raw, rtol=1e-12, atol=0.0)
+    assert np.allclose(marked.to_original(marked.times), raw, rtol=1e-12, atol=0.0)
     assert marked.to_original(0.0) == 0.1
 
 
@@ -240,7 +240,7 @@ def test_intensity_segments_are_right_closed():
     assert intensity.segment_of(np.nextafter(0.25, 1.0)) == 1
     assert intensity.segment_of(0.0) == 0
     assert intensity.segment_of(1.0) == 1
-    assert intensity.rate_at([0.1, 0.25, 0.3]).tolist() == [1.0, 1.0, 3.0]
+    assert intensity.rates[intensity.segment_of([0.1, 0.25, 0.3])].tolist() == [1.0, 1.0, 3.0]
 
 
 def test_intensity_cumulative_closed_form():
@@ -260,12 +260,18 @@ def test_intensity_validation():
         PiecewiseIntensity(np.array([0.1, 1.0]), np.array([1.0]))
     with pytest.raises(ValueError, match="strictly increasing"):
         PiecewiseIntensity(np.array([0.0, 0.5, 0.5, 1.0]), np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError, match="strictly positive"):
-        PiecewiseIntensity(np.array([0.0, 1.0]), np.array([0.0]))
+    with pytest.raises(ValueError, match="rates must be nonnegative"):
+        PiecewiseIntensity(np.array([0.0, 1.0]), np.array([-1.0]))
     with pytest.raises(ValueError, match="one mark rate per segment"):
         PiecewiseIntensity(np.array([0.0, 1.0]), np.array([1.0]), np.array([0.1, 0.2]))
     with pytest.raises(ValueError, match="mark rates must be strictly positive"):
         PiecewiseIntensity(np.array([0.0, 1.0]), np.array([1.0]), np.array([-0.1]))
+    with pytest.raises(ValueError, match="mark rates must be strictly positive"):
+        PiecewiseIntensity(np.array([0.0, 1.0]), np.array([1.0]), np.array([0.0]))
+    # an empty segment's maximum-likelihood rates are 0 / 0 = 0
+    empty = PiecewiseIntensity(np.array([0.0, 0.5, 1.0]), np.array([0.0, 2.0]),
+                               np.array([0.0, 1.0]))
+    assert empty.total_mass == 1.0
 
 
 def test_intensity_from_breaks_drops_zero_length_segments():

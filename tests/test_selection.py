@@ -9,8 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ppseg import (
+    KINDS,
     ContrastSpec,
     CvConfig,
     CvCurve,
@@ -19,11 +22,14 @@ from ppseg import (
     default_spec,
     fit,
     intensity_from_breaks,
+    parse_result,
     refit,
-    thin,
+    render_result,
 )
+from ppseg.cli import _make_document
+from ppseg.contrasts import MARKED_KINDS
 from ppseg.dp import TIES_WARNING
-from ppseg.selection import _test_score
+from ppseg.selection import _test_score, thin
 from ppseg.simulate import alternating_intensity, simulate_events, simulate_marked
 
 
@@ -266,3 +272,49 @@ def test_refit_raises_clear_errors_without_asserts():
     assert run.returncode == 0, run.stderr
     with pytest.raises(ValueError, match="between 1 and kmax"):
         refit(EventSeries(np.array([0.5])), ContrastSpec("poisson"), 2, 3)
+
+
+_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
+_EDGE_TIMES = (st.integers(1, 4).map(lambda i: i * 1e-300)
+               | st.integers(0, 3).map(lambda i: _BELOW_ONE - i * 2.0 ** -53)
+               | st.sampled_from([0.25, 0.5])
+               | st.floats(0.001, 0.999))
+
+
+@st.composite
+def _edge_series(draw):
+    """Series with ties, a single event, or events near 0 or 1, marked or not."""
+    times = sorted(draw(st.lists(_EDGE_TIMES, min_size=1, max_size=5)))
+    if not draw(st.booleans()):
+        return EventSeries(times)
+    marks = draw(st.lists(st.floats(1e-300, 1e300), min_size=len(times), max_size=len(times)))
+    return EventSeries(times, marks)
+
+
+def _check_fit(data, result, kmax, cfg):
+    result.intensity()
+    text = render_result(_make_document("events.csv", data, result, kmax, cfg))
+    assert render_result(parse_result(text)) == text
+
+
+@given(data=_edge_series())
+@example(data=EventSeries([0.1, 0.2, 0.8]))
+def test_every_fit_gives_an_intensity_and_a_document(data):
+    # a fit either raises ValueError or is usable downstream; the example
+    # has an empty segment at K = 3, whose likelihood rates are 0
+    for kind in KINDS:
+        if kind in MARKED_KINDS and data.marks is None:
+            continue
+        spec = default_spec(data, kind=kind)
+        for k in range(1, 5):
+            try:
+                result = refit(data, spec, 4, k)
+            except ValueError:
+                continue
+            _check_fit(data, result, 4, None)
+    cfg = CvConfig(replicates=3, kmax=4)
+    try:
+        result = fit(data, cfg)
+    except ValueError:
+        return
+    _check_fit(data, result, cfg.kmax, cfg)

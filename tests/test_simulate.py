@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from ppseg import (
-    ALTERNATING_BREAKPOINTS,
-    PiecewiseIntensity,
-    alternating_intensity,
-    derive_rates,
-    simulate_events,
-    simulate_marked,
-)
+from ppseg import PiecewiseIntensity, alternating_intensity, simulate_events, simulate_marked
+from ppseg.simulate import ALTERNATING_BREAKPOINTS, derive_rates
 
 
 def test_derive_rates_closed_forms():
