@@ -26,9 +26,9 @@ from .io import (
     load_series,
     parse_result,
     read_intensity_file,
+    render_events,
     render_metrics,
     render_result,
-    write_events_file,
 )
 from .metrics import hausdorff, l2_distance, true_change_values
 from .model import intensity_from_breaks
@@ -134,7 +134,7 @@ def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed, None)
     simulate = simulate_events if intensity.mark_rates is None else simulate_marked
     series = simulate(intensity, seed=seed)
-    write_events_file(args.output, lo + series.times * (hi - lo), series.marks)
+    _write_output(args.output, render_events(lo + series.times * (hi - lo), series.marks))
     return 0
 
 

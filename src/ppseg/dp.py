@@ -2,9 +2,12 @@
 
 Optimal change-points of a concave per-segment cost always sit on the
 2n-point candidate grid, so minimizing over continuous change-point
-vectors reduces to a discrete shortest-path problem. ``solve`` fills
-one dynamic-programming suffix table over the dense cost matrix in
-O((2n)^2 Kmax) and returns, for every segment count K up to Kmax, the optimal
+vectors reduces to a discrete shortest-path problem. ``solve`` prices
+every segment in one cost matrix, evaluating only its upper triangle,
+a block of rows at a time, and fills one dynamic-programming suffix
+table over it in the same blocks. That takes O((2n)^2 Kmax) time; past
+the 8 (2n + 2)^2 bytes of the matrix, memory is O(n (Kmax + block
+rows)). It returns, for every segment count K up to Kmax, the optimal
 segmentation and its contrast. ``brute_force`` enumerates every
 candidate subset and is the independent oracle for small instances.
 
@@ -45,11 +48,18 @@ from .model import (
 
 TIES_WARNING = "event times contain ties"
 
-# Peak bytes that ``solve`` allocates per entry of the (2n + 2)^2 cost
-# matrix: the matrix, the work array of the suffix table and the
-# temporaries of the cost formulas. Its tracemalloc peak at n = 300 and
-# 600 is 50 to 65 bytes per entry across the four kinds.
-_BYTES_PER_ENTRY = 80
+# Rows per block of the cost matrix build and the suffix DP. A block
+# touches only the columns right of its first row, so the +inf lower
+# triangle is never evaluated and work arrays hold _BLOCK rows at a time.
+_BLOCK = 128
+
+# Peak bytes per entry of one block (_BLOCK rows by up to 2n + 1
+# columns) that ``solve`` allocates besides the cost matrix and the
+# suffix table: the count, length and mark-sum arrays and the
+# temporaries of the cost formulas. The tracemalloc peak beyond those
+# two tables is 64 to 72 bytes per block entry for ``marked_pgeg`` at
+# n = 64 to 3000, and less for the other kinds.
+_BYTES_PER_BLOCK_ENTRY = 80
 
 
 def _as_grid(data) -> CandidateGrid:
@@ -65,23 +75,25 @@ def build_cost_matrix(data, spec: ContrastSpec) -> np.ndarray:
     """
     grid = _as_grid(data)
     A = grid.size
-    idx = np.arange(A + 2)
-    ev = idx // 2
+    ev = np.arange(A + 2) // 2
     vals = grid.values
-    nu = ev[None, :] - ev[:, None]
-    dt = vals[None, :] - vals[:, None]
-    degenerate = (nu == 0) & (dt == 0.0)
-    np.maximum(nu, 0, out=nu)  # lower triangle holds garbage, masked below
-    if grid.mark_prefix is not None:
-        pref = grid.mark_prefix[ev]
-        sm = pref[None, :] - pref[:, None]
-    else:
-        sm = None
-    f = segment_cost(spec, nu, dt, sm)
-    f[degenerate] = np.inf
-    cost = np.full((A + 2, A + 2), np.inf)
-    cost[1:, :] = f[:-1, :]
-    cost[idx[:, None] > idx[None, :]] = np.inf
+    pref = None if grid.mark_prefix is None else grid.mark_prefix[ev]
+    cost = np.empty((A + 2, A + 2))
+    cost[0] = np.inf
+    # cost[i + 1, j] prices (tp_i, tp_j]; a block of rows i in [lo, hi)
+    # is evaluated only on the columns j > lo, the rest is +inf
+    for lo in range(0, A + 1, _BLOCK):
+        hi = min(lo + _BLOCK, A + 1)
+        nu = ev[None, lo + 1:] - ev[lo:hi, None]
+        dt = vals[None, lo + 1:] - vals[lo:hi, None]
+        degenerate = (nu == 0) & (dt == 0.0)
+        np.maximum(nu, 0, out=nu)  # left of the diagonal, masked below
+        sm = None if pref is None else pref[None, lo + 1:] - pref[lo:hi, None]
+        f = segment_cost(spec, nu, dt, sm)
+        f[degenerate] = np.inf
+        f[np.tri(*f.shape, -1, dtype=bool)] = np.inf  # j <= i
+        cost[lo + 1:hi + 1, :lo + 1] = np.inf
+        cost[lo + 1:hi + 1, lo + 1:] = f
     return cost
 
 
@@ -91,11 +103,17 @@ def _suffix_table(cost: np.ndarray, kmax: int) -> np.ndarray:
     S = np.full((kmax + 1, A + 1), np.inf)
     S[1] = cost[1:, A + 1]
     if kmax >= 2:
-        m = cost[1:, : A + 1]  # m[j, l] = cost of (tp_j, tp_l]
-        w = np.empty_like(m)
-        for r in range(2, kmax + 1):
-            np.add(m, S[r - 1][None, :], out=w)
-            S[r] = w.min(axis=1)
+        w = np.empty((min(_BLOCK, A), A))
+        # Row j reads S[r - 1] only right of j, so blocks run bottom-up and
+        # each block finishes every r before the block above it starts.
+        # Row A has no segment left to split and stays +inf.
+        for lo in reversed(range(0, A, _BLOCK)):
+            hi = min(lo + _BLOCK, A)
+            m = cost[lo + 1:hi + 1, lo + 1:A + 1]  # m[j - lo, l - lo - 1] prices (tp_j, tp_l]
+            wb = w[:hi - lo, :A - lo]
+            for r in range(2, kmax + 1):
+                np.add(m, S[r - 1, lo + 1:], out=wb)
+                S[r, lo:hi] = wb.min(axis=1)
     return S
 
 
@@ -128,7 +146,7 @@ def _reconstruct(cost: np.ndarray, suffix: np.ndarray, k: int) -> list[int]:
 def solve_bytes(n: int, kmax: int) -> int:
     """Upper estimate of the memory ``solve`` allocates for n events."""
     side = 2 * n + 2
-    return _BYTES_PER_ENTRY * side * side + 8 * (kmax + 1) * side
+    return 8 * side * side + _BYTES_PER_BLOCK_ENTRY * _BLOCK * side + 8 * (kmax + 1) * side
 
 
 def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:
@@ -136,7 +154,7 @@ def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:
 
     A segment count K is infeasible when K - 1 exceeds the number of
     interior grid positions; such entries are flagged rather than given
-    a sentinel cost. Series whose dense tables would not fit in physical
+    a sentinel cost. Series whose cost matrix would not fit in physical
     memory are refused.
     """
     if kmax < 1:
@@ -147,7 +165,7 @@ def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:
     if need > have:
         raise ValueError(
             f"solve at n = {grid.n} events needs about {need / 2**30:.1f} GiB for its "
-            f"dense tables, more than the {have / 2**30:.1f} GiB of physical memory"
+            f"cost matrix and suffix table, more than the {have / 2**30:.1f} GiB of physical memory"
         )
     cost = build_cost_matrix(grid, spec)
     suffix = _suffix_table(cost, kmax)

@@ -80,18 +80,15 @@ def read_events_file(path) -> tuple[np.ndarray, np.ndarray | None]:
     return t, m
 
 
-def write_events_file(path, times, marks=None) -> None:
+def render_events(times, marks=None) -> str:
+    """An events file: a ``time`` or ``time,mark`` header, one row per event."""
     t = np.asarray(times, dtype=np.float64)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if marks is None:
-            fh.write("time\n")
-            for v in t:
-                fh.write(_fmt(v) + "\n")
-        else:
-            m = np.asarray(marks, dtype=np.float64)
-            fh.write("time,mark\n")
-            for v, x in zip(t, m):
-                fh.write(_fmt(v) + "," + _fmt(x) + "\n")
+    if marks is None:
+        lines = ["time", *(_fmt(v) for v in t)]
+    else:
+        m = np.asarray(marks, dtype=np.float64)
+        lines = ["time,mark", *(_fmt(v) + "," + _fmt(x) for v, x in zip(t, m))]
+    return "\n".join(lines) + "\n"
 
 
 def default_window(times) -> tuple[float, float]:

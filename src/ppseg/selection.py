@@ -174,6 +174,21 @@ class CvCurve:
         return best
 
 
+def _stderr(col: np.ndarray) -> float:
+    """Standard error of the mean of ``col``.
+
+    Scores of marks spanning hundreds of decades can differ by more than
+    1e154, where squaring the deviations overflows; only then is the
+    deviation taken on the scores divided by their largest magnitude.
+    """
+    with np.errstate(over="ignore"):
+        sd = np.std(col, ddof=1)
+    if sd == np.inf:
+        scale = np.max(np.abs(col))
+        sd = scale * np.std(col / scale, ddof=1)
+    return sd / np.sqrt(col.size)
+
+
 def cross_validate(data, config: CvConfig | None = None) -> CvCurve:
     """Average test contrasts over thinning replicates for K = 1..kmax."""
     cfg = config if config is not None else CvConfig()
@@ -216,7 +231,7 @@ def cross_validate(data, config: CvConfig | None = None) -> CvCurve:
         if col.size:
             means[j] = np.mean(col)
         if col.size >= 2:
-            stderrs[j] = np.std(col, ddof=1) / np.sqrt(col.size)
+            stderrs[j] = _stderr(col)
     warnings = ()
     if data.has_ties:
         warnings += (TIES_WARNING,)

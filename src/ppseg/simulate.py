@@ -99,7 +99,10 @@ def simulate_marked(intensity: PiecewiseIntensity, seed=None) -> EventSeries:
     mark_parts = []
     for k, t in _segment_draws(intensity, rng):
         time_parts.append(t)
-        mark_parts.append(rng.exponential(scale=1.0 / intensity.mark_rates[k], size=t.size))
+        # a segment without events draws no marks, so its mark rate may be 0
+        mark_parts.append(
+            rng.exponential(scale=1.0 / intensity.mark_rates[k], size=t.size) if t.size else t
+        )
     times = np.concatenate(time_parts)
     marks = np.concatenate(mark_parts)
     order = np.argsort(times, kind="stable")

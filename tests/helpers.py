@@ -2,14 +2,17 @@
 
 Everything here deliberately avoids numpy vectorization and scipy so
 that agreement with the library is evidence, not tautology. math.lgamma
-is an independent code path from scipy's gammaln.
+is an independent code path from scipy's gammaln. The dense cost
+matrix and suffix table at the end are the exception: they check the
+solver's row blocking, not the cost formulas, so they call the library's
+vectorized ``segment_cost`` on the whole grid at once.
 """
 
 import math
 
 import numpy as np
 
-from ppseg import ContrastSpec, EventSeries
+from ppseg import ContrastSpec, EventSeries, segment_cost
 
 INF = float("inf")
 
@@ -116,3 +119,39 @@ def marked_loglik(counts, lengths, mark_sums, rates, mark_rates) -> float:
     for c, s, rho in zip(counts, mark_sums, mark_rates):
         total += (c * math.log(rho) if c else 0.0) - rho * s
     return total
+
+
+def dense_cost_matrix(grid, spec: ContrastSpec) -> np.ndarray:
+    """One-shot (2n + 2)^2 construction that ``build_cost_matrix`` blocks.
+
+    Evaluates every entry, lower triangle included, then masks; the
+    blocked build must equal it bit for bit.
+    """
+    A = grid.size
+    idx = np.arange(A + 2)
+    ev = idx // 2
+    nu = ev[None, :] - ev[:, None]
+    dt = grid.values[None, :] - grid.values[:, None]
+    degenerate = (nu == 0) & (dt == 0.0)
+    np.maximum(nu, 0, out=nu)
+    sm = None
+    if grid.mark_prefix is not None:
+        pref = grid.mark_prefix[ev]
+        sm = pref[None, :] - pref[:, None]
+    f = segment_cost(spec, nu, dt, sm)
+    f[degenerate] = np.inf
+    cost = np.full((A + 2, A + 2), np.inf)
+    cost[1:, :] = f[:-1, :]
+    cost[idx[:, None] > idx[None, :]] = np.inf
+    return cost
+
+
+def dense_suffix_table(cost: np.ndarray, kmax: int) -> np.ndarray:
+    """Suffix table over the whole cost matrix, +inf half included."""
+    A = cost.shape[0] - 2
+    S = np.full((kmax + 1, A + 1), np.inf)
+    S[1] = cost[1:, A + 1]
+    m = cost[1:, : A + 1]
+    for r in range(2, kmax + 1):
+        S[r] = (m + S[r - 1][None, :]).min(axis=1)
+    return S

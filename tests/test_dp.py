@@ -30,7 +30,13 @@ from ppseg import (
 from ppseg.contrasts import KINDS
 from ppseg.dp import TIES_WARNING, _suffix_table, build_cost_matrix, solve_bytes
 
-from helpers import naive_contrast, random_series, spec_variants
+from helpers import (
+    dense_cost_matrix,
+    dense_suffix_table,
+    naive_contrast,
+    random_series,
+    spec_variants,
+)
 
 UNIT_PG = ContrastSpec("poisson_gamma", a=1.0, b=1.0)
 
@@ -260,6 +266,27 @@ def test_dp_tables_invariants():
             )
             assert suffix[k, j] == want
 
+
+
+@pytest.mark.parametrize("n", [63, 64, 127, 128])
+def test_blocked_tables_equal_the_dense_construction(n):
+    # the 2n + 1 cost rows and 2n suffix rows fall just below, on or just
+    # above a multiple of the 128-row block
+    rng = np.random.default_rng(n)
+    times = np.sort(rng.uniform(0.01, 0.99, n))
+    marks = rng.exponential(1.0, n)
+    tied = times.copy()
+    tied[n // 2 + 1] = tied[n // 2]
+    for t in (times, tied):
+        for marked in (False, True):
+            grid = build_grid(EventSeries(t, marks if marked else None))
+            for base in spec_variants(marked):
+                for forbid_empty in (False, True):
+                    spec = replace(base, forbid_empty=forbid_empty)
+                    cost = build_cost_matrix(grid, spec)
+                    dense = dense_cost_matrix(grid, spec)
+                    assert np.array_equal(cost, dense), spec
+                    assert np.array_equal(_suffix_table(cost, 12), dense_suffix_table(dense, 12)), spec
 
 def test_infeasible_segment_counts_are_flagged():
     series = EventSeries(np.array([0.5]))

@@ -10,8 +10,8 @@ from ppseg.io import (
     default_window,
     read_events_file,
     read_intensity_file,
+    render_events,
     render_metrics,
-    write_events_file,
 )
 
 
@@ -21,8 +21,8 @@ def test_events_file_round_trip_is_exact(tmp_path):
     marks = rng.exponential(10.0, 50)
     plain = tmp_path / "plain.csv"
     marked = tmp_path / "marked.csv"
-    write_events_file(plain, times)
-    write_events_file(marked, times, marks)
+    plain.write_text(render_events(times))
+    marked.write_text(render_events(times, marks))
     t, m = read_events_file(plain)
     assert m is None
     assert np.array_equal(t, times)
@@ -106,7 +106,7 @@ def test_default_window_pads_the_range():
 
 def test_load_series_infers_windows(tmp_path):
     path = tmp_path / "events.csv"
-    write_events_file(path, [2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
+    path.write_text(render_events([2.0, 3.0, 4.0], [1.0, 2.0, 3.0]))
     series = load_series(path)
     assert series.window == (1.98, 4.02)
     assert series.marks is not None
@@ -282,8 +282,8 @@ def test_cli_window_equivariance(tmp_path):
     base = np.array([0.125, 0.25, 0.3125, 0.5, 0.53125, 0.625, 0.875])
     unit = tmp_path / "unit.csv"
     shifted = tmp_path / "shifted.csv"
-    write_events_file(unit, base)
-    write_events_file(shifted, 3.0 + 8.0 * base)
+    unit.write_text(render_events(base))
+    shifted.write_text(render_events(3.0 + 8.0 * base))
     out_unit = tmp_path / "unit.txt"
     out_shifted = tmp_path / "shifted.txt"
     common = ["--replicates", "10", "--kmax", "3", "--seed", "0"]
@@ -302,6 +302,16 @@ def test_cli_window_equivariance(tmp_path):
         assert norm_a == norm_b
         assert orig_b == 3.0 + 8.0 * orig_a
 
+
+def test_cli_simulate_writes_events_to_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    design = ["simulate", "--design", "100,8", "--marks", "0.1,0.005", "--seed", "1"]
+    assert _run([*design, "-o", "events.csv"]) == 0
+    capsys.readouterr()
+    for to_stdout in ([], ["-o", "-"]):
+        assert _run([*design, *to_stdout]) == 0
+        assert capsys.readouterr().out == (tmp_path / "events.csv").read_text()
+    assert not (tmp_path / "-").exists()
 
 def test_cli_simulate_from_intensity_file(tmp_path):
     table = tmp_path / "truth.csv"

@@ -148,6 +148,16 @@ def test_cross_validate_reports_dropped_replicates():
     assert curve.replicates == 30
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cross_validate_stderr_survives_scores_beyond_1e154():
+    # marks 300 decades apart give K = 1 scores near 1e300, whose
+    # squared deviations overflow
+    data = EventSeries([1e-300, 1e-300], [1.0, 1e-300])
+    curve = cross_validate(data, CvConfig(replicates=3, kmax=4))
+    assert curve.counts[0] == 3
+    assert curve.means[0] > 1e299
+    assert 0.0 < curve.stderrs[0] < math.inf
+
 def test_cross_validate_flags_ties():
     data = EventSeries(np.array([0.3, 0.3, 0.8]))
     curve = cross_validate(data, CvConfig(replicates=5, kmax=2, seed=0))

@@ -73,6 +73,15 @@ def test_simulated_marks_align_and_are_positive():
     assert even.mean() > odd.mean()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_silent_segment_needs_no_mark_rate():
+    intensity = PiecewiseIntensity(np.array([0.0, 0.5, 1.0]), np.array([0.0, 50.0]),
+                                   np.array([0.0, 0.5]))
+    series = simulate_marked(intensity, seed=3)
+    assert series.n > 0
+    assert np.all(series.times > 0.5)
+    assert np.all(np.isfinite(series.marks))
+
 def test_simulate_requires_mark_rates_for_marked_draws():
     with pytest.raises(ValueError, match="no mark rates"):
         simulate_marked(alternating_intensity(100.0, 2.0), seed=0)
