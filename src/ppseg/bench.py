@@ -155,8 +155,7 @@ def _run_sample(cfg: BenchConfig, c: _Cell, sim_seed, cv_seed):
     cv = CvConfig(fraction=c.fraction, replicates=cfg.cv_replicates, kmax=cfg.kmax,
                   seed=int(cv_seed), prior_shape=c.prior_shape)
     result = fit(data, cv)
-    estimate = np.concatenate(([0.0], result.change_point_values, [1.0]))
-    d = hausdorff(estimate, truth)[2]
+    d = hausdorff(result.breakpoints(), truth)[2]
     l2 = l2_distance(result.intensity(), intensity, normalization=c.mean_intensity)
     return result.k_hat, d, l2
 

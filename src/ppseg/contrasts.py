@@ -13,14 +13,14 @@ segmentation is the quantity to minimize:
 - "marked_pgeg": the marginal cost with Gamma priors on both the event
   rate and the exponential mark rate.
 
-Every cost lies in (-inf, +inf]. A zero-length segment holding events
-has an unbounded maximized likelihood: the likelihood optimum would be
--inf as soon as K can isolate one event, a degenerate maximum and not
-an estimate. The likelihood kinds therefore price such a segment at
-+inf; the marginal costs are finite there. A positive length or mark
-sum so small that count / length overflows keeps a finite cost through
-log count - log length. +inf marks forbidden configurations and absorbs
-under IEEE addition, so totals need no special arithmetic.
+Every cost lies in (-inf, +inf]; ``segment_cost`` alone sets the +inf
+prices. A zero-length segment holding events has an unbounded maximized
+likelihood, a degenerate maximum and not an estimate, so the likelihood
+kinds price it at +inf; the marginal costs are finite there. A segment
+with no event and zero length (only tied times give one) is +inf for
+every kind. A positive length or mark sum so small that count / length
+overflows keeps a finite cost through log count - log length. +inf
+absorbs under IEEE addition, so totals need no special arithmetic.
 
 Every function accepts scalars or numpy arrays of matching shape, which
 keeps the dynamic-programming cost matrices and scalar evaluations on a
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .model import CandidateGrid, build_grid, segment_stats
+from .model import as_grid, segment_stats
 
 KINDS = ("poisson", "poisson_gamma", "marked_poisson", "marked_pgeg")
 MARKED_KINDS = ("marked_poisson", "marked_pgeg")
@@ -71,21 +71,6 @@ def _log_ratio(c, x):
     return out
 
 
-def poisson_cost(count, length):
-    """Negated maximized Poisson log-likelihood of one segment.
-
-    Zero counts cost exactly 0 whatever the length. A positive count on
-    a zero-length segment costs +inf: its likelihood is unbounded.
-    """
-    c = np.asarray(count, dtype=np.float64)
-    d = np.asarray(length, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = c * (1.0 - _log_ratio(c, d))
-    out = np.where(c == 0.0, 0.0, out)
-    out = np.where((c > 0.0) & (d == 0.0), np.inf, out)
-    return _scalar_or_array(out)
-
-
 def poisson_gamma_cost(count, length, a, b):
     """Negated log marginal likelihood of one segment, Gamma(a, b) prior.
 
@@ -97,44 +82,6 @@ def poisson_gamma_cost(count, length, a, b):
     d = np.asarray(length, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (c + a) * np.log(d + b) - _lgamma_shifted(c, a) + (gammaln(a) - a * np.log(b))
-    return _scalar_or_array(out)
-
-
-def marked_poisson_cost(count, length, mark_sum):
-    """Negated maximized log-likelihood with exponential marks.
-
-    As for ``poisson_cost``, a positive count on a zero length or a zero
-    mark sum costs +inf.
-    """
-    c = np.asarray(count, dtype=np.float64)
-    d = np.asarray(length, dtype=np.float64)
-    s = np.asarray(mark_sum, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = c * (2.0 - _log_ratio(c, d) - _log_ratio(c, s))
-    out = np.where(c == 0.0, 0.0, out)
-    out = np.where((c > 0.0) & ((d == 0.0) | (s == 0.0)), np.inf, out)
-    return _scalar_or_array(out)
-
-
-def marked_pgeg_cost(count, length, mark_sum, a, b, a_rho, b_rho):
-    """Negated log marginal likelihood with Gamma priors on both rates.
-
-    The event rate gets a Gamma(a, b) prior and the exponential mark
-    rate a Gamma(a_rho, b_rho) prior; conjugacy gives the closed form
-    below. Finite for all valid inputs.
-    """
-    c = np.asarray(count, dtype=np.float64)
-    d = np.asarray(length, dtype=np.float64)
-    s = np.asarray(mark_sum, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (
-            (c + a) * np.log(d + b)
-            - _lgamma_shifted(c, a)
-            + (c + a_rho) * np.log(s + b_rho)
-            - _lgamma_shifted(c, a_rho)
-            + (gammaln(a) - a * np.log(b))
-            + (gammaln(a_rho) - a_rho * np.log(b_rho))
-        )
     return _scalar_or_array(out)
 
 
@@ -184,23 +131,41 @@ class ContrastSpec:
 
 
 def segment_cost(spec: ContrastSpec, count, length, mark_sum=None):
-    """Cost of one segment (or an array of segments) under ``spec``."""
-    if spec.requires_marks:
-        if mark_sum is None:
-            raise ValueError(f"contrast kind {spec.kind!r} requires marked data")
-        if spec.kind == "marked_poisson":
-            out = marked_poisson_cost(count, length, mark_sum)
+    """Cost of one segment (or an array of segments) under ``spec``.
+
+    Sets every +inf price: no event on zero length for every kind, no
+    event at all under ``forbid_empty``, and for the likelihood kinds
+    events on a zero length or mark sum (an unbounded likelihood).
+    """
+    if spec.requires_marks and mark_sum is None:
+        raise ValueError(f"contrast kind {spec.kind!r} requires marked data")
+    c = np.asarray(count, dtype=np.float64)
+    d = np.asarray(length, dtype=np.float64)
+    s = None if mark_sum is None else np.asarray(mark_sum, dtype=np.float64)
+    empty, zero_length = c == 0.0, d == 0.0
+    unbounded = False
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if spec.kind == "poisson":
+            out = np.where(empty, 0.0, c * (1.0 - _log_ratio(c, d)))
+            unbounded = zero_length
+        elif spec.kind == "marked_poisson":
+            out = np.where(empty, 0.0, c * (2.0 - _log_ratio(c, d) - _log_ratio(c, s)))
+            unbounded = zero_length | (s == 0.0)
+        elif spec.kind == "poisson_gamma":
+            out = poisson_gamma_cost(c, d, spec.a, spec.b)
         else:
-            out = marked_pgeg_cost(
-                count, length, mark_sum, spec.a, spec.b, spec.a_rho, spec.b_rho
+            a, b, a_rho, b_rho = spec.a, spec.b, spec.a_rho, spec.b_rho
+            out = (
+                (c + a) * np.log(d + b)
+                - _lgamma_shifted(c, a)
+                + (c + a_rho) * np.log(s + b_rho)
+                - _lgamma_shifted(c, a_rho)
+                + (gammaln(a) - a * np.log(b))
+                + (gammaln(a_rho) - a_rho * np.log(b_rho))
             )
-    elif spec.kind == "poisson":
-        out = poisson_cost(count, length)
-    else:
-        out = poisson_gamma_cost(count, length, spec.a, spec.b)
-    if spec.forbid_empty:
-        out = _scalar_or_array(np.where(np.asarray(count) == 0, np.inf, out))
-    return out
+    out = np.asarray(out)
+    out[np.where(empty, True if spec.forbid_empty else zero_length, unbounded)] = np.inf
+    return _scalar_or_array(out)
 
 
 def default_spec(data, kind: str | None = None, a: float = 1.0) -> ContrastSpec:
@@ -232,16 +197,12 @@ def contrast(data, spec: ContrastSpec, indices) -> float:
 
     ``data`` is a series or its candidate grid and ``indices`` the
     interior grid indices of the change-points (``seg.indices`` for a
-    Segmentation). Empty zero-length segments, possible only with tied
-    event times, are priced at +inf as in the solver's cost matrix. The
-    pieces are summed right to left, matching the dynamic program, so
-    an optimal value reported by the solver reproduces bit for bit here.
+    Segmentation). The ``segment_cost`` pieces are summed right to left,
+    matching the dynamic program, so an optimal value reported by the
+    solver reproduces bit for bit here.
     """
-    grid = data if isinstance(data, CandidateGrid) else build_grid(data)
-    counts, lengths, sums = segment_stats(grid, indices)
-    pieces = np.asarray(segment_cost(spec, counts, lengths, sums), dtype=np.float64)
-    pieces[(counts == 0) & (lengths == 0.0)] = np.inf
-    pieces = pieces.tolist()
+    counts, lengths, sums = segment_stats(as_grid(data), indices)
+    pieces = segment_cost(spec, counts, lengths, sums).tolist()
     total = pieces[-1]
     for piece in reversed(pieces[:-1]):
         total = piece + total

@@ -22,11 +22,9 @@ sums them, and takes the first index whose total equals the optimum.
 Rounding is monotone, so this is the lexicographically first optimum.
 
 Every segment cost lies in (-inf, +inf] (see ``contrasts``), so plain
-IEEE addition accumulates the tables and +inf absorbs.
-
-Configurations with zero events and zero length (possible only with
-tied event times) carry no information and are excluded from the search
-by pricing them at +inf.
+IEEE addition accumulates the tables and +inf absorbs. ``segment_cost``
+sets every +inf price, among them the exclusion of segments with no
+event and zero length, which only tied event times produce.
 """
 
 from __future__ import annotations
@@ -39,12 +37,7 @@ from math import comb
 import numpy as np
 
 from .contrasts import ContrastSpec, contrast, segment_cost
-from .model import (
-    CandidateGrid,
-    Segmentation,
-    build_grid,
-    segmentation_from_indices,
-)
+from .model import Segmentation, as_grid, segmentation_from_indices
 
 TIES_WARNING = "event times contain ties"
 
@@ -62,10 +55,6 @@ _BLOCK = 128
 _BYTES_PER_BLOCK_ENTRY = 80
 
 
-def _as_grid(data) -> CandidateGrid:
-    return data if isinstance(data, CandidateGrid) else build_grid(data)
-
-
 def build_cost_matrix(data, spec: ContrastSpec) -> np.ndarray:
     """Dense matrix C with C[i, j] = cost of segment (tp_{i-1}, tp_j].
 
@@ -73,24 +62,18 @@ def build_cost_matrix(data, spec: ContrastSpec) -> np.ndarray:
     +inf. Row 0 is padding so that indices match the usual recurrence
     C[K, h] = min_j C[K-1, j] + C(j+1 : h).
     """
-    grid = _as_grid(data)
+    grid = as_grid(data)
     A = grid.size
-    ev = np.arange(A + 2) // 2
-    vals = grid.values
-    pref = None if grid.mark_prefix is None else grid.mark_prefix[ev]
+    idx = np.arange(A + 2)
     cost = np.empty((A + 2, A + 2))
     cost[0] = np.inf
     # cost[i + 1, j] prices (tp_i, tp_j]; a block of rows i in [lo, hi)
     # is evaluated only on the columns j > lo, the rest is +inf
     for lo in range(0, A + 1, _BLOCK):
         hi = min(lo + _BLOCK, A + 1)
-        nu = ev[None, lo + 1:] - ev[lo:hi, None]
-        dt = vals[None, lo + 1:] - vals[lo:hi, None]
-        degenerate = (nu == 0) & (dt == 0.0)
+        nu, dt, sm = grid.stats(idx[lo:hi, None], idx[None, lo + 1:])
         np.maximum(nu, 0, out=nu)  # left of the diagonal, masked below
-        sm = None if pref is None else pref[None, lo + 1:] - pref[lo:hi, None]
         f = segment_cost(spec, nu, dt, sm)
-        f[degenerate] = np.inf
         f[np.tri(*f.shape, -1, dtype=bool)] = np.inf  # j <= i
         cost[lo + 1:hi + 1, :lo + 1] = np.inf
         cost[lo + 1:hi + 1, lo + 1:] = f
@@ -159,7 +142,7 @@ def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    grid = _as_grid(data)
+    grid = as_grid(data)
     need = solve_bytes(grid.n, kmax)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
@@ -196,7 +179,7 @@ def brute_force(data, spec: ContrastSpec, k: int, limit: int = 1_000_000) -> Sol
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    grid = _as_grid(data)
+    grid = as_grid(data)
     A = grid.size
     if k - 1 > A:
         return SolveResult(k, False, None, None)

@@ -29,6 +29,13 @@ import numpy as np
 from .model import EventSeries
 
 FORMAT_LINE = "ppseg-result v1"
+# the column header row of each section; segments add mark_rate when marked
+_COLUMNS = {
+    "cv_curve": ("k mean stderr count",),
+    "contrast_by_k": ("k contrast",),
+    "change_points": ("index side normalized original",),
+    "segments": ("k count rate rate_original", "k count rate rate_original mark_rate"),
+}
 
 
 def _fmt(x) -> str:
@@ -194,39 +201,47 @@ def render_result(doc: ResultDocument) -> str:
     lines.append(f"n_events: {doc.n_events}")
     lines.append(f"k_hat: {doc.k_hat}")
     lines.append("warnings: " + ("; ".join(doc.warnings) if doc.warnings else "-"))
+
+    def section(name, rows, variant=0):
+        lines.extend(("", f"[{name}]", _COLUMNS[name][variant], *rows))
+
     if doc.cv_rows:
-        lines.append("")
-        lines.append("[cv_curve]")
-        lines.append("k mean stderr count")
-        for k, mean, se, count in doc.cv_rows:
-            lines.append(f"{k} {_fmt(mean)} {_fmt(se)} {count}")
-    lines.append("")
-    lines.append("[contrast_by_k]")
-    lines.append("k contrast")
-    for k, value in doc.contrast_rows:
-        lines.append(f"{k} {'infeasible' if value is None else _fmt(value)}")
-    lines.append("")
-    lines.append("[change_points]")
-    lines.append("index side normalized original")
-    for index, side, norm, orig in doc.change_points:
-        lines.append(f"{index} {side} {_fmt(norm)} {_fmt(orig)}")
-    lines.append("")
-    lines.append("[segments]")
+        section("cv_curve", (f"{k} {_fmt(mean)} {_fmt(se)} {count}"
+                             for k, mean, se, count in doc.cv_rows))
+    section("contrast_by_k", (f"{k} {'infeasible' if value is None else _fmt(value)}"
+                              for k, value in doc.contrast_rows))
+    section("change_points", (f"{index} {side} {_fmt(norm)} {_fmt(orig)}"
+                              for index, side, norm, orig in doc.change_points))
     marked = any(s[4] is not None for s in doc.segments)
-    lines.append("k count rate rate_original" + (" mark_rate" if marked else ""))
-    for k, count, rate, rate_orig, mark_rate in doc.segments:
-        row = f"{k} {count} {_fmt(rate)} {_fmt(rate_orig)}"
-        if marked:
-            row += f" {_fmt(mark_rate)}"
-        lines.append(row)
+    section("segments", (f"{k} {count} {_fmt(rate)} {_fmt(rate_orig)}"
+                         + (f" {_fmt(mark_rate)}" if marked else "")
+                         for k, count, rate, rate_orig, mark_rate in doc.segments), marked)
     return "\n".join(lines) + "\n"
 
 
+def _window(text: str) -> tuple[float, float]:
+    w0, w1 = text.split()
+    return float(w0), float(w1)
+
+
+def _parsed(what: str, convert, *fields):
+    try:
+        return convert(*fields)
+    except ValueError:
+        raise ValueError(f"result document: malformed {what}") from None
+
+
 def parse_result(text: str) -> ResultDocument:
+    """Read a result document back.
+
+    A missing header line or section, a column header row other than
+    the one ``render_result`` writes, and a malformed value or row each
+    raise ValueError naming it.
+    """
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_LINE:
         raise ValueError(f"not a result document (missing {FORMAT_LINE!r} line)")
-    header: dict[str, str] = {}
+    header: dict[str, str] = {"warnings": "-"}
     sections: dict[str, list[list[str]]] = {}
     current: list[list[str]] | None = None
     for line in lines[1:]:
@@ -240,52 +255,56 @@ def parse_result(text: str) -> ResultDocument:
         else:
             key, _, value = line.partition(":")
             header[key.strip()] = value.strip()
+    # checked first: a lost section header would merge its rows into the previous section
+    for name in ("contrast_by_k", "change_points", "segments"):
+        if name not in sections:
+            raise ValueError(f"result document has no [{name}] section")
 
-    def opt_float(key):
-        return float(header[key]) if key in header else None
+    def field(key, convert=str, optional=False):
+        if key not in header:
+            if optional:
+                return None
+            raise ValueError(f"result document has no {key!r} line")
+        return _parsed(f"{key!r} value {header[key]!r}", convert, header[key])
 
-    cv_rows = ()
-    if "cv_curve" in sections:
-        cv_rows = tuple(
-            (int(k), float(mean), float(se), int(count))
-            for k, mean, se, count in sections["cv_curve"][1:]
-        )
-    contrast_rows = tuple(
-        (int(k), None if v == "infeasible" else float(v))
-        for k, v in sections["contrast_by_k"][1:]
-    )
-    change_points = tuple(
-        (int(i), side, float(norm), float(orig))
-        for i, side, norm, orig in sections["change_points"][1:]
-    )
-    seg_header = sections["segments"][0]
-    marked = seg_header[-1] == "mark_rate"
-    segments = tuple(
-        (int(r[0]), int(r[1]), float(r[2]), float(r[3]), float(r[4]) if marked else None)
-        for r in sections["segments"][1:]
-    )
-    w0, w1 = header["window"].split()
-    warn_text = header.get("warnings", "-")
+    def table(name, convert):
+        if name not in sections:
+            return ()
+        head, *rows = sections[name] or [[]]
+        if " ".join(head) not in _COLUMNS[name]:
+            raise ValueError(f"result document: [{name}] has column header "
+                             f"{' '.join(head)!r}, expected {_COLUMNS[name][0]!r}")
+        for row in rows:
+            if len(row) != len(head):
+                raise ValueError(f"result document: [{name}] row {' '.join(row)!r} "
+                                 f"has {len(row)} fields, expected {len(head)}")
+        return tuple(_parsed(f"row {' '.join(r)!r} in [{name}]", convert, *r) for r in rows)
+
     return ResultDocument(
-        command=header["command"],
-        source=header["source"],
-        contrast_kind=header["contrast"],
-        a=float(header["a"]),
-        b=float(header["b"]),
-        a_rho=opt_float("a_rho"),
-        b_rho=opt_float("b_rho"),
-        fraction=opt_float("fraction"),
-        cv_replicates=int(header["cv_replicates"]) if "cv_replicates" in header else None,
-        kmax=int(header["kmax"]),
-        seed=None if header["seed"] == "-" else int(header["seed"]),
-        window=(float(w0), float(w1)),
-        n_events=int(header["n_events"]),
-        k_hat=int(header["k_hat"]),
-        warnings=() if warn_text == "-" else tuple(warn_text.split("; ")),
-        cv_rows=cv_rows,
-        contrast_rows=contrast_rows,
-        change_points=change_points,
-        segments=segments,
+        command=field("command"),
+        source=field("source"),
+        contrast_kind=field("contrast"),
+        a=field("a", float),
+        b=field("b", float),
+        a_rho=field("a_rho", float, optional=True),
+        b_rho=field("b_rho", float, optional=True),
+        fraction=field("fraction", float, optional=True),
+        cv_replicates=field("cv_replicates", int, optional=True),
+        kmax=field("kmax", int),
+        seed=field("seed", lambda v: None if v == "-" else int(v)),
+        window=field("window", _window),
+        n_events=field("n_events", int),
+        k_hat=field("k_hat", int),
+        warnings=field("warnings", lambda v: () if v == "-" else tuple(v.split("; "))),
+        cv_rows=table("cv_curve", lambda k, mean, se, count: (
+            int(k), float(mean), float(se), int(count))),
+        contrast_rows=table("contrast_by_k", lambda k, v: (
+            int(k), None if v == "infeasible" else float(v))),
+        change_points=table("change_points", lambda i, side, norm, orig: (
+            int(i), side, float(norm), float(orig))),
+        segments=table("segments", lambda k, count, rate, rate_orig, mark_rate=None: (
+            int(k), int(count), float(rate), float(rate_orig),
+            None if mark_rate is None else float(mark_rate))),
     )
 
 

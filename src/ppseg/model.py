@@ -9,9 +9,9 @@ interval. Segments are left-open, right-closed: an event whose time
 equals a segment's right endpoint belongs to that segment only when the
 endpoint is the "at" variant, otherwise it falls in the next segment.
 
-The parity encoding makes event counting O(1): the number of events in
-the segment between grid indices p_lo and p_hi is
-``p_hi // 2 - p_lo // 2``.
+The parity encoding makes event counting O(1): index p lies right of
+exactly the first floor(p / 2) events. ``CandidateGrid.stats`` alone
+reads counts, lengths and mark sums off grid indices.
 """
 
 from __future__ import annotations
@@ -157,31 +157,37 @@ class CandidateGrid:
     def last_index(self) -> int:
         return self.size + 1
 
+    def stats(self, lo, hi):
+        """Counts, lengths and mark sums (None when unmarked) of the
+        segments (tp_lo, tp_hi], for grid indices or broadcastable index
+        arrays ``lo`` and ``hi``."""
+        ev_lo, ev_hi = lo // 2, hi // 2
+        counts = ev_hi - ev_lo
+        lengths = self.values[hi] - self.values[lo]
+        if self.mark_prefix is None:
+            return counts, lengths, None
+        return counts, lengths, self.mark_prefix[ev_hi] - self.mark_prefix[ev_lo]
+
 
 def build_grid(events) -> CandidateGrid:
     return CandidateGrid(events)
 
 
+def as_grid(data) -> CandidateGrid:
+    return data if isinstance(data, CandidateGrid) else build_grid(data)
+
+
 def segment_stats(grid: CandidateGrid, indices):
     """Counts, lengths and mark sums of the segments cut by ``indices``.
 
-    ``indices`` are the change-points as interior grid indices; the
-    boundaries 0 and 2n + 1 are implied. Returns three arrays with one
-    entry per segment, the mark sums being None for unmarked data.
-    Raises ValueError unless the indices are strictly increasing
-    interior positions.
+    ``indices`` are strictly increasing interior grid indices, else
+    ValueError; the boundaries 0 and 2n + 1 are implied. Returns one
+    entry per segment; the mark sums are None for unmarked data.
     """
     path = np.array([0, *indices, grid.last_index])
     if np.any(path[1:] <= path[:-1]):
         raise ValueError("change-points must be strictly increasing interior grid indices")
-    ev = path // 2
-    counts = ev[1:] - ev[:-1]
-    vals = grid.values[path]
-    lengths = vals[1:] - vals[:-1]
-    if grid.mark_prefix is None:
-        return counts, lengths, None
-    pref = grid.mark_prefix[ev]
-    return counts, lengths, pref[1:] - pref[:-1]
+    return grid.stats(path[:-1], path[1:])
 
 
 @dataclass(frozen=True)
@@ -207,19 +213,16 @@ class Segmentation:
 def segmentation_from_indices(grid: CandidateGrid, indices) -> Segmentation:
     """Build and validate a segmentation from interior grid indices.
 
-    One pass over the path ``[0, *indices, 2n + 1]`` rejects, with
-    ValueError, indices that are not strictly increasing interior
-    positions and segments with no event and zero length (possible only
-    with tied times). Sides follow from the parity of the indices.
+    Rejects, with ValueError, indices that ``segment_stats`` rejects and
+    segments with no event and zero length (possible only with tied
+    times). Sides follow from the parity of the indices.
     """
-    path = np.array([0, *indices, grid.last_index])
-    if np.any(path[1:] <= path[:-1]):
-        raise ValueError("change-points must be strictly increasing interior grid indices")
-    ev, vals = path // 2, grid.values[path]
-    if np.any((ev[1:] == ev[:-1]) & (vals[1:] == vals[:-1])):
+    cuts = tuple(indices)
+    counts, lengths, _ = segment_stats(grid, cuts)
+    if np.any((counts == 0) & (lengths == 0.0)):
         raise ValueError("segmentation contains an empty zero-length segment")
-    points = tuple(GridPoint(p, BEFORE if p % 2 else AT, v)
-                   for p, v in zip(path[1:-1].tolist(), vals[1:-1].tolist()))
+    points = tuple(GridPoint(int(p), BEFORE if p % 2 else AT, float(grid.values[p]))
+                   for p in cuts)
     return Segmentation(len(points) + 1, points)
 
 

@@ -110,16 +110,13 @@ def thin(data, fraction: float, rng: np.random.Generator):
     return data.select(keep), data.select(~keep)
 
 
-def _counts_between(times: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    # events in (b_{k-1}, b_k]; right-closed matches the segment rule
-    pos = np.searchsorted(times, bounds, side="right")
-    return pos[1:] - pos[:-1]
-
-
-def _mark_sums_between(series: EventSeries, bounds: np.ndarray) -> np.ndarray:
+def _stats_between(series: EventSeries, bounds: np.ndarray):
+    # counts and mark sums (None when unmarked) in each right-closed (b_{k-1}, b_k]
     pos = np.searchsorted(series.times, bounds, side="right")
+    if series.mark_prefix is None:
+        return pos[1:] - pos[:-1], None
     pref = series.mark_prefix[pos]
-    return pref[1:] - pref[:-1]
+    return pos[1:] - pos[:-1], pref[1:] - pref[:-1]
 
 
 def _test_score(spec, ratio: float, counts, lengths, test_counts) -> float:
@@ -194,7 +191,6 @@ def cross_validate(data, config: CvConfig | None = None) -> CvCurve:
     cfg = config if config is not None else CvConfig()
     if data.n == 0:
         raise ValueError("cross-validation needs at least one event")
-    marked = data.marks is not None
     m_total, kmax = cfg.replicates, cfg.kmax
     ratio = (1.0 - cfg.fraction) / cfg.fraction
     gammas = np.full((m_total, kmax), np.nan)
@@ -215,12 +211,10 @@ def cross_validate(data, config: CvConfig | None = None) -> CvCurve:
             seg = res.segmentation
             counts, lengths, sums = segment_stats(grid, seg.indices)
             bounds = np.concatenate(([0.0], seg.values, [1.0]))
-            test_counts = _counts_between(test.times, bounds)
+            test_counts, test_sums = _stats_between(test, bounds)
             score = _test_score(spec, ratio, counts, lengths, test_counts)
-            if marked:
-                score += _mark_test_score(
-                    spec, counts, sums, test_counts, _mark_sums_between(test, bounds)
-                )
+            if test_sums is not None:
+                score += _mark_test_score(spec, counts, sums, test_counts, test_sums)
             gammas[m, res.k - 1] = score
     defined = ~np.isnan(gammas)
     counts_k = defined.sum(axis=0)
@@ -253,9 +247,13 @@ class FitResult:
 
     ``spec`` is the contrast of the full-data fit and ``counts`` the
     events per segment. Rates are per unit normalized time; divide by
-    the window width for original-scale rates. ``contrast_by_k`` maps
-    each feasible K to its optimal full-data contrast. ``curve`` is the
-    cross-validation curve that chose K, or None when K was fixed.
+    the window width for original-scale rates. Under ``marked_pgeg``
+    ``mark_rates`` are the posterior means (a_rho + c) / (b_rho + S) of
+    segments with c events and mark sum S, while cross-validation scores
+    test marks with the rate (a_rho + c - 1) / (b_rho + S), the inverse
+    posterior mean of the mean mark. ``contrast_by_k`` maps each feasible
+    K to its optimal full-data contrast. ``curve`` is the cross-validation
+    curve that chose K, or None when K was fixed.
     """
 
     k_hat: int

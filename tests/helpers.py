@@ -5,12 +5,14 @@ that agreement with the library is evidence, not tautology. math.lgamma
 is an independent code path from scipy's gammaln. The dense cost
 matrix and suffix table at the end are the exception: they check the
 solver's row blocking, not the cost formulas, so they call the library's
-vectorized ``segment_cost`` on the whole grid at once.
+vectorized ``segment_cost`` on the whole grid at once. ``edge_events``
+is a hypothesis strategy for the inputs that break naive code.
 """
 
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ppseg import ContrastSpec, EventSeries, segment_cost
 
@@ -23,6 +25,8 @@ ACCEPTANCE_LINES: list[str] = []
 
 def naive_cost(spec: ContrastSpec, count, length, mark_sum=None) -> float:
     c, d = float(count), float(length)
+    if c == 0.0 and d == 0.0:
+        return INF  # empty zero-length segments are never admissible
     if spec.kind == "poisson":
         if c == 0.0:
             return 0.0
@@ -67,13 +71,27 @@ def naive_contrast(series, spec: ContrastSpec, indices) -> float:
     for lo, hi in zip(path[:-1], path[1:]):
         c = hi // 2 - lo // 2
         d = float(vals[hi] - vals[lo])
-        if c == 0 and d == 0.0:
-            piece = INF  # empty zero-length segments are never admissible
-        else:
-            s = None if pref is None else float(pref[hi // 2] - pref[lo // 2])
-            piece = naive_cost(spec, c, d, s)
-        total += piece  # no piece is -inf, so +inf absorbs
+        s = None if pref is None else float(pref[hi // 2] - pref[lo // 2])
+        total += naive_cost(spec, c, d, s)  # no piece is -inf, so +inf absorbs
     return total
+
+
+_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
+_EDGE_TIMES = (st.integers(1, 4).map(lambda i: i * 1e-300)
+               | st.integers(0, 3).map(lambda i: _BELOW_ONE - i * 2.0 ** -53)
+               | st.sampled_from([0.25, 0.5])
+               | st.floats(0.001, 0.999))
+
+
+@st.composite
+def edge_events(draw):
+    """Times with ties, a single event, or events near 0 or 1, and marks
+    from 1e-300 to 1e300 or None."""
+    times = sorted(draw(st.lists(_EDGE_TIMES, min_size=1, max_size=5)))
+    if not draw(st.booleans()):
+        return times, None
+    return times, draw(st.lists(st.floats(1e-300, 1e300), min_size=len(times),
+                                max_size=len(times)))
 
 
 def random_series(rng: np.random.Generator, n_max=6, marked=False, allow_ties=True):

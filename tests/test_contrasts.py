@@ -26,10 +26,7 @@ from ppseg.contrasts import (
     KINDS,
     MARKED_KINDS,
     _lgamma_shifted,
-    marked_pgeg_cost,
-    marked_poisson_cost,
     mle_rate,
-    poisson_cost,
     poisson_gamma_cost,
     posterior_mean_rate,
 )
@@ -37,17 +34,24 @@ from ppseg.contrasts import (
 from helpers import marked_loglik, naive_cost, poisson_loglik, spec_variants
 
 INF = float("inf")
+POISSON = ContrastSpec("poisson")
+MARKED_POISSON = ContrastSpec("marked_poisson")
+
+
+def pgeg(a, b, a_rho, b_rho):
+    return ContrastSpec("marked_pgeg", a=a, b=b, a_rho=a_rho, b_rho=b_rho)
+
 
 FROZEN = [
-    (lambda: poisson_cost(3, 0.5), -2.375278407684165),
-    (lambda: poisson_cost(7, 1.0), -6.621371043387193),
+    (lambda: segment_cost(POISSON, 3, 0.5), -2.375278407684165),
+    (lambda: segment_cost(POISSON, 7, 1.0), -6.621371043387193),
     (lambda: poisson_gamma_cost(0, 0.5, 1, 1), 0.4054651081081644),
     (lambda: poisson_gamma_cost(5, 0.3, 2, 0.7), -5.865901324132636),
     (lambda: poisson_gamma_cost(1, 0, 1, 0.01), -4.605170185988092),
-    (lambda: marked_poisson_cost(4, 0.5, 2.0), -3.090354888959125),
-    (lambda: marked_poisson_cost(2, 0.5, 4.0), 2.613705638880109),
-    (lambda: marked_pgeg_cost(2, 0.3, 1.4, 1, 1, 2.01, 1.0), 1.804500448799898),
-    (lambda: marked_pgeg_cost(0, 0.25, 0.0, 1, 0.5, 2.5, 2.0), 0.4054651081081644),
+    (lambda: segment_cost(MARKED_POISSON, 4, 0.5, 2.0), -3.090354888959125),
+    (lambda: segment_cost(MARKED_POISSON, 2, 0.5, 4.0), 2.613705638880109),
+    (lambda: segment_cost(pgeg(1, 1, 2.01, 1.0), 2, 0.3, 1.4), 1.804500448799898),
+    (lambda: segment_cost(pgeg(1, 0.5, 2.5, 2.0), 0, 0.25, 0.0), 0.4054651081081644),
 ]
 
 # high-precision loggamma reference, spot values across eight decades
@@ -95,9 +99,26 @@ def test_lgamma_lookup_table_is_bit_identical():
 
 
 def test_poisson_cost_edges():
-    assert poisson_cost(0, 0.7) == 0.0
-    assert poisson_cost(0, 0.0) == 0.0
-    assert poisson_cost(2, 0.0) == INF
+    assert segment_cost(POISSON, 0, 0.7) == 0.0
+    # an empty zero-length segment is excluded, as for every kind
+    assert segment_cost(POISSON, 0, 0.0) == INF
+    assert segment_cost(POISSON, 2, 0.0) == INF
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("forbid_empty", [False, True])
+def test_empty_zero_length_segment_costs_inf(kind, forbid_empty):
+    spec = ContrastSpec(kind, a=0.8, b=0.4, a_rho=2.5, b_rho=1.5, forbid_empty=forbid_empty)
+    marks = spec.requires_marks
+    assert segment_cost(spec, 0, 0.0, 0.0 if marks else None) == INF
+    counts, lengths = np.array([0, 0, 1, 0]), np.array([0.0, 0.5, 0.0, 0.0])
+    sums = np.array([0.0, 0.0, 1.0, 0.0]) if marks else None
+    got = segment_cost(spec, counts, lengths, sums)
+    assert got[0] == got[3] == INF
+    # only forbid_empty prices a positive-length empty segment at +inf
+    assert (got[1] == INF) == forbid_empty
+    # one event on zero length: unbounded likelihood, finite marginal cost
+    assert (got[2] == INF) == (kind not in ("poisson_gamma", "marked_pgeg"))
 
 
 def test_poisson_gamma_cost_edges():
@@ -111,11 +132,11 @@ def test_poisson_gamma_cost_edges():
 
 
 def test_marked_cost_edges():
-    assert marked_poisson_cost(0, 0.5, 0.0) == 0.0
-    assert marked_poisson_cost(3, 0.0, 1.0) == INF
-    assert marked_poisson_cost(3, 0.5, 0.0) == INF
+    assert segment_cost(MARKED_POISSON, 0, 0.5, 0.0) == 0.0
+    assert segment_cost(MARKED_POISSON, 3, 0.0, 1.0) == INF
+    assert segment_cost(MARKED_POISSON, 3, 0.5, 0.0) == INF
     # with no events the mark factor drops out entirely
-    assert marked_pgeg_cost(0, 0.4, 0.0, 1.0, 0.5, 2.5, 2.0) == pytest.approx(
+    assert segment_cost(pgeg(1.0, 0.5, 2.5, 2.0), 0, 0.4, 0.0) == pytest.approx(
         poisson_gamma_cost(0, 0.4, 1.0, 0.5), rel=1e-13
     )
 
@@ -135,17 +156,17 @@ def test_costs_are_never_minus_infinity(kind):
 
 def test_overflowing_ratio_takes_the_difference_of_logs():
     # count / length overflows to inf although the length is positive
-    assert poisson_cost(3, 1e-308) == pytest.approx(
+    assert segment_cost(POISSON, 3, 1e-308) == pytest.approx(
         3.0 * (1.0 - (math.log(3.0) - math.log(1e-308))), rel=1e-13
     )
-    assert marked_poisson_cost(1, 0.5, 5e-324) == pytest.approx(
+    assert segment_cost(MARKED_POISSON, 1, 0.5, 5e-324) == pytest.approx(
         2.0 - math.log(2.0) - (math.log(1.0) - math.log(5e-324)), rel=1e-13
     )
-    assert marked_poisson_cost(2, 5e-324, 5e-324) == pytest.approx(
+    assert segment_cost(MARKED_POISSON, 2, 5e-324, 5e-324) == pytest.approx(
         2.0 * (2.0 - 2.0 * (math.log(2.0) - math.log(5e-324))), rel=1e-13
     )
     # a quotient just short of overflow keeps the plain log
-    assert poisson_cost(1, 1e-300) == 1.0 - np.log(1.0 / 1e-300)
+    assert segment_cost(POISSON, 1, 1e-300) == 1.0 - np.log(1.0 / 1e-300)
 
 
 def test_vectorized_costs_match_scalar_reference():
@@ -184,8 +205,8 @@ def test_costs_are_concave_in_length(kind, count):
 )
 def test_poisson_cost_never_rewards_merging(c1, c2, d1, d2):
     # log-sum inequality: one segment never beats its own refinement
-    merged = poisson_cost(c1 + c2, d1 + d2)
-    split = poisson_cost(c1, d1) + poisson_cost(c2, d2)
+    merged = segment_cost(POISSON, c1 + c2, d1 + d2)
+    split = segment_cost(POISSON, c1, d1) + segment_cost(POISSON, c2, d2)
     assert merged >= split - 1e-9
 
 

@@ -1,11 +1,18 @@
 """File formats and the command-line pipeline, end to end."""
 
+import os
+import re
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ppseg import ResultDocument, load_series, parse_result, render_result
+from ppseg import KINDS, ResultDocument, load_series, parse_result, render_result
 from ppseg.bench import CSV_COLUMNS
 from ppseg.cli import main
+from ppseg.contrasts import MARKED_KINDS
 from ppseg.io import (
     default_window,
     read_events_file,
@@ -13,6 +20,8 @@ from ppseg.io import (
     render_events,
     render_metrics,
 )
+
+from helpers import edge_events
 
 
 def test_events_file_round_trip_is_exact(tmp_path):
@@ -473,3 +482,58 @@ def test_cli_error_paths(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--kmax, --replicates, --fraction, --seed only apply" in captured.err
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda text: re.sub(r"^k_hat: .*\n", "", text, flags=re.M), "no 'k_hat' line"),
+    (lambda text: text.replace("[segments]\n", ""), "no [segments] section"),
+    (lambda text: re.sub(r"^(window: \S+) \S+$", r"\1", text, flags=re.M), "'window' value"),
+    (lambda text: text.replace("\nk contrast\n", "\nk value\n"), "[contrast_by_k]"),
+], ids=["no-k_hat", "no-segments", "one-value-window", "bad-column-header"])
+def test_cli_evaluate_names_what_is_wrong_with_a_document(tmp_path, capsys, edit, named):
+    events = tmp_path / "events.csv"
+    result = tmp_path / "result.txt"
+    events.write_text(render_events([0.2, 0.3, 0.7], [1.0, 2.0, 3.0]))
+    assert _run(["segment", str(events), "--window", "0", "1", "--k", "2",
+                 "-o", str(result)]) == 0
+    result.write_text(edit(result.read_text()))
+    capsys.readouterr()
+    assert _run(["evaluate", str(result), "--truth", "design:1,1", "-o", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err, captured.err
+
+
+def test_parse_result_rejects_malformed_rows():
+    text = render_result(_sample_document())
+    for bad, named in (("2 -60.125", "2 -60.125 7"), ("13 before", "x before")):
+        with pytest.raises(ValueError, match="row") as err:
+            parse_result(text.replace(bad, named, 1))
+        assert named in str(err.value)
+
+
+_EVENT_FILES = (st.sampled_from(["", "time\n", "time,mark\n"])
+                | edge_events().map(lambda times_marks: render_events(*times_marks)))
+
+
+@given(text=_EVENT_FILES)
+def test_cli_segment_and_evaluate_exit_cleanly_on_edge_inputs(text):
+    # every command either writes a readable document (exit 0) or stops
+    # with a ValueError (exit 2); no other exception escapes cli.main
+    with tempfile.TemporaryDirectory() as work:
+        events = os.path.join(work, "events.csv")
+        with open(events, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        runs = [["--replicates", "3", "--kmax", "4"]]
+        for kind in KINDS:
+            if kind not in MARKED_KINDS or text.startswith("time,mark"):
+                runs += [["--k", str(k), "--contrast", kind] for k in range(1, 5)]
+        for i, flags in enumerate(runs):
+            doc = os.path.join(work, f"doc{i}.txt")
+            code = _run(["segment", events, "--window", "0", "1", *flags, "-o", doc])
+            assert code in (0, 2), flags
+            if code == 0:
+                with open(doc, encoding="utf-8") as fh:
+                    parse_result(fh.read())
+                metrics = os.path.join(work, "metrics.csv")
+                assert _run(["evaluate", doc, "--truth", "design:1,1", "-o", metrics]) == 0

@@ -18,9 +18,8 @@ from ppseg.model import AT, BEFORE
 
 
 def _count(grid, p_lo, p_hi):
-    # events in the segment (p_lo, p_hi], read off segment_stats
-    cuts = tuple(p for p in (p_lo, p_hi) if 0 < p < grid.last_index)
-    return int(segment_stats(grid, cuts)[0][int(p_lo > 0)])
+    # events in the segment (p_lo, p_hi]
+    return int(grid.stats(p_lo, p_hi)[0])
 
 
 def test_grid_layout():
@@ -231,6 +230,11 @@ def test_segment_stats():
     for bad in ((3, 3), (5, 3), (0,), (7,), (-1,), (9,)):
         with pytest.raises(ValueError, match="strictly increasing interior"):
             segment_stats(grid, bad)
+    # the grid itself reads any index pairs, broadcasting index arrays
+    counts, lengths, sums = grid.stats(np.array([[0], [3]]), np.array([[3, 7]]))
+    assert counts.tolist() == [[1, 3], [0, 2]]
+    assert lengths.tolist() == [[0.5, 1.0], [0.0, 0.5]]
+    assert sums.tolist() == [[1.0, 6.0], [0.0, 5.0]]
 
 
 def test_intensity_segments_are_right_closed():

@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given
-from hypothesis import strategies as st
 
 from ppseg import (
     KINDS,
@@ -31,6 +30,8 @@ from ppseg.contrasts import MARKED_KINDS
 from ppseg.dp import TIES_WARNING
 from ppseg.selection import _test_score, thin
 from ppseg.simulate import alternating_intensity, simulate_events, simulate_marked
+
+from helpers import edge_events
 
 
 def test_config_validation():
@@ -284,21 +285,8 @@ def test_refit_raises_clear_errors_without_asserts():
         refit(EventSeries(np.array([0.5])), ContrastSpec("poisson"), 2, 3)
 
 
-_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
-_EDGE_TIMES = (st.integers(1, 4).map(lambda i: i * 1e-300)
-               | st.integers(0, 3).map(lambda i: _BELOW_ONE - i * 2.0 ** -53)
-               | st.sampled_from([0.25, 0.5])
-               | st.floats(0.001, 0.999))
-
-
-@st.composite
-def _edge_series(draw):
-    """Series with ties, a single event, or events near 0 or 1, marked or not."""
-    times = sorted(draw(st.lists(_EDGE_TIMES, min_size=1, max_size=5)))
-    if not draw(st.booleans()):
-        return EventSeries(times)
-    marks = draw(st.lists(st.floats(1e-300, 1e300), min_size=len(times), max_size=len(times)))
-    return EventSeries(times, marks)
+def _edge_series():
+    return edge_events().map(lambda times_marks: EventSeries(*times_marks))
 
 
 def _check_fit(data, result, kmax, cfg):

@@ -1,6 +1,6 @@
 """Hash the outputs that every change to ppseg must leave byte-identical.
 
-Runs eleven ``ppseg`` commands against the ``src/`` of this checkout, in a
+Runs fourteen ``ppseg`` commands against the ``src/`` of this checkout, in a
 temporary directory, and prints one ``label sha256`` line per output:
 
     python3 tools/pinned_outputs.py
@@ -33,6 +33,17 @@ EVENTS = (
     ("marked.txt", ["simulate", "--design", "100,8", "--marks", "0.1,0.005", "--seed", "1"]),
 )
 
+# A marked events table on (0, 10) with 13 tied neighbours, written as is.
+# Only tied times give segments with no event and zero length, and no
+# simulated series has ties.
+TIED = "time,mark\n" + "\n".join("""
+0.35,0.36 0.38,0.84 1.14,0.91 1.47,0.48 1.47,0.01 1.47,0.49 1.47,0.22 2.87,1.66 2.87,0.35
+2.87,0.42 3.69,10.37 4.18,5.12 4.2,5.31 4.31,0.52 4.68,3.32 4.68,1.57 4.98,0.49 5.17,5.99
+5.46,8.62 5.46,3.67 5.54,9.84 5.54,0.49 5.54,3.56 6.14,8.73 6.19,0.82 6.19,11.66 6.42,2.49
+6.5,0.01 6.5,0.15 6.56,0.24 6.56,2.74 7.57,0.75 7.94,0.45 8.16,0.84 8.83,0.36 8.83,0.87
+""".split()) + "\n"
+TIED_WINDOW = ["--window", "0", "10"]
+
 CV = ["--seed", "0", "--replicates", "50"]
 COMMANDS = (
     ("segment-plain", ["segment", "plain.txt", *CV]),
@@ -47,6 +58,10 @@ COMMANDS = (
      ["bench", "--preset", "marked-table", "--samples", "2", "--replicates", "20"]),
     ("bench-k-selection",
      ["bench", "--preset", "k-selection", "--samples", "2", "--replicates", "20"]),
+    ("segment-tied", ["segment", "tied.txt", *TIED_WINDOW, *CV]),
+    *((f"segment-tied-k6-{kind}",
+       ["segment", "tied.txt", *TIED_WINDOW, "--k", "6", "--contrast", kind])
+      for kind in ("poisson", "marked_pgeg")),
 )
 
 
@@ -66,6 +81,7 @@ def pinned_hashes(src: Path) -> dict[str, str]:
 
         for name, argv in EVENTS:
             ppseg([*argv, "-o", name])
+        Path(work, "tied.txt").write_text(TIED, encoding="utf-8")
         return {label: hashlib.sha256(ppseg([*argv, "-o", "-"])).hexdigest()
                 for label, argv in COMMANDS}
 
