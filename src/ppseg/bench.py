@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import hausdorff, l2_distance
-from .model import intensity_from_breaks
+from .model import intensity_from_breaks, require_integer
 from .selection import CvConfig, fit
 from .simulate import ALTERNATING_BREAKPOINTS, alternating_intensity, simulate_events, simulate_marked
 
@@ -83,10 +83,12 @@ class BenchConfig:
     def __post_init__(self):
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}; choose from {', '.join(PRESETS)}")
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
+        for name in ("samples", "cv_replicates", "kmax", "threads"):
+            require_integer(name, getattr(self, name))
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not 0.0 < self.fraction < 1.0:
+            raise ValueError("fraction must lie strictly between 0 and 1")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,9 @@ the whole right-to-left totals tie exactly, so each step folds the
 pieces already chosen onto the candidate row, in the order ``contrast``
 sums them, and takes the first index whose total equals the optimum.
 Rounding is monotone, so this is the lexicographically first optimum.
+The reconstruction runs for every K in one pass: step s stacks the
+candidate rows of all K that still need an s-th change-point, and each
+row sees the same additions, in the same order, as it would alone.
 
 Every segment cost lies in (-inf, +inf] (see ``contrasts``), so plain
 IEEE addition accumulates the tables and +inf absorbs. ``segment_cost``
@@ -31,13 +34,19 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from math import comb
 
 import numpy as np
 
 from .contrasts import ContrastSpec, contrast, segment_cost
-from .model import Segmentation, as_grid, segmentation_from_indices
+from .model import (
+    CandidateGrid,
+    Segmentation,
+    as_grid,
+    require_integer,
+    segmentation_from_indices,
+)
 
 TIES_WARNING = "event times contain ties"
 
@@ -102,28 +111,64 @@ def _suffix_table(cost: np.ndarray, kmax: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class SolveResult:
+    """The optimum at one segment count K.
+
+    ``indices`` are the interior grid indices of its change-points, None
+    when there is no segmentation (K infeasible or no admissible one).
+    ``segmentation`` is built from them and ``grid`` on first read,
+    through ``segmentation_from_indices``, and cached; one passed in is
+    kept as given.
+    """
+
     k: int
     feasible: bool
-    segmentation: Segmentation | None
+    indices: tuple[int, ...] | None
     contrast: float | None
     warnings: tuple[str, ...] = ()
+    grid: CandidateGrid | None = field(default=None, repr=False)
+    segmentation: InitVar[Segmentation | None] = None
+
+    def __post_init__(self, segmentation: Segmentation | None) -> None:
+        self._segmentation = segmentation
 
 
-def _reconstruct(cost: np.ndarray, suffix: np.ndarray, k: int) -> list[int]:
+def _segmentation(self: SolveResult) -> Segmentation | None:
+    if self._segmentation is None and self.indices is not None:
+        self._segmentation = segmentation_from_indices(self.grid, self.indices)
+    return self._segmentation
+
+
+# attached after the class is made: in the class body the property would
+# become the default of the ``segmentation`` init argument
+SolveResult.segmentation = property(_segmentation)
+
+
+def _reconstruct(cost: np.ndarray, suffix: np.ndarray, ks) -> dict[int, tuple[int, ...]]:
+    """Change-point indices of the optimum at each K in ``ks``, in one pass.
+
+    Every K must be feasible with a finite optimum. With the K sorted in
+    descending order, those still choosing at step s (K - 1 > s) are a
+    prefix; their candidate rows are gathered at once, and the pieces
+    already chosen are folded on right to left, as for one K alone.
+    """
     A = suffix.shape[1] - 1
-    best = suffix[k, 0]
-    indices: list[int] = []
-    pieces: list[float] = []
-    prev = 0
-    for r in range(k - 1, 0, -1):
-        total = cost[prev + 1, : A + 1] + suffix[r]
-        for piece in reversed(pieces):
-            total = piece + total
-        j = int(np.argmax(total == best))
-        pieces.append(cost[prev + 1, j])
-        indices.append(j)
-        prev = j
-    return indices
+    kd = np.sort(np.asarray(ks, dtype=np.intp))[::-1]
+    steps = int(kd[0]) - 1 if kd.size else 0
+    best = suffix[kd, 0][:, None]
+    prev = np.zeros(kd.size, dtype=np.intp)
+    pieces = np.empty((kd.size, steps))
+    cuts = np.empty((kd.size, steps), dtype=np.intp)
+    for s in range(steps):
+        na = int(np.count_nonzero(kd > s + 1))
+        rows = prev[:na] + 1
+        total = cost[rows, : A + 1] + suffix[kd[:na] - 1 - s]
+        for i in range(s - 1, -1, -1):
+            total = pieces[:na, i, None] + total
+        j = np.argmax(total == best[:na], axis=1)
+        pieces[:na, s] = cost[rows, j]
+        cuts[:na, s] = j
+        prev[:na] = j
+    return {k: tuple(cuts[row, : k - 1].tolist()) for row, k in enumerate(kd.tolist())}
 
 
 def solve_bytes(n: int, kmax: int) -> int:
@@ -140,6 +185,7 @@ def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:
     a sentinel cost. Series whose cost matrix would not fit in physical
     memory are refused.
     """
+    require_integer("kmax", kmax)
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     grid = as_grid(data)
@@ -153,20 +199,19 @@ def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:
     cost = build_cost_matrix(grid, spec)
     suffix = _suffix_table(cost, kmax)
     base_warn = (TIES_WARNING,) if grid.events.has_ties else ()
+    feasible = range(1, min(kmax, grid.size + 1) + 1)
+    finite = [k for k in feasible if suffix[k, 0] < np.inf]
+    cuts = _reconstruct(cost, suffix, finite)
     results: list[SolveResult] = []
     for k in range(1, kmax + 1):
-        if k - 1 > grid.size:
+        if k not in feasible:
             results.append(SolveResult(k, False, None, None, base_warn))
-            continue
-        value = float(suffix[k, 0])
-        if value == np.inf:
+        elif k not in cuts:
             # only reachable when ties make every candidate degenerate
-            results.append(
-                SolveResult(k, True, None, np.inf, base_warn + ("no admissible segmentation",))
-            )
-            continue
-        seg = segmentation_from_indices(grid, _reconstruct(cost, suffix, k))
-        results.append(SolveResult(k, True, seg, value, base_warn))
+            results.append(SolveResult(k, True, None, np.inf,
+                                       base_warn + ("no admissible segmentation",)))
+        else:
+            results.append(SolveResult(k, True, cuts[k], float(suffix[k, 0]), base_warn, grid))
     return results
 
 
@@ -177,6 +222,7 @@ def brute_force(data, spec: ContrastSpec, k: int, limit: int = 1_000_000) -> Sol
     the same tie rule as ``solve``. Only intended for small instances;
     instances beyond ``limit`` candidates are refused.
     """
+    require_integer("k", k)
     if k < 1:
         raise ValueError("k must be at least 1")
     grid = as_grid(data)
@@ -195,7 +241,7 @@ def brute_force(data, spec: ContrastSpec, k: int, limit: int = 1_000_000) -> Sol
     assert best_value is not None
     if best_value == np.inf:
         return SolveResult(k, True, None, np.inf, ("no admissible segmentation",))
-    return SolveResult(k, True, segmentation_from_indices(grid, best), best_value)
+    return SolveResult(k, True, best, best_value, grid=grid)
 
 
 def upsilon_cardinality(n: int, k: int) -> int:

@@ -41,6 +41,12 @@ def _validated_times(times) -> np.ndarray:
     return t
 
 
+def require_integer(name: str, value) -> None:
+    """ValueError unless ``value`` is a Python or numpy integer; bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _validated_window(window) -> tuple[float, float]:
     w0, w1 = float(window[0]), float(window[1])
     if not w1 > w0:

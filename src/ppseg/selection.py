@@ -55,6 +55,7 @@ from .model import (
     Segmentation,
     build_grid,
     intensity_from_breaks,
+    require_integer,
     segment_stats,
 )
 
@@ -86,10 +87,8 @@ class CvConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.fraction < 1.0:
             raise ValueError("fraction must lie strictly between 0 and 1")
-        for name in ("replicates", "kmax"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        require_integer("replicates", self.replicates)
+        require_integer("kmax", self.kmax)
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if self.kmax < 1:
@@ -110,37 +109,59 @@ def thin(data, fraction: float, rng: np.random.Generator):
     return data.select(keep), data.select(~keep)
 
 
-def _stats_between(series: EventSeries, bounds: np.ndarray):
-    # counts and mark sums (None when unmarked) in each right-closed (b_{k-1}, b_k]
-    pos = np.searchsorted(series.times, bounds, side="right")
-    if series.mark_prefix is None:
-        return pos[1:] - pos[:-1], None
-    pref = series.mark_prefix[pos]
-    return pos[1:] - pos[:-1], pref[1:] - pref[:-1]
-
-
-def _test_score(spec, ratio: float, counts, lengths, test_counts) -> float:
-    """Negated log predictive of the test counts given the learned fit.
+def _test_pieces(spec, ratio: float, counts, lengths, test_counts):
+    """Negated log predictive of the test counts given the learned fit,
+    one entry per segment of positive length.
 
     Each segment of length L updates the prior share Gamma(a L, b L) by
     its learning count; the test rate is ``ratio`` times the learning
-    rate. Zero-length segments hold no test event and score 0.
+    rate. Zero-length segments hold no test event and get no entry.
     """
     keep = lengths > 0.0
     d = lengths[keep]
     shape = spec.a * d + counts[keep]
     rate = d * (1.0 + spec.b) / ratio
-    return float(np.sum(poisson_gamma_cost(test_counts[keep], d, shape, rate)))
+    return poisson_gamma_cost(test_counts[keep], d, shape, rate)
 
 
-def _mark_test_score(spec, counts, mark_sums, test_counts, test_sums) -> float:
-    """Negated exponential log-likelihood of the test marks.
+def _mark_pieces(spec, counts, mark_sums, test_counts, test_sums):
+    """Negated exponential log-likelihood of the test marks, per segment.
 
     The mark rate is the reciprocal of the posterior mean of the mean
     mark under the Gamma(a_rho, b_rho) rate prior.
     """
     rho = posterior_mean_rate(counts, mark_sums, spec.a_rho - 1.0, spec.b_rho)
-    return float(np.sum(rho * test_sums - test_counts * np.log(rho)))
+    return rho * test_sums - test_counts * np.log(rho)
+
+
+def _run_sums(values: np.ndarray, ends) -> list[float]:
+    # np.sum of each run values[ends[i - 1]:ends[i]], the first from 0
+    ends = np.asarray(ends).tolist()
+    return [float(np.sum(values[a:b])) for a, b in zip([0, *ends[:-1]], ends)]
+
+
+def _scores(spec, ratio: float, grid, test: EventSeries, cuts) -> list[float]:
+    """Test score of the segmentation of ``grid`` at each change-point
+    index tuple in ``cuts``, all priced in one pass.
+
+    A tuple's score sums its own pieces only, the same elements in the
+    same order as when it is scored alone, so no score depends on the
+    other tuples of the pass.
+    """
+    lo = np.array([p for c in cuts for p in (0, *c)], dtype=np.intp)
+    hi = np.array([p for c in cuts for p in (*c, grid.last_index)], dtype=np.intp)
+    ends = np.cumsum([len(c) + 1 for c in cuts], dtype=np.intp)  # segments through each tuple
+    counts, lengths, sums = grid.stats(lo, hi)
+    # test events at or before each grid position, counted per segment like grid.stats
+    pos = np.searchsorted(test.times, grid.values, side="right")
+    test_counts = pos[hi] - pos[lo]
+    gamma = _test_pieces(spec, ratio, counts, lengths, test_counts)
+    scores = _run_sums(gamma, np.cumsum(lengths > 0.0)[ends - 1])
+    if test.mark_prefix is not None:
+        pref = test.mark_prefix[pos]
+        marks = _mark_pieces(spec, counts, sums, test_counts, pref[hi] - pref[lo])
+        scores = [score + mark for score, mark in zip(scores, _run_sums(marks, ends))]
+    return scores
 
 
 @dataclass(frozen=True)
@@ -187,7 +208,15 @@ def _stderr(col: np.ndarray) -> float:
 
 
 def cross_validate(data, config: CvConfig | None = None) -> CvCurve:
-    """Average test contrasts over thinning replicates for K = 1..kmax."""
+    """Average test contrasts over thinning replicates for K = 1..kmax.
+
+    Each replicate solves the learning set once for every K, reading
+    only each optimum's change-point indices, and scores every K in one
+    pass over the concatenated segments; a K's score sums its own pieces
+    in the order it would alone, so the curve does not depend on the
+    batching. A K with no admissible learning-set segmentation is not
+    scored in that replicate.
+    """
     cfg = config if config is not None else CvConfig()
     if data.n == 0:
         raise ValueError("cross-validation needs at least one event")
@@ -204,18 +233,9 @@ def cross_validate(data, config: CvConfig | None = None) -> CvCurve:
             continue
         spec = replace(default_spec(learn, a=cfg.prior_shape), forbid_empty=True)
         grid = build_grid(learn)
-        results = solve(grid, spec, kmax)
-        for res in results:
-            if not res.feasible or res.segmentation is None:
-                continue
-            seg = res.segmentation
-            counts, lengths, sums = segment_stats(grid, seg.indices)
-            bounds = np.concatenate(([0.0], seg.values, [1.0]))
-            test_counts, test_sums = _stats_between(test, bounds)
-            score = _test_score(spec, ratio, counts, lengths, test_counts)
-            if test_sums is not None:
-                score += _mark_test_score(spec, counts, sums, test_counts, test_sums)
-            gammas[m, res.k - 1] = score
+        scored = [res for res in solve(grid, spec, kmax) if res.indices is not None]
+        gammas[m, [res.k - 1 for res in scored]] = _scores(
+            spec, ratio, grid, test, [res.indices for res in scored])
     defined = ~np.isnan(gammas)
     counts_k = defined.sum(axis=0)
     means = np.full(kmax, np.nan)
@@ -287,6 +307,8 @@ def refit(data, spec: ContrastSpec, kmax: int, k: int, curve: CvCurve | None = N
     k is fixed. Raises ValueError when k lies outside 1..kmax, exceeds
     the candidate grid or admits no segmentation.
     """
+    require_integer("k", k)
+    require_integer("kmax", kmax)
     if not 1 <= k <= kmax:
         raise ValueError(f"K = {k} must lie between 1 and kmax = {kmax}")
     grid = build_grid(data)

@@ -2,19 +2,26 @@
 
 Everything here deliberately avoids numpy vectorization and scipy so
 that agreement with the library is evidence, not tautology. math.lgamma
-is an independent code path from scipy's gammaln. The dense cost
-matrix and suffix table at the end are the exception: they check the
-solver's row blocking, not the cost formulas, so they call the library's
-vectorized ``segment_cost`` on the whole grid at once. ``edge_events``
-is a hypothesis strategy for the inputs that break naive code.
+is an independent code path from scipy's gammaln. The oracles at the
+end are the exception: they check how the library batches its work, not
+its formulas. The dense cost matrix and suffix table check the solver's
+row blocking, and call the library's vectorized ``segment_cost`` on the
+whole grid at once; ``reconstruct_one`` and ``per_k_cross_validate``
+reconstruct and score one K at a time, which the library does for all K
+in one pass. ``edge_events`` is a hypothesis strategy for the inputs
+that break naive code.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
 
-from ppseg import ContrastSpec, EventSeries, segment_cost
+from ppseg import ContrastSpec, EventSeries, build_grid, default_spec, segment_cost, segment_stats
+from ppseg.contrasts import poisson_gamma_cost, posterior_mean_rate
+from ppseg.dp import solve
+from ppseg.selection import _stderr, thin
 
 INF = float("inf")
 
@@ -173,3 +180,68 @@ def dense_suffix_table(cost: np.ndarray, kmax: int) -> np.ndarray:
     for r in range(2, kmax + 1):
         S[r] = (m + S[r - 1][None, :]).min(axis=1)
     return S
+
+
+def reconstruct_one(cost: np.ndarray, suffix: np.ndarray, k: int) -> list[int]:
+    """Change-point indices of the optimum at one K, from the tables.
+
+    Each step takes the first grid index whose candidate row, with the
+    pieces already chosen folded on right to left, equals the optimum.
+    """
+    A = suffix.shape[1] - 1
+    best = suffix[k, 0]
+    indices: list[int] = []
+    pieces: list[float] = []
+    prev = 0
+    for r in range(k - 1, 0, -1):
+        total = cost[prev + 1, : A + 1] + suffix[r]
+        for piece in reversed(pieces):
+            total = piece + total
+        j = int(np.argmax(total == best))
+        pieces.append(cost[prev + 1, j])
+        indices.append(j)
+        prev = j
+    return indices
+
+
+def per_k_cross_validate(data, cfg):
+    """``cross_validate`` scoring each K of a replicate on its own.
+
+    Returns the means, standard errors and counts per K, and how many
+    zero-length segments of the learned segmentations were scored.
+    """
+    ratio = (1.0 - cfg.fraction) / cfg.fraction
+    gammas = np.full((cfg.replicates, cfg.kmax), np.nan)
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.replicates)
+    zero_length = 0
+    for m in range(cfg.replicates):
+        learn, test = thin(data, cfg.fraction, np.random.default_rng(streams[m]))
+        if learn.n == 0:
+            continue
+        spec = replace(default_spec(learn, a=cfg.prior_shape), forbid_empty=True)
+        grid = build_grid(learn)
+        for res in solve(grid, spec, cfg.kmax):
+            seg = res.segmentation
+            if seg is None:
+                continue
+            counts, lengths, sums = segment_stats(grid, seg.indices)
+            zero_length += int(np.count_nonzero(lengths == 0.0))
+            pos = np.searchsorted(test.times, np.concatenate(([0.0], seg.values, [1.0])),
+                                  side="right")
+            test_counts = pos[1:] - pos[:-1]
+            keep = lengths > 0.0
+            d = lengths[keep]
+            score = float(np.sum(poisson_gamma_cost(test_counts[keep], d, spec.a * d + counts[keep],
+                                                     d * (1.0 + spec.b) / ratio)))
+            if test.mark_prefix is not None:
+                pref = test.mark_prefix[pos]
+                rho = posterior_mean_rate(counts, sums, spec.a_rho - 1.0, spec.b_rho)
+                score += float(np.sum(rho * (pref[1:] - pref[:-1]) - test_counts * np.log(rho)))
+            gammas[m, res.k - 1] = score
+    means, stderrs, counts_k = [], [], []
+    for col in gammas.T:
+        col = col[~np.isnan(col)]
+        means.append(float(np.mean(col)) if col.size else math.nan)
+        stderrs.append(float(_stderr(col)) if col.size >= 2 else 0.0)
+        counts_k.append(col.size)
+    return tuple(means), tuple(stderrs), tuple(counts_k), zero_length

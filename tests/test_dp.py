@@ -5,6 +5,7 @@ optimum; their agreement is asserted bit for bit, never within a
 tolerance, because both accumulate costs in the same order.
 """
 
+import dataclasses
 import math
 import tracemalloc
 from dataclasses import replace
@@ -28,13 +29,14 @@ from ppseg import (
     upsilon_star_cardinality,
 )
 from ppseg.contrasts import KINDS
-from ppseg.dp import TIES_WARNING, _suffix_table, build_cost_matrix, solve_bytes
+from ppseg.dp import TIES_WARNING, _reconstruct, _suffix_table, build_cost_matrix, solve_bytes
 
 from helpers import (
     dense_cost_matrix,
     dense_suffix_table,
     naive_contrast,
     random_series,
+    reconstruct_one,
     spec_variants,
 )
 
@@ -151,6 +153,65 @@ def test_solver_breaks_ties_like_brute_force(data, spec, forbid_empty):
     spec = replace(spec, forbid_empty=forbid_empty)
     for res in solve(series, spec, min(6, 2 * series.n + 1)):
         _assert_same_result(res, brute_force(series, spec, res.k))
+
+
+@st.composite
+def _tied_marked_series(draw):
+    # up to 14 events, drawn from three values often enough to tie
+    times = sorted(draw(st.lists(st.sampled_from([0.2, 0.5, 0.7]) | st.floats(0.01, 0.99),
+                                 min_size=1, max_size=14)))
+    marks = draw(st.lists(st.floats(0.01, 10.0), min_size=len(times), max_size=len(times)))
+    return times, marks
+
+
+@given(data=_tied_marked_series(), spec=st.sampled_from(TIE_SPECS), forbid_empty=st.booleans(),
+       kmax=st.integers(1, 12))
+@example(data=(TIED_TIMES, TIED_MARKS), spec=ContrastSpec("marked_pgeg", a=1.0, b=0.5),
+         forbid_empty=False, kmax=6)
+def test_all_k_reconstruction_equals_one_k_at_a_time(data, spec, forbid_empty, kmax):
+    series = EventSeries(np.array(data[0]), np.array(data[1]))
+    spec = replace(spec, forbid_empty=forbid_empty)
+    cost = build_cost_matrix(series, spec)
+    suffix = _suffix_table(cost, kmax)
+    ks = [k for k in range(1, min(kmax, 2 * series.n + 1) + 1) if suffix[k, 0] < np.inf]
+    assert _reconstruct(cost, suffix, ks) == {k: tuple(reconstruct_one(cost, suffix, k))
+                                              for k in ks}
+
+
+def test_all_k_reconstruction_across_the_row_block():
+    # 2n + 1 = 181 cost rows span two 128-row blocks
+    rng = np.random.default_rng(4)
+    times = np.sort(rng.uniform(0.01, 0.99, 90))
+    times[41] = times[40]
+    series = EventSeries(times, rng.exponential(1.0, 90))
+    for kind in KINDS:
+        for forbid_empty in (False, True):
+            spec = ContrastSpec(kind, forbid_empty=forbid_empty)
+            cost = build_cost_matrix(series, spec)
+            suffix = _suffix_table(cost, 12)
+            ks = [k for k in range(1, 13) if suffix[k, 0] < np.inf]
+            assert len(ks) == 12
+            assert _reconstruct(cost, suffix, ks) == {k: tuple(reconstruct_one(cost, suffix, k))
+                                                      for k in ks}, spec
+
+
+def test_segmentation_is_built_on_first_read_from_the_indices():
+    series = EventSeries(np.array([0.2, 0.5, 0.5, 0.8]))
+    results = solve(series, UNIT_PG, 12)
+    for res in results:
+        if res.indices is None:
+            assert res.segmentation is None
+            continue
+        seg = res.segmentation
+        assert seg is res.segmentation  # cached
+        assert seg.indices == res.indices
+        assert seg.values == tuple(float(series.times[(p - 1) // 2]) for p in res.indices)
+    ref = brute_force(series, UNIT_PG, 3)
+    assert ref.indices == results[2].indices == ref.segmentation.indices
+    # a segmentation passed in is kept, and replace() keeps a built one
+    other = results[1].segmentation
+    assert dataclasses.replace(results[2], segmentation=other).segmentation is other
+    assert dataclasses.replace(results[2], contrast=0.0).segmentation is results[2].segmentation
 
 
 def test_subnormal_lengths_and_mark_sums_keep_the_optimum_finite():

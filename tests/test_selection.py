@@ -17,6 +17,7 @@ from ppseg import (
     CvConfig,
     CvCurve,
     EventSeries,
+    brute_force,
     cross_validate,
     default_spec,
     fit,
@@ -24,14 +25,16 @@ from ppseg import (
     parse_result,
     refit,
     render_result,
+    solve,
 )
+from ppseg.bench import BenchConfig
 from ppseg.cli import _make_document
 from ppseg.contrasts import MARKED_KINDS
 from ppseg.dp import TIES_WARNING
-from ppseg.selection import _test_score, thin
+from ppseg.selection import _test_pieces, thin
 from ppseg.simulate import alternating_intensity, simulate_events, simulate_marked
 
-from helpers import edge_events
+from helpers import edge_events, per_k_cross_validate
 
 
 def test_config_validation():
@@ -55,6 +58,46 @@ def test_config_rejects_non_integer_counts():
     with pytest.raises(ValueError, match="replicates must be an integer"):
         CvConfig(replicates=True)
     assert CvConfig(replicates=np.int64(3), kmax=np.int32(2)).replicates == 3
+
+
+_PG = ContrastSpec("poisson_gamma")
+_TWO = EventSeries(np.array([0.3, 0.6]))
+
+
+@pytest.mark.parametrize("name, call", [
+    ("kmax", lambda: solve(_TWO, _PG, 2.5)),
+    ("kmax", lambda: solve(_TWO, _PG, True)),
+    ("k", lambda: brute_force(_TWO, _PG, 2.5)),
+    ("k", lambda: brute_force(_TWO, _PG, True)),
+    ("k", lambda: refit(_TWO, _PG, 3, 2.0)),
+    ("kmax", lambda: refit(_TWO, _PG, 3.0, 2)),
+    ("kmax", lambda: CvConfig(kmax=np.float64(3.0))),
+    ("samples", lambda: BenchConfig(preset="marked-table", samples=2.5)),
+    ("samples", lambda: BenchConfig(preset="marked-table", samples=True)),
+    ("threads", lambda: BenchConfig(preset="marked-table", samples=2, threads=1.5)),
+    ("cv_replicates", lambda: BenchConfig(preset="marked-table", cv_replicates="3")),
+    ("kmax", lambda: BenchConfig(preset="marked-table", kmax=12.0)),
+], ids=["solve-float", "solve-bool", "brute-float", "brute-bool", "refit-k", "refit-kmax",
+        "cv-numpy-float", "bench-samples-float", "bench-samples-bool", "bench-threads",
+        "bench-replicates", "bench-kmax"])
+def test_integer_arguments_reject_other_types(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"samples": 0}, "samples must be at least 1"),
+    ({"cv_replicates": 0}, "cv_replicates must be at least 1"),
+    ({"kmax": 0}, "kmax must be at least 1"),
+    ({"threads": 0}, "threads must be at least 1"),
+    ({"fraction": 1.0}, "fraction must lie strictly between 0 and 1"),
+    ({"fraction": 0.0}, "fraction must lie strictly between 0 and 1"),
+    ({"fraction": np.nan}, "fraction must lie strictly between 0 and 1"),
+])
+def test_bench_config_validates_at_construction(changes, message):
+    with pytest.raises(ValueError, match=message):
+        BenchConfig(preset="marked-table", **changes)
+    assert BenchConfig(preset="marked-table", samples=np.int64(2), threads=2).samples == 2
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
@@ -149,6 +192,30 @@ def test_cross_validate_reports_dropped_replicates():
     assert curve.replicates == 30
 
 
+def _cv_oracle_cases():
+    design = alternating_intensity(60.0, 4.0, 0.1, 0.005)
+    marked = simulate_marked(design, seed=3)
+    tied = EventSeries(np.round(marked.times, 2), marked.marks)
+    return {"unmarked": simulate_events(alternating_intensity(60.0, 4.0), seed=3),
+            "marked": marked, "tied": tied}
+
+
+@pytest.mark.parametrize("case", ["unmarked", "marked", "tied"])
+def test_cross_validate_equals_the_per_k_oracle(case):
+    # every K of a replicate is scored in one pass; each K's score must
+    # keep the bits of scoring it alone
+    data = _cv_oracle_cases()[case]
+    cfg = CvConfig(replicates=20, kmax=12, seed=4)
+    curve = cross_validate(data, cfg)
+    means, stderrs, counts, zero_length = per_k_cross_validate(data, cfg)
+    assert curve.means == means
+    assert curve.stderrs == stderrs
+    assert curve.counts == counts
+    if case == "tied":
+        assert data.has_ties
+        assert zero_length > 0  # the skip of zero-length segments was exercised
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cross_validate_stderr_survives_scores_beyond_1e154():
     # marks 300 decades apart give K = 1 scores near 1e300, whose
@@ -176,12 +243,12 @@ def test_test_score_is_the_length_share_predictive():
         shape, rate = 2.0 * d + c, d * 1.5 / ratio
         want += ((t + shape) * math.log(d + rate) - math.lgamma(t + shape)
                  + math.lgamma(shape) - shape * math.log(rate))
-    got = _test_score(spec, ratio, counts, lengths, test)
-    assert got == pytest.approx(want, rel=1e-12)
-    # a zero-length segment holds no test event and adds nothing
-    padded = _test_score(spec, ratio, np.array([3, 1, 2]), np.array([0.25, 0.75, 0.0]),
-                         np.array([1, 2, 0]))
-    assert padded == got
+    pieces = _test_pieces(spec, ratio, counts, lengths, test)
+    assert float(np.sum(pieces)) == pytest.approx(want, rel=1e-12)
+    # a zero-length segment holds no test event and gets no piece
+    padded = _test_pieces(spec, ratio, np.array([3, 1, 2]), np.array([0.25, 0.75, 0.0]),
+                          np.array([1, 2, 0]))
+    assert np.array_equal(padded, pieces)
 
 
 def test_selected_k_does_not_drift_with_the_prior_shape():

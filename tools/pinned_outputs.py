@@ -1,6 +1,6 @@
 """Hash the outputs that every change to ppseg must leave byte-identical.
 
-Runs fourteen ``ppseg`` commands against the ``src/`` of this checkout, in a
+Runs sixteen ``ppseg`` commands against the ``src/`` of this checkout, in a
 temporary directory, and prints one ``label sha256`` line per output:
 
     python3 tools/pinned_outputs.py
@@ -59,6 +59,8 @@ COMMANDS = (
     ("bench-k-selection",
      ["bench", "--preset", "k-selection", "--samples", "2", "--replicates", "20"]),
     ("segment-tied", ["segment", "tied.txt", *TIED_WINDOW, *CV]),
+    ("cv-curve-tied", ["cv-curve", "tied.txt", *TIED_WINDOW, *CV]),
+    ("cv-curve-plain-unit", ["cv-curve", "plain.txt", "--window", "0", "1", *CV]),
     *((f"segment-tied-k6-{kind}",
        ["segment", "tied.txt", *TIED_WINDOW, "--k", "6", "--contrast", kind])
       for kind in ("poisson", "marked_pgeg")),
