@@ -22,7 +22,11 @@ marked-table
 robust-a
     Sensitivity to the prior shape used by the marginal contrast.
 robust-f
-    Sensitivity to the thinning fraction used by cross-validation.
+    Sensitivity to the thinning fraction used by cross-validation; it
+    sweeps its own fractions, so ``fraction`` does not apply to it.
+
+``means`` and ``ratios`` override a preset's grid (see ``_GRIDS``);
+``BenchConfig`` refuses a value its preset would not read.
 
 Every random draw is seeded from a root seed up front, per cell and per
 sample, so output is byte-identical for any ``threads`` setting.
@@ -36,10 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import hausdorff, l2_distance
+from .io import render_table
+from .metrics import hausdorff, l2_distance, true_change_values
 from .model import intensity_from_breaks, require_integer
 from .selection import CvConfig, fit
-from .simulate import ALTERNATING_BREAKPOINTS, alternating_intensity, simulate_events, simulate_marked
+from .simulate import alternating_intensity, simulate_events, simulate_marked
 
 PRESETS = ("k-selection", "hausdorff-l2", "marked-table", "robust-a", "robust-f")
 
@@ -67,6 +72,17 @@ CSV_COLUMNS = (
 )
 
 
+# each preset's default (means, ratios); a one-value default takes one-value
+# overrides, and None takes none
+_GRIDS = {
+    "k-selection": ((100.0, 1000.0), (1.0, 3.0)),
+    "hausdorff-l2": ((32.0, 100.0), (1.0, 2.0, 4.0, 8.0)),
+    "marked-table": ((100.0,), None),
+    "robust-a": ((100.0,), (8.0,)),
+    "robust-f": ((100.0,), (8.0,)),
+}
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     preset: str
@@ -89,6 +105,13 @@ class BenchConfig:
                 raise ValueError(f"{name} must be at least 1")
         if not 0.0 < self.fraction < 1.0:
             raise ValueError("fraction must lie strictly between 0 and 1")
+        for name, default in zip(("means", "ratios"), _GRIDS[self.preset]):
+            given = getattr(self, name)
+            if given and default is None:
+                raise ValueError(f"preset {self.preset} does not use {name}")
+            if given and len(default) == 1 < len(given):
+                raise ValueError(f"preset {self.preset} takes one value of {name}, "
+                                 f"got {len(given)}")
 
 
 @dataclass(frozen=True)
@@ -107,57 +130,40 @@ def _build_cells(cfg: BenchConfig) -> list[_Cell]:
         return _Cell(cfg.preset, float(mean), float(ratio), rho_odd, rho_even,
                      float(a), cfg.fraction if f is None else float(f))
 
-    if cfg.preset == "k-selection":
-        means = cfg.means or (100.0, 1000.0)
-        ratios = cfg.ratios or (1.0, 3.0)
+    default_means, default_ratios = _GRIDS[cfg.preset]
+    means = cfg.means or default_means
+    ratios = cfg.ratios or default_ratios
+    if cfg.preset in ("k-selection", "hausdorff-l2"):
         return [cell(m, r) for m in means for r in ratios]
-    if cfg.preset == "hausdorff-l2":
-        means = cfg.means or (32.0, 100.0)
-        ratios = cfg.ratios or (1.0, 2.0, 4.0, 8.0)
-        return [cell(m, r) for m in means for r in ratios]
+    (mean,) = means
     if cfg.preset == "marked-table":
-        mean = (cfg.means or (100.0,))[0]
         scenarios = [(1.0, 0.1, 0.1), (1.0, 0.1, 0.005), (8.0, 0.1, 0.1), (8.0, 0.1, 0.005)]
         return [cell(mean, r, rho_odd=ro, rho_even=re) for r, ro, re in scenarios]
+    (ratio,) = ratios
     if cfg.preset == "robust-a":
-        mean = (cfg.means or (100.0,))[0]
-        ratio = (cfg.ratios or (8.0,))[0]
         return [cell(mean, ratio, a=a) for a in (0.1, 0.5, 1.0, 2.0, 10.0)]
-    # robust-f
-    mean = (cfg.means or (100.0,))[0]
-    ratio = (cfg.ratios or (8.0,))[0]
     return [cell(mean, ratio, f=f) for f in (0.5, 2.0 / 3.0, 0.8, 0.9)]
 
 
 def _cell_truth(c: _Cell):
-    """True intensity, true change-point set, and true segment count."""
-    if c.rho_odd is not None:
-        intensity = alternating_intensity(c.mean_intensity, c.ratio, c.rho_odd, c.rho_even)
-        truth = ALTERNATING_BREAKPOINTS
-        k_true = 1 if (c.ratio == 1.0 and c.rho_odd == c.rho_even) else 6
-    elif c.ratio == 1.0:
+    """The cell's true intensity (distances are scored against its breakpoints) and K."""
+    if c.rho_odd is None and c.ratio == 1.0:
         intensity = intensity_from_breaks([0.0, 1.0], [c.mean_intensity])
-        truth = np.array([0.0, 1.0])
-        k_true = 1
     else:
-        intensity = alternating_intensity(c.mean_intensity, c.ratio)
-        truth = ALTERNATING_BREAKPOINTS
-        k_true = 6
-    return intensity, truth, k_true
+        intensity = alternating_intensity(c.mean_intensity, c.ratio, c.rho_odd, c.rho_even)
+    return intensity, true_change_values(intensity).size - 1
 
 
 def _run_sample(cfg: BenchConfig, c: _Cell, sim_seed, cv_seed):
-    intensity, truth, _ = _cell_truth(c)
-    if c.rho_odd is not None:
-        data = simulate_marked(intensity, seed=sim_seed)
-    else:
-        data = simulate_events(intensity, seed=sim_seed)
+    intensity, _ = _cell_truth(c)
+    simulate = simulate_events if intensity.mark_rates is None else simulate_marked
+    data = simulate(intensity, seed=sim_seed)
     if data.n == 0:
         return None
     cv = CvConfig(fraction=c.fraction, replicates=cfg.cv_replicates, kmax=cfg.kmax,
                   seed=int(cv_seed), prior_shape=c.prior_shape)
     result = fit(data, cv)
-    d = hausdorff(result.breakpoints(), truth)[2]
+    d = hausdorff(result.breakpoints(), intensity.breakpoints)[2]
     l2 = l2_distance(result.intensity(), intensity, normalization=c.mean_intensity)
     return result.k_hat, d, l2
 
@@ -167,10 +173,6 @@ def _stats(values) -> tuple[float, float, float]:
     mean = float(arr.mean())
     se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
     return mean, se, float(np.median(arr))
-
-
-def _opt(x) -> str:
-    return "-" if x is None else repr(float(x))
 
 
 def run_bench(cfg: BenchConfig) -> str:
@@ -199,36 +201,16 @@ def run_bench(cfg: BenchConfig) -> str:
         if outcome is not None:
             per_cell[j].append(outcome)
 
-    lines = [",".join(CSV_COLUMNS)]
+    rows = []
     for c, outcomes in zip(cells, per_cell):
         if not outcomes:
-            raise RuntimeError(f"no usable samples for cell {c}")
-        _, _, k_true = _cell_truth(c)
+            raise ValueError(f"no sample has any events in the cell at mean intensity "
+                             f"{c.mean_intensity} and ratio {c.ratio}; raise the mean intensity")
+        _, k_true = _cell_truth(c)
         k_hats = [o[0] for o in outcomes]
-        k_mean, k_se, k_med = _stats(k_hats)
         match = sum(1 for k in k_hats if k == k_true) / len(k_hats)
-        d_mean, d_se, d_med = _stats([o[1] for o in outcomes])
-        l_mean, l_se, l_med = _stats([o[2] for o in outcomes])
-        lines.append(",".join((
-            c.preset,
-            repr(c.mean_intensity),
-            repr(c.ratio),
-            _opt(c.rho_odd),
-            _opt(c.rho_even),
-            repr(c.prior_shape),
-            repr(c.fraction),
-            str(cfg.cv_replicates),
-            str(len(outcomes)),
-            str(k_true),
-            repr(k_mean),
-            repr(k_se),
-            repr(k_med),
-            repr(match),
-            repr(d_mean),
-            repr(d_se),
-            repr(d_med),
-            repr(l_mean),
-            repr(l_se),
-            repr(l_med),
-        )))
-    return "\n".join(lines) + "\n"
+        rows.append((c.preset, c.mean_intensity, c.ratio, c.rho_odd, c.rho_even,
+                     c.prior_shape, c.fraction, cfg.cv_replicates, len(outcomes), k_true,
+                     *_stats(k_hats), match, *_stats([o[1] for o in outcomes]),
+                     *_stats([o[2] for o in outcomes])))
+    return render_table(CSV_COLUMNS, rows)

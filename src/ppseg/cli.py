@@ -29,6 +29,7 @@ from .io import (
     render_events,
     render_metrics,
     render_result,
+    render_table,
 )
 from .metrics import hausdorff, l2_distance, true_change_values
 from .model import intensity_from_breaks
@@ -180,10 +181,8 @@ def _cmd_segment(args) -> int:
 
 def _cmd_cv_curve(args) -> int:
     curve = cross_validate(_load(args), _cv_config(args))
-    lines = ["k,mean,stderr,count"]
-    for k, mean, se, count in zip(curve.ks, curve.means, curve.stderrs, curve.counts):
-        lines.append(f"{k},{repr(mean)},{repr(se)},{count}")
-    _write_output(args.output, "\n".join(lines) + "\n")
+    rows = zip(curve.ks, curve.means, curve.stderrs, curve.counts)
+    _write_output(args.output, render_table(("k", "mean", "stderr", "count"), rows))
     return 0
 
 
@@ -301,12 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=100,
                    help="thinning replicates per fit (default 100)")
     p.add_argument("--kmax", type=int, default=12)
-    p.add_argument("--fraction", type=float, default=0.8)
+    p.add_argument("--fraction", type=float, default=0.8,
+                   help="thinning keep probability (default 0.8); robust-f sweeps its own")
     p.add_argument("--seed", type=int, default=None, help="root seed (default: CPT_SEED or 0)")
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads; output is identical for any value")
-    p.add_argument("--means", default=None, help="override the preset's mean intensities")
-    p.add_argument("--ratios", default=None, help="override the preset's level ratios")
+    p.add_argument("--means", default=None, help="override the preset's mean intensities "
+                   "(a list for k-selection and hausdorff-l2, else one value)")
+    p.add_argument("--ratios", default=None, help="override the preset's level ratios "
+                   "(as --means, but marked-table takes none)")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=_cmd_bench)
     return parser

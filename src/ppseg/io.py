@@ -1,11 +1,16 @@
 """File formats: event tables, intensity tables, result documents.
 
+Every value ppseg prints passes through ``_fmt``, the one print rule:
+floats as ``repr(float)``, whose shortest round-trip representation
+guarantees that a write/read cycle reproduces every value bit for bit,
+integers plainly, text as is and a missing value as ``-``. Re-running a
+command with identical inputs reproduces its output byte for byte
+(documents carry no timestamps). Every comma-separated table ppseg
+writes, from events files to bench summaries, goes through
+``render_table``.
+
 Events travel as UTF-8 comma-separated text with a header row, column
-``time`` plus an optional ``mark``. Floats are always written with
-``repr``, whose shortest round-trip representation guarantees that a
-write/read cycle reproduces every value bit for bit, and that re-running
-a command with identical inputs reproduces output files byte for byte
-(documents carry no timestamps).
+``time`` plus an optional ``mark``.
 
 Intensity tables describe a step function, one segment per row with
 columns ``start``, ``end``, ``rate`` and optional ``mark_rate``;
@@ -39,7 +44,18 @@ _COLUMNS = {
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return "-"
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
     return repr(float(x))
+
+
+def render_table(header, rows) -> str:
+    """Comma-separated text: the header fields, then one line per row."""
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in (header, *rows))
 
 
 def _read_columns(path, what: str, headers) -> np.ndarray:
@@ -89,13 +105,8 @@ def read_events_file(path) -> tuple[np.ndarray, np.ndarray | None]:
 
 def render_events(times, marks=None) -> str:
     """An events file: a ``time`` or ``time,mark`` header, one row per event."""
-    t = np.asarray(times, dtype=np.float64)
-    if marks is None:
-        lines = ["time", *(_fmt(v) for v in t)]
-    else:
-        m = np.asarray(marks, dtype=np.float64)
-        lines = ["time,mark", *(_fmt(v) + "," + _fmt(x) for v, x in zip(t, m))]
-    return "\n".join(lines) + "\n"
+    columns = [np.asarray(c, dtype=np.float64) for c in (times, marks) if c is not None]
+    return render_table(("time", "mark")[:len(columns)], zip(*columns))
 
 
 def default_window(times) -> tuple[float, float]:
@@ -183,39 +194,28 @@ class ResultDocument:
 
 
 def render_result(doc: ResultDocument) -> str:
-    lines = [FORMAT_LINE]
-    lines.append(f"command: {doc.command}")
-    lines.append(f"source: {doc.source}")
-    lines.append(f"contrast: {doc.contrast_kind}")
-    lines.append(f"a: {_fmt(doc.a)}")
-    lines.append(f"b: {_fmt(doc.b)}")
+    header = [("command", doc.command), ("source", doc.source),
+              ("contrast", doc.contrast_kind), ("a", doc.a), ("b", doc.b)]
     if doc.a_rho is not None:
-        lines.append(f"a_rho: {_fmt(doc.a_rho)}")
-        lines.append(f"b_rho: {_fmt(doc.b_rho)}")
+        header += [("a_rho", doc.a_rho), ("b_rho", doc.b_rho)]
     if doc.fraction is not None:
-        lines.append(f"fraction: {_fmt(doc.fraction)}")
-        lines.append(f"cv_replicates: {doc.cv_replicates}")
-    lines.append(f"kmax: {doc.kmax}")
-    lines.append(f"seed: {doc.seed if doc.seed is not None else '-'}")
-    lines.append(f"window: {_fmt(doc.window[0])} {_fmt(doc.window[1])}")
-    lines.append(f"n_events: {doc.n_events}")
-    lines.append(f"k_hat: {doc.k_hat}")
-    lines.append("warnings: " + ("; ".join(doc.warnings) if doc.warnings else "-"))
+        header += [("fraction", doc.fraction), ("cv_replicates", doc.cv_replicates)]
+    header += [("kmax", doc.kmax), ("seed", doc.seed),
+               ("window", " ".join(map(_fmt, doc.window))), ("n_events", doc.n_events),
+               ("k_hat", doc.k_hat), ("warnings", "; ".join(doc.warnings) or None)]
+    lines = [FORMAT_LINE, *(f"{key}: {_fmt(value)}" for key, value in header)]
 
     def section(name, rows, variant=0):
-        lines.extend(("", f"[{name}]", _COLUMNS[name][variant], *rows))
+        lines.extend(("", f"[{name}]", _COLUMNS[name][variant],
+                      *(" ".join(map(_fmt, row)) for row in rows)))
 
     if doc.cv_rows:
-        section("cv_curve", (f"{k} {_fmt(mean)} {_fmt(se)} {count}"
-                             for k, mean, se, count in doc.cv_rows))
-    section("contrast_by_k", (f"{k} {'infeasible' if value is None else _fmt(value)}"
+        section("cv_curve", doc.cv_rows)
+    section("contrast_by_k", ((k, "infeasible" if value is None else value)
                               for k, value in doc.contrast_rows))
-    section("change_points", (f"{index} {side} {_fmt(norm)} {_fmt(orig)}"
-                              for index, side, norm, orig in doc.change_points))
+    section("change_points", doc.change_points)
     marked = any(s[4] is not None for s in doc.segments)
-    section("segments", (f"{k} {count} {_fmt(rate)} {_fmt(rate_orig)}"
-                         + (f" {_fmt(mark_rate)}" if marked else "")
-                         for k, count, rate, rate_orig, mark_rate in doc.segments), marked)
+    section("segments", (s if marked else s[:4] for s in doc.segments), marked)
     return "\n".join(lines) + "\n"
 
 
@@ -310,7 +310,4 @@ def parse_result(text: str) -> ResultDocument:
 
 def render_metrics(pairs) -> str:
     """Small metric,value table used by the evaluate command."""
-    lines = ["metric,value"]
-    for name, value in pairs:
-        lines.append(f"{name},{value if isinstance(value, int) else _fmt(value)}")
-    return "\n".join(lines) + "\n"
+    return render_table(("metric", "value"), pairs)

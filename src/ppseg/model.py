@@ -16,6 +16,7 @@ reads counts, lengths and mark sums off grid indices.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,9 +118,16 @@ class EventSeries:
         return self.window[0] + np.asarray(u, dtype=np.float64) * self.width
 
     def select(self, mask) -> "EventSeries":
-        """The events where ``mask`` is true, marks included, same window."""
-        marks = None if self.marks is None else self.marks[mask]
-        return EventSeries(self.times[mask], marks, self.window)
+        """The events where ``mask`` is true, marks included, same window.
+
+        A subset of a valid series is valid, so the checks are not re-run.
+        """
+        subset = copy.copy(self)
+        subset.times = self.times[mask]
+        if self.marks is not None:
+            subset.marks = self.marks[mask]
+            subset.mark_prefix = np.concatenate(([0.0], np.cumsum(subset.marks)))
+        return subset
 
     @classmethod
     def from_window(cls, raw_times, window, marks=None) -> "EventSeries":

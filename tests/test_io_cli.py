@@ -19,6 +19,7 @@ from ppseg.io import (
     read_intensity_file,
     render_events,
     render_metrics,
+    render_table,
 )
 
 from helpers import edge_events
@@ -183,6 +184,23 @@ def test_parse_result_rejects_other_files():
 def test_render_metrics_formats():
     text = render_metrics([("k_hat", 3), ("d", 0.25)])
     assert text == "metric,value\nk_hat,3\nd,0.25\n"
+
+
+@pytest.mark.parametrize("value, text", [
+    (np.int64(3), "3"),
+    (3, "3"),
+    (None, "-"),
+    ("marked_pgeg", "marked_pgeg"),
+    (0.25, "0.25"),
+    (np.float64(0.1), "0.1"),
+    (-0.0, "-0.0"),
+    (5e-324, "5e-324"),
+    (1e300, "1e+300"),
+    (np.inf, "inf"),
+    (np.nan, "nan"),
+])
+def test_render_table_prints_each_value_by_one_rule(value, text):
+    assert render_table(("name", "value"), [("x", value)]) == f"name,value\nx,{text}\n"
 
 
 def _run(argv):
@@ -403,6 +421,21 @@ def test_cli_bench_small_grid(tmp_path):
     assert row["samples"] == "2"
     assert row["rho_odd"] == "-"
     assert 1.0 <= float(row["k_hat_mean"]) <= 6.0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--preset", "k-selection", "--means", "1e-9", "--ratios", "3"],
+     "no sample has any events in the cell at mean intensity 1e-09 and ratio 3.0; "
+     "raise the mean intensity"),
+    (["--preset", "robust-a", "--means", "50,400", "--ratios", "2,16"],
+     "preset robust-a takes one value of means, got 2"),
+    (["--preset", "marked-table", "--ratios", "2"], "preset marked-table does not use ratios"),
+], ids=["no-events", "robust-a-lists", "marked-table-ratios"])
+def test_cli_bench_refusals_exit_2(argv, message, capsys):
+    assert _run(["bench", *argv, "--samples", "1", "--replicates", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_cli_seed_env_fallback(tmp_path, monkeypatch):

@@ -138,6 +138,26 @@ def test_has_ties_flag():
     assert EventSeries(np.array([0.4, 0.4]), np.array([1.0, 1.0])).has_ties
 
 
+def test_select_equals_a_freshly_validated_subset():
+    # marks of uneven size so prefix sums of a subset round differently
+    # from differences of the whole series' prefix sums
+    times = np.array([0.1, 0.25, 0.25, 0.25, 0.5, 0.5, 0.75, 0.9])
+    marks = np.array([0.1, 3e5, 0.7, 1e-9, 2.5, 0.3, 1e3, 0.05])
+    series = EventSeries(times, marks, window=(2.0, 10.0))
+    for mask in (times > 0.2, np.arange(8) % 2 == 0, np.zeros(8, bool), np.ones(8, bool)):
+        subset = series.select(mask)
+        fresh = EventSeries(series.times[mask], series.marks[mask], series.window)
+        for name in ("times", "marks", "mark_prefix"):
+            assert getattr(subset, name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert subset.window == fresh.window
+        assert subset.has_ties == fresh.has_ties
+    assert series.select(times > 0.2).has_ties
+    assert series.mark_prefix.tobytes() == EventSeries(times, marks).mark_prefix.tobytes()
+    plain = EventSeries(times).select(times < 0.6)
+    assert plain.marks is None and plain.mark_prefix is None
+    assert plain.times.tolist() == [0.1, 0.25, 0.25, 0.25, 0.5, 0.5]
+
+
 def test_from_window_dyadic_round_trip():
     # dyadic times in a dyadic window normalize and map back exactly
     raw = np.array([3.25, 5.5, 7.125])

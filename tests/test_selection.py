@@ -100,6 +100,28 @@ def test_bench_config_validates_at_construction(changes, message):
     assert BenchConfig(preset="marked-table", samples=np.int64(2), threads=2).samples == 2
 
 
+@pytest.mark.parametrize("preset, field, value, message", [
+    ("marked-table", "ratios", (2.0,), "does not use ratios"),
+    ("marked-table", "means", (50.0, 400.0), "takes one value of means, got 2"),
+    ("robust-a", "means", (50.0, 400.0), "takes one value of means, got 2"),
+    ("robust-a", "ratios", (2.0, 16.0), "takes one value of ratios, got 2"),
+    ("robust-f", "means", (50.0, 400.0), "takes one value of means, got 2"),
+    ("robust-f", "ratios", (2.0, 16.0), "takes one value of ratios, got 2"),
+])
+def test_bench_config_refuses_overrides_its_preset_would_drop(preset, field, value, message):
+    with pytest.raises(ValueError, match=f"^preset {preset} {message}$"):
+        BenchConfig(preset=preset, **{field: value})
+
+
+def test_bench_config_takes_the_overrides_its_preset_reads():
+    for preset in ("marked-table", "robust-a", "robust-f"):
+        assert BenchConfig(preset=preset, means=(50.0,)).means == (50.0,)
+    for preset in ("robust-a", "robust-f"):
+        assert BenchConfig(preset=preset, ratios=(2.0,)).ratios == (2.0,)
+    for preset in ("k-selection", "hausdorff-l2"):
+        assert BenchConfig(preset=preset, means=(50.0, 400.0), ratios=(2.0, 16.0)).means
+
+
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_config_rejects_non_finite_fraction_and_shape(value):
     with pytest.raises(ValueError, match="fraction"):

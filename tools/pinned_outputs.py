@@ -1,6 +1,6 @@
 """Hash the outputs that every change to ppseg must leave byte-identical.
 
-Runs sixteen ``ppseg`` commands against the ``src/`` of this checkout, in a
+Runs twenty-three ``ppseg`` commands against the ``src/`` of this checkout, in a
 temporary directory, and prints one ``label sha256`` line per output:
 
     python3 tools/pinned_outputs.py
@@ -27,10 +27,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# the input files every pinned command reads, from the paths given here
-EVENTS = (
-    ("plain.txt", ["simulate", "--design", "100,8", "--seed", "1"]),
-    ("marked.txt", ["simulate", "--design", "100,8", "--marks", "0.1,0.005", "--seed", "1"]),
+SIMULATE_PLAIN = ["simulate", "--design", "100,8", "--seed", "1"]
+SIMULATE_MARKED = ["simulate", "--design", "100,8", "--marks", "0.1,0.005", "--seed", "1"]
+K6_MARKED = ["segment", "marked.txt", "--window", "0", "1", "--k", "6"]
+
+# the input files the pinned commands read, made in this order by the
+# checkout under test
+INPUTS = (
+    ("plain.txt", SIMULATE_PLAIN),
+    ("marked.txt", SIMULATE_MARKED),
+    ("k6.txt", K6_MARKED),
 )
 
 # A marked events table on (0, 10) with 13 tied neighbours, written as is.
@@ -45,7 +51,11 @@ TIED = "time,mark\n" + "\n".join("""
 TIED_WINDOW = ["--window", "0", "10"]
 
 CV = ["--seed", "0", "--replicates", "50"]
+SMALL = ["--samples", "2", "--replicates", "20"]
 COMMANDS = (
+    ("simulate-plain", SIMULATE_PLAIN),
+    ("simulate-marked", SIMULATE_MARKED),
+    ("evaluate-k6-marked", ["evaluate", "k6.txt", "--truth", "design:100,8,0.1,0.005"]),
     ("segment-plain", ["segment", "plain.txt", *CV]),
     ("segment-plain-unit", ["segment", "plain.txt", "--window", "0", "1", *CV]),
     ("segment-marked", ["segment", "marked.txt", *CV]),
@@ -54,10 +64,10 @@ COMMANDS = (
        ["segment", "marked.txt", "--window", "0", "1", "--k", "6", "--contrast", kind])
       for kind in ("poisson", "poisson_gamma", "marked_poisson", "marked_pgeg")),
     ("cv-curve-marked-unit", ["cv-curve", "marked.txt", "--window", "0", "1", *CV]),
-    ("bench-marked-table",
-     ["bench", "--preset", "marked-table", "--samples", "2", "--replicates", "20"]),
-    ("bench-k-selection",
-     ["bench", "--preset", "k-selection", "--samples", "2", "--replicates", "20"]),
+    *((f"bench-{preset}", ["bench", "--preset", preset, *SMALL])
+      for preset in ("marked-table", "k-selection", "hausdorff-l2", "robust-a", "robust-f")),
+    ("bench-hausdorff-l2-override",
+     ["bench", "--preset", "hausdorff-l2", "--means", "50", "--ratios", "2,16", *SMALL]),
     ("segment-tied", ["segment", "tied.txt", *TIED_WINDOW, *CV]),
     ("cv-curve-tied", ["cv-curve", "tied.txt", *TIED_WINDOW, *CV]),
     ("cv-curve-plain-unit", ["cv-curve", "plain.txt", "--window", "0", "1", *CV]),
@@ -81,7 +91,7 @@ def pinned_hashes(src: Path) -> dict[str, str]:
                                  + run.stderr.decode(errors="replace"))
             return run.stdout
 
-        for name, argv in EVENTS:
+        for name, argv in INPUTS:
             ppseg([*argv, "-o", name])
         Path(work, "tied.txt").write_text(TIED, encoding="utf-8")
         return {label: hashlib.sha256(ppseg([*argv, "-o", "-"])).hexdigest()
