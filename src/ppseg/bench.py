@@ -23,20 +23,23 @@ robust-a
     Sensitivity to the prior shape used by the marginal contrast.
 robust-f
     Sensitivity to the thinning fraction used by cross-validation; it
-    sweeps its own fractions, so ``fraction`` does not apply to it.
+    sweeps its own fractions, so it takes no ``fraction``.
 
 ``means`` and ``ratios`` override a preset's grid (see ``_GRIDS``);
-``BenchConfig`` refuses a value its preset would not read.
+``BenchConfig`` refuses a value its preset would not read. Its
+cross-validation settings default to ``CvConfig``'s: ``fraction``,
+``kmax`` and the prior shape of every cell but robust-a's.
 
 Every random draw is seeded from a root seed up front, per cell and per
-sample, so output is byte-identical for any ``threads`` setting.
+sample, and a pool of ``threads`` workers runs the samples, so output
+is byte-identical for any ``threads`` setting.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -47,30 +50,6 @@ from .selection import CvConfig, fit
 from .simulate import alternating_intensity, simulate_events, simulate_marked
 
 PRESETS = ("k-selection", "hausdorff-l2", "marked-table", "robust-a", "robust-f")
-
-CSV_COLUMNS = (
-    "preset",
-    "mean_intensity",
-    "ratio",
-    "rho_odd",
-    "rho_even",
-    "prior_shape",
-    "fraction",
-    "cv_replicates",
-    "samples",
-    "k_true",
-    "k_hat_mean",
-    "k_hat_se",
-    "k_hat_median",
-    "k_match_rate",
-    "d_mean",
-    "d_se",
-    "d_median",
-    "l2_mean",
-    "l2_se",
-    "l2_median",
-)
-
 
 # each preset's default (means, ratios); a one-value default takes one-value
 # overrides, and None takes none
@@ -88,8 +67,9 @@ class BenchConfig:
     preset: str
     samples: int = 20
     cv_replicates: int = 100
-    fraction: float = 0.8
-    kmax: int = 12
+    # None means CvConfig.fraction; robust-f sweeps its own and refuses one
+    fraction: float | None = None
+    kmax: int = CvConfig.kmax
     seed: int = 0
     threads: int = 1
     # grid overrides; None keeps the preset default
@@ -103,8 +83,11 @@ class BenchConfig:
             require_integer(name, getattr(self, name))
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if not 0.0 < self.fraction < 1.0:
-            raise ValueError("fraction must lie strictly between 0 and 1")
+        if self.fraction is not None:
+            if self.preset == "robust-f":
+                raise ValueError("preset robust-f does not use fraction")
+            if not 0.0 < self.fraction < 1.0:
+                raise ValueError("fraction must lie strictly between 0 and 1")
         for name, default in zip(("means", "ratios"), _GRIDS[self.preset]):
             given = getattr(self, name)
             if given and default is None:
@@ -125,10 +108,16 @@ class _Cell:
     fraction: float
 
 
+CSV_COLUMNS = (*(f.name for f in fields(_Cell)), "cv_replicates", "samples", "k_true",
+               "k_hat_mean", "k_hat_se", "k_hat_median", "k_match_rate",
+               "d_mean", "d_se", "d_median", "l2_mean", "l2_se", "l2_median")
+
+
 def _build_cells(cfg: BenchConfig) -> list[_Cell]:
-    def cell(mean, ratio, rho_odd=None, rho_even=None, a=1.0, f=None):
-        return _Cell(cfg.preset, float(mean), float(ratio), rho_odd, rho_even,
-                     float(a), cfg.fraction if f is None else float(f))
+    fraction = CvConfig.fraction if cfg.fraction is None else cfg.fraction
+
+    def cell(mean, ratio, rho_odd=None, rho_even=None, a=CvConfig.prior_shape, f=fraction):
+        return _Cell(cfg.preset, float(mean), float(ratio), rho_odd, rho_even, float(a), f)
 
     default_means, default_ratios = _GRIDS[cfg.preset]
     means = cfg.means or default_means
@@ -190,11 +179,8 @@ def run_bench(cfg: BenchConfig) -> str:
         j, sim_seed, cv_seed = task
         return _run_sample(cfg, cells[j], sim_seed, cv_seed)
 
-    if cfg.threads == 1:
-        outcomes = [work(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(work, tasks))
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        outcomes = list(pool.map(work, tasks))
 
     per_cell: list[list[tuple[int, float, float]]] = [[] for _ in cells]
     for (j, _, _), outcome in zip(tasks, outcomes):
@@ -209,8 +195,7 @@ def run_bench(cfg: BenchConfig) -> str:
         _, k_true = _cell_truth(c)
         k_hats = [o[0] for o in outcomes]
         match = sum(1 for k in k_hats if k == k_true) / len(k_hats)
-        rows.append((c.preset, c.mean_intensity, c.ratio, c.rho_odd, c.rho_even,
-                     c.prior_shape, c.fraction, cfg.cv_replicates, len(outcomes), k_true,
+        rows.append((*astuple(c), cfg.cv_replicates, len(outcomes), k_true,
                      *_stats(k_hats), match, *_stats([o[1] for o in outcomes]),
                      *_stats([o[2] for o in outcomes])))
     return render_table(CSV_COLUMNS, rows)

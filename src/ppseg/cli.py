@@ -144,11 +144,14 @@ def _load(args):
     return load_series(args.events, window)
 
 
+def _given(args, names) -> dict:
+    """The flags among ``names`` that were given; the config's defaults fill in the rest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _cv_config(args) -> CvConfig:
-    """Cross-validation settings from the flags given; CvConfig fills in the rest."""
-    given = {name: getattr(args, name) for name in ("fraction", "replicates", "kmax")
-             if getattr(args, name) is not None}
-    return CvConfig(seed=_resolve_seed(args.seed, 0), prior_shape=args.prior_shape, **given)
+    return CvConfig(seed=_resolve_seed(args.seed, CvConfig.seed),
+                    **_given(args, ("fraction", "replicates", "kmax", "prior_shape")))
 
 
 def _cmd_segment(args) -> int:
@@ -164,7 +167,8 @@ def _cmd_segment(args) -> int:
     if args.k is not None:
         if args.k < 1:
             raise ValueError("--k must be at least 1")
-        spec = default_spec(data, kind=args.contrast, a=args.prior_shape)
+        a = CvConfig.prior_shape if args.prior_shape is None else args.prior_shape
+        spec = default_spec(data, kind=args.contrast, a=a)
         cfg, kmax = None, args.k
         result = refit(data, spec, kmax, args.k)
     else:
@@ -218,17 +222,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = BenchConfig(
-        preset=args.preset,
-        samples=args.samples,
-        cv_replicates=args.replicates,
-        fraction=args.fraction,
-        kmax=args.kmax,
-        seed=_resolve_seed(args.seed, 0),
-        threads=args.threads,
-        means=_floats(args.means, "--means") if args.means else None,
-        ratios=_floats(args.ratios, "--ratios") if args.ratios else None,
-    )
+    grids = {name: _floats(getattr(args, name), f"--{name}")
+             for name in ("means", "ratios") if getattr(args, name)}
+    cfg = BenchConfig(preset=args.preset, seed=_resolve_seed(args.seed, BenchConfig.seed),
+                      **grids, **_given(args, ("samples", "cv_replicates", "fraction",
+                                               "kmax", "threads")))
     _write_output(args.output, run_bench(cfg))
     return 0
 
@@ -241,9 +239,10 @@ def _add_cv_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--replicates", type=int, default=None,
                    help=f"thinning replicates (default {CvConfig.replicates})")
     p.add_argument("--seed", type=int, default=None,
-                   help="random seed (default: CPT_SEED or 0)")
-    p.add_argument("--prior-shape", type=float, default=1.0,
-                   help="Gamma shape of the marginal contrast prior")
+                   help=f"random seed (default: CPT_SEED or {CvConfig.seed})")
+    p.add_argument("--prior-shape", type=float, default=None,
+                   help=f"Gamma shape of the marginal contrast prior "
+                        f"(default {CvConfig.prior_shape})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,15 +295,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a simulation benchmark preset")
     p.add_argument("--preset", choices=PRESETS, required=True)
-    p.add_argument("--samples", type=int, default=20, help="series per cell (default 20)")
-    p.add_argument("--replicates", type=int, default=100,
-                   help="thinning replicates per fit (default 100)")
-    p.add_argument("--kmax", type=int, default=12)
-    p.add_argument("--fraction", type=float, default=0.8,
-                   help="thinning keep probability (default 0.8); robust-f sweeps its own")
-    p.add_argument("--seed", type=int, default=None, help="root seed (default: CPT_SEED or 0)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; output is identical for any value")
+    p.add_argument("--samples", type=int, default=None,
+                   help=f"series per cell (default {BenchConfig.samples})")
+    p.add_argument("--replicates", dest="cv_replicates", metavar="REPLICATES", type=int,
+                   default=None,
+                   help=f"thinning replicates per fit (default {BenchConfig.cv_replicates})")
+    p.add_argument("--kmax", type=int, default=None,
+                   help=f"largest segment count tried (default {BenchConfig.kmax})")
+    p.add_argument("--fraction", type=float, default=None,
+                   help=f"thinning keep probability (default {CvConfig.fraction}); "
+                        "robust-f sweeps its own and refuses one")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"root seed (default: CPT_SEED or {BenchConfig.seed})")
+    p.add_argument("--threads", type=int, default=None,
+                   help=f"worker threads (default {BenchConfig.threads}); "
+                        "output is identical for any value")
     p.add_argument("--means", default=None, help="override the preset's mean intensities "
                    "(a list for k-selection and hausdorff-l2, else one value)")
     p.add_argument("--ratios", default=None, help="override the preset's level ratios "

@@ -35,10 +35,9 @@ def derive_rates(mean_rate: float, ratio: float) -> tuple[float, float]:
     The low level occupies the odd segments (17/24 of the interval) and
     the high level, ``ratio`` times larger, the even ones (7/24).
     """
-    if not mean_rate > 0.0:
-        raise ValueError("mean_rate must be positive")
-    if not ratio > 0.0:
-        raise ValueError("ratio must be positive")
+    for name, value in (("mean_rate", mean_rate), ("ratio", ratio)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive")
     d = np.diff(ALTERNATING_BREAKPOINTS)
     low_time = float(np.sum(d[0::2]))
     high_time = float(np.sum(d[1::2]))

@@ -430,7 +430,10 @@ def test_cli_bench_small_grid(tmp_path):
     (["--preset", "robust-a", "--means", "50,400", "--ratios", "2,16"],
      "preset robust-a takes one value of means, got 2"),
     (["--preset", "marked-table", "--ratios", "2"], "preset marked-table does not use ratios"),
-], ids=["no-events", "robust-a-lists", "marked-table-ratios"])
+    (["--preset", "robust-f", "--fraction", "0.5"], "preset robust-f does not use fraction"),
+    (["--preset", "robust-a", "--means", "inf"], "mean_rate must be finite and positive"),
+], ids=["no-events", "robust-a-lists", "marked-table-ratios", "robust-f-fraction",
+        "infinite-mean"])
 def test_cli_bench_refusals_exit_2(argv, message, capsys):
     assert _run(["bench", *argv, "--samples", "1", "--replicates", "2"]) == 2
     captured = capsys.readouterr()

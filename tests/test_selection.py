@@ -107,6 +107,7 @@ def test_bench_config_validates_at_construction(changes, message):
     ("robust-a", "ratios", (2.0, 16.0), "takes one value of ratios, got 2"),
     ("robust-f", "means", (50.0, 400.0), "takes one value of means, got 2"),
     ("robust-f", "ratios", (2.0, 16.0), "takes one value of ratios, got 2"),
+    ("robust-f", "fraction", 0.5, "does not use fraction"),
 ])
 def test_bench_config_refuses_overrides_its_preset_would_drop(preset, field, value, message):
     with pytest.raises(ValueError, match=f"^preset {preset} {message}$"):

@@ -30,6 +30,10 @@ def test_derive_rates_validation():
         derive_rates(0.0, 2.0)
     with pytest.raises(ValueError, match="ratio"):
         derive_rates(10.0, -1.0)
+    with pytest.raises(ValueError, match="^mean_rate must be finite and positive$"):
+        derive_rates(np.inf, 2.0)
+    with pytest.raises(ValueError, match="^ratio must be finite and positive$"):
+        derive_rates(10.0, np.inf)
 
 
 def test_alternating_design_layout():

@@ -1,6 +1,6 @@
 """Hash the outputs that every change to ppseg must leave byte-identical.
 
-Runs twenty-three ``ppseg`` commands against the ``src/`` of this checkout, in a
+Runs twenty-four ``ppseg`` commands against the ``src/`` of this checkout, in a
 temporary directory, and prints one ``label sha256`` line per output:
 
     python3 tools/pinned_outputs.py
@@ -68,6 +68,10 @@ COMMANDS = (
       for preset in ("marked-table", "k-selection", "hausdorff-l2", "robust-a", "robust-f")),
     ("bench-hausdorff-l2-override",
      ["bench", "--preset", "hausdorff-l2", "--means", "50", "--ratios", "2,16", *SMALL]),
+    # flags that reach BenchConfig only when given
+    ("bench-k-selection-explicit",
+     ["bench", "--preset", "k-selection", "--kmax", "8", "--fraction", "0.6",
+      "--threads", "2", *SMALL]),
     ("segment-tied", ["segment", "tied.txt", *TIED_WINDOW, *CV]),
     ("cv-curve-tied", ["cv-curve", "tied.txt", *TIED_WINDOW, *CV]),
     ("cv-curve-plain-unit", ["cv-curve", "plain.txt", "--window", "0", "1", *CV]),
