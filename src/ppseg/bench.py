@@ -143,8 +143,7 @@ def _cell_truth(c: _Cell):
     return intensity, true_change_values(intensity).size - 1
 
 
-def _run_sample(cfg: BenchConfig, c: _Cell, sim_seed, cv_seed):
-    intensity, _ = _cell_truth(c)
+def _run_sample(cfg: BenchConfig, c: _Cell, intensity, sim_seed, cv_seed):
     simulate = simulate_events if intensity.mark_rates is None else simulate_marked
     data = simulate(intensity, seed=sim_seed)
     if data.n == 0:
@@ -167,6 +166,8 @@ def _stats(values) -> tuple[float, float, float]:
 def run_bench(cfg: BenchConfig) -> str:
     """Run a preset and return its summary table as CSV text."""
     cells = _build_cells(cfg)
+    # built before any fit, so a bad mean or ratio fails at once
+    truths = [_cell_truth(c) for c in cells]
     roots = np.random.SeedSequence(cfg.seed).generate_state(2 * len(cells), np.uint64)
     tasks = []
     for j, c in enumerate(cells):
@@ -177,7 +178,7 @@ def run_bench(cfg: BenchConfig) -> str:
 
     def work(task):
         j, sim_seed, cv_seed = task
-        return _run_sample(cfg, cells[j], sim_seed, cv_seed)
+        return _run_sample(cfg, cells[j], truths[j][0], sim_seed, cv_seed)
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         outcomes = list(pool.map(work, tasks))
@@ -188,11 +189,10 @@ def run_bench(cfg: BenchConfig) -> str:
             per_cell[j].append(outcome)
 
     rows = []
-    for c, outcomes in zip(cells, per_cell):
+    for c, (_, k_true), outcomes in zip(cells, truths, per_cell):
         if not outcomes:
             raise ValueError(f"no sample has any events in the cell at mean intensity "
                              f"{c.mean_intensity} and ratio {c.ratio}; raise the mean intensity")
-        _, k_true = _cell_truth(c)
         k_hats = [o[0] for o in outcomes]
         match = sum(1 for k in k_hats if k == k_true) / len(k_hats)
         rows.append((*astuple(c), cfg.cv_replicates, len(outcomes), k_true,

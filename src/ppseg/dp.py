@@ -2,14 +2,17 @@
 
 Optimal change-points of a concave per-segment cost always sit on the
 2n-point candidate grid, so minimizing over continuous change-point
-vectors reduces to a discrete shortest-path problem. ``solve`` prices
-every segment in one cost matrix, evaluating only its upper triangle,
-a block of rows at a time, and fills one dynamic-programming suffix
-table over it in the same blocks. That takes O((2n)^2 Kmax) time; past
-the 8 (2n + 2)^2 bytes of the matrix, memory is O(n (Kmax + block
-rows)). It returns, for every segment count K up to Kmax, the optimal
-segmentation and its contrast. ``brute_force`` enumerates every
-candidate subset and is the independent oracle for small instances.
+vectors reduces to a discrete shortest-path problem. ``solve`` fills
+one dynamic-programming suffix table in a single bottom-up sweep over
+blocks of rows of the segment prices: each block is priced where the
+sweep uses it, on its upper triangle only, and then dropped. Only the
+rows of the first grid positions are kept for the reconstruction, which
+prices any other row it needs again, bit for bit. That takes
+O((2n)^2 Kmax) time and O(n (Kmax + kept rows + block rows)) memory;
+no (2n + 2)^2 matrix is ever held. It returns, for every segment count
+K up to Kmax, the optimal segmentation and its contrast. ``brute_force``
+enumerates every candidate subset and is the independent oracle for
+small instances.
 
 Ties are broken toward the lexicographically smallest change-point
 index vector. The solver achieves this with a suffix table: the first
@@ -50,63 +53,75 @@ from .model import (
 
 TIES_WARNING = "event times contain ties"
 
-# Rows per block of the cost matrix build and the suffix DP. A block
-# touches only the columns right of its first row, so the +inf lower
-# triangle is never evaluated and work arrays hold _BLOCK rows at a time.
-_BLOCK = 128
+# Rows per block of the bottom-up sweep. A block prices only the columns
+# right of its first row, so the +inf lower triangle is never evaluated
+# and work arrays hold _BLOCK rows at a time. With 128-row blocks malloc
+# hands each block's temporaries back to the system and faults them in
+# again for the next one: about 3,500 minor page faults per solve at
+# n = 788 and Kmax = 12, against none once warm with 32 rows.
+_BLOCK = 32
+
+# Cost rows of the first _KEEP grid positions stay in memory for the
+# reconstruction, which then never prices a row again on series of up to
+# 255 events. Rows further right are priced again when a step needs them.
+_KEEP = 512
 
 # Peak bytes per entry of one block (_BLOCK rows by up to 2n + 1
-# columns) that ``solve`` allocates besides the cost matrix and the
-# suffix table: the count, length and mark-sum arrays and the
-# temporaries of the cost formulas. The tracemalloc peak beyond those
-# two tables is 64 to 72 bytes per block entry for ``marked_pgeg`` at
-# n = 64 to 3000, and less for the other kinds.
-_BYTES_PER_BLOCK_ENTRY = 80
+# columns) that ``solve`` allocates besides the kept cost rows and the
+# suffix table: the count, length and mark-sum arrays, the temporaries
+# of the cost formulas and the work array of the suffix DP. A
+# reconstruction step prices up to Kmax rows the same way. The
+# tracemalloc peak beyond those two tables is 80 to 82 bytes per block
+# entry for ``marked_pgeg`` at n = 80 to 2933 and 64 to 66 for the
+# unmarked kinds.
+_BYTES_PER_BLOCK_ENTRY = 96
 
 
-def build_cost_matrix(data, spec: ContrastSpec) -> np.ndarray:
-    """Dense matrix C with C[i, j] = cost of segment (tp_{i-1}, tp_j].
+def build_cost_matrix(grid: CandidateGrid, spec: ContrastSpec, rows, cols) -> np.ndarray:
+    """Prices of the segments (tp_i, tp_j] for i in ``rows`` and j in ``cols``.
 
-    Valid for 1 <= i <= j <= A + 1 where A = 2n; every other entry is
-    +inf. Row 0 is padding so that indices match the usual recurrence
-    C[K, h] = min_j C[K-1, j] + C(j+1 : h).
+    ``rows`` and ``cols`` are 1-d grid index arrays; entries with j <= i
+    are +inf. Each entry is computed on its own from ``grid.stats``, so
+    a row priced again equals the same row priced in a block, bit for
+    bit.
     """
-    grid = as_grid(data)
+    nu, dt, sm = grid.stats(rows[:, None], cols[None, :])
+    np.maximum(nu, 0, out=nu)  # left of the diagonal, masked below
+    f = segment_cost(spec, nu, dt, sm)
+    f[cols[None, :] <= rows[:, None]] = np.inf
+    return f
+
+
+def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
+    """Suffix table and kept cost rows, in one bottom-up pass over row blocks.
+
+    S[r, i] is the optimal cost of splitting (tp_i, 1] into r segments.
+    Row i reads S[r - 1] only right of i, so each block of rows is
+    priced, finishes every r and is dropped before the block above it
+    starts; ``keep[i, j]`` holds the price of (tp_i, tp_j] for the first
+    _KEEP positions i and every j <= 2n. Row 2n has no segment left to
+    split, so S stays +inf there from r = 2 on.
+    """
     A = grid.size
     idx = np.arange(A + 2)
-    cost = np.empty((A + 2, A + 2))
-    cost[0] = np.inf
-    # cost[i + 1, j] prices (tp_i, tp_j]; a block of rows i in [lo, hi)
-    # is evaluated only on the columns j > lo, the rest is +inf
-    for lo in range(0, A + 1, _BLOCK):
-        hi = min(lo + _BLOCK, A + 1)
-        nu, dt, sm = grid.stats(idx[lo:hi, None], idx[None, lo + 1:])
-        np.maximum(nu, 0, out=nu)  # left of the diagonal, masked below
-        f = segment_cost(spec, nu, dt, sm)
-        f[np.tri(*f.shape, -1, dtype=bool)] = np.inf  # j <= i
-        cost[lo + 1:hi + 1, :lo + 1] = np.inf
-        cost[lo + 1:hi + 1, lo + 1:] = f
-    return cost
-
-
-def _suffix_table(cost: np.ndarray, kmax: int) -> np.ndarray:
-    """S[r, j] = optimal cost of splitting (tp_j, 1] into r segments."""
-    A = cost.shape[0] - 2
     S = np.full((kmax + 1, A + 1), np.inf)
-    S[1] = cost[1:, A + 1]
-    if kmax >= 2:
-        w = np.empty((min(_BLOCK, A), A))
-        # Row j reads S[r - 1] only right of j, so blocks run bottom-up and
-        # each block finishes every r before the block above it starts.
-        # Row A has no segment left to split and stays +inf.
-        for lo in reversed(range(0, A, _BLOCK)):
-            hi = min(lo + _BLOCK, A)
-            m = cost[lo + 1:hi + 1, lo + 1:A + 1]  # m[j - lo, l - lo - 1] prices (tp_j, tp_l]
-            wb = w[:hi - lo, :A - lo]
-            for r in range(2, kmax + 1):
-                np.add(m, S[r - 1, lo + 1:], out=wb)
-                S[r, lo:hi] = wb.min(axis=1)
-    return S
+    keep = np.empty((min(_KEEP, A + 1), A + 1))
+    w = np.empty((min(_BLOCK, A + 1), A))
+    for lo in reversed(range(0, A + 1, _BLOCK)):
+        hi = min(lo + _BLOCK, A + 1)
+        f = build_cost_matrix(grid, spec, idx[lo:hi], idx[lo + 1:])
+        S[1, lo:hi] = f[:, -1]
+        m = f[:, :-1]  # m[i - lo, l - lo - 1] prices (tp_i, tp_l] for l <= 2n
+        if lo < _KEEP:
+            keep[lo:hi, :lo + 1] = np.inf
+            keep[lo:hi, lo + 1:] = m
+        if lo == A:
+            continue  # a block of row 2n alone has no column to reduce
+        wb = w[:hi - lo, :A - lo]
+        for r in range(2, kmax + 1):
+            np.add(m, S[r - 1, lo + 1:], out=wb)
+            S[r, lo:hi] = wb.min(axis=1)
+    return S, keep
 
 
 @dataclass(eq=False)
@@ -143,7 +158,23 @@ def _segmentation(self: SolveResult) -> Segmentation | None:
 SolveResult.segmentation = property(_segmentation)
 
 
-def _reconstruct(cost: np.ndarray, suffix: np.ndarray, ks) -> dict[int, tuple[int, ...]]:
+def _cost_rows(grid: CandidateGrid, spec: ContrastSpec, keep: np.ndarray,
+               rows: np.ndarray) -> np.ndarray:
+    """Prices of (tp_i, tp_j] for i in ``rows`` and every j <= 2n: kept rows
+    are read, the others priced again."""
+    far = rows >= keep.shape[0]
+    if not far.any():
+        return keep[rows]
+    m = np.empty((rows.size, keep.shape[1]))
+    m[~far] = keep[rows[~far]]
+    lo = int(rows[far].min())  # every column up to lo is left of the diagonal
+    m[far, :lo + 1] = np.inf
+    m[far, lo + 1:] = build_cost_matrix(grid, spec, rows[far], np.arange(lo + 1, keep.shape[1]))
+    return m
+
+
+def _reconstruct(grid: CandidateGrid, spec: ContrastSpec, keep: np.ndarray,
+                 suffix: np.ndarray, ks) -> dict[int, tuple[int, ...]]:
     """Change-point indices of the optimum at each K in ``ks``, in one pass.
 
     Every K must be feasible with a finite optimum. With the K sorted in
@@ -151,7 +182,6 @@ def _reconstruct(cost: np.ndarray, suffix: np.ndarray, ks) -> dict[int, tuple[in
     prefix; their candidate rows are gathered at once, and the pieces
     already chosen are folded on right to left, as for one K alone.
     """
-    A = suffix.shape[1] - 1
     kd = np.sort(np.asarray(ks, dtype=np.intp))[::-1]
     steps = int(kd[0]) - 1 if kd.size else 0
     best = suffix[kd, 0][:, None]
@@ -160,21 +190,26 @@ def _reconstruct(cost: np.ndarray, suffix: np.ndarray, ks) -> dict[int, tuple[in
     cuts = np.empty((kd.size, steps), dtype=np.intp)
     for s in range(steps):
         na = int(np.count_nonzero(kd > s + 1))
-        rows = prev[:na] + 1
-        total = cost[rows, : A + 1] + suffix[kd[:na] - 1 - s]
+        m = _cost_rows(grid, spec, keep, prev[:na])
+        total = m + suffix[kd[:na] - 1 - s]
         for i in range(s - 1, -1, -1):
             total = pieces[:na, i, None] + total
         j = np.argmax(total == best[:na], axis=1)
-        pieces[:na, s] = cost[rows, j]
+        pieces[:na, s] = m[np.arange(na), j]
         cuts[:na, s] = j
         prev[:na] = j
     return {k: tuple(cuts[row, : k - 1].tolist()) for row, k in enumerate(kd.tolist())}
 
 
 def solve_bytes(n: int, kmax: int) -> int:
-    """Upper estimate of the memory ``solve`` allocates for n events."""
+    """Upper estimate of the memory ``solve`` allocates for n events.
+
+    The suffix table, the kept cost rows and one block's working set
+    during the sweep, or the rows a reconstruction step gathers.
+    """
     side = 2 * n + 2
-    return 8 * side * side + _BYTES_PER_BLOCK_ENTRY * _BLOCK * side + 8 * (kmax + 1) * side
+    tables = 8 * (kmax + 1 + min(_KEEP, side)) * side
+    return tables + _BYTES_PER_BLOCK_ENTRY * max(_BLOCK, kmax) * side
 
 
 def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:
@@ -182,7 +217,7 @@ def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:
 
     A segment count K is infeasible when K - 1 exceeds the number of
     interior grid positions; such entries are flagged rather than given
-    a sentinel cost. Series whose cost matrix would not fit in physical
+    a sentinel cost. Series whose tables would not fit in physical
     memory are refused.
     """
     require_integer("kmax", kmax)
@@ -194,14 +229,13 @@ def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:
     if need > have:
         raise ValueError(
             f"solve at n = {grid.n} events needs about {need / 2**30:.1f} GiB for its "
-            f"cost matrix and suffix table, more than the {have / 2**30:.1f} GiB of physical memory"
+            f"suffix table and cost rows, more than the {have / 2**30:.1f} GiB of physical memory"
         )
-    cost = build_cost_matrix(grid, spec)
-    suffix = _suffix_table(cost, kmax)
+    suffix, keep = _sweep(grid, spec, kmax)
     base_warn = (TIES_WARNING,) if grid.events.has_ties else ()
     feasible = range(1, min(kmax, grid.size + 1) + 1)
     finite = [k for k in feasible if suffix[k, 0] < np.inf]
-    cuts = _reconstruct(cost, suffix, finite)
+    cuts = _reconstruct(grid, spec, keep, suffix, finite)
     results: list[SolveResult] = []
     for k in range(1, kmax + 1):
         if k not in feasible:

@@ -147,10 +147,11 @@ def marked_loglik(counts, lengths, mark_sums, rates, mark_rates) -> float:
 
 
 def dense_cost_matrix(grid, spec: ContrastSpec) -> np.ndarray:
-    """One-shot (2n + 2)^2 construction that ``build_cost_matrix`` blocks.
+    """One-shot (2n + 2)^2 construction of the prices the solver's sweep
+    builds a block of rows at a time; cost[i + 1, j] prices (tp_i, tp_j].
 
-    Evaluates every entry, lower triangle included, then masks; the
-    blocked build must equal it bit for bit.
+    Evaluates every entry, lower triangle included, then masks; every row
+    the sweep builds, keeps or prices again must equal it bit for bit.
     """
     A = grid.size
     idx = np.arange(A + 2)

@@ -7,6 +7,7 @@ tolerance, because both accumulate costs in the same order.
 
 import dataclasses
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -29,7 +30,15 @@ from ppseg import (
     upsilon_star_cardinality,
 )
 from ppseg.contrasts import KINDS
-from ppseg.dp import TIES_WARNING, _reconstruct, _suffix_table, build_cost_matrix, solve_bytes
+from ppseg.dp import (
+    _KEEP,
+    TIES_WARNING,
+    _cost_rows,
+    _reconstruct,
+    _sweep,
+    build_cost_matrix,
+    solve_bytes,
+)
 
 from helpers import (
     dense_cost_matrix,
@@ -44,20 +53,20 @@ UNIT_PG = ContrastSpec("poisson_gamma", a=1.0, b=1.0)
 
 
 def test_cost_matrix_single_event_worked_example():
-    # one event at 0.5 under the unit Gamma prior
-    cost = build_cost_matrix(EventSeries(np.array([0.5])), UNIT_PG)
-    assert cost.shape == (4, 4)
-    # (0, 0.5^-]: no event over length one half
-    assert cost[1, 1] == pytest.approx(0.4054651081081644, rel=1e-13)  # log 1.5
-    # (0.5^-, 0.5]: the event on a zero-length slice
-    assert cost[2, 2] == 0.0
-    # (0, 0.5]: one event over length one half
-    assert cost[1, 2] == pytest.approx(2.0 * math.log(1.5), rel=1e-13)
-    # (0, 1]: one event over the whole interval
-    assert cost[1, 3] == pytest.approx(2.0 * math.log(2.0), rel=1e-13)
-    assert np.all(np.isposinf(cost[0]))
+    # one event at 0.5 under the unit Gamma prior; cost[i, j] prices (tp_i, tp_j]
     idx = np.arange(4)
-    assert np.all(np.isposinf(cost[idx[:, None] > idx[None, :]]))
+    cost = build_cost_matrix(build_grid(EventSeries(np.array([0.5]))), UNIT_PG, idx[:3], idx)
+    assert cost.shape == (3, 4)
+    # (0, 0.5^-]: no event over length one half
+    assert cost[0, 1] == pytest.approx(0.4054651081081644, rel=1e-13)  # log 1.5
+    # (0.5^-, 0.5]: the event on a zero-length slice
+    assert cost[1, 2] == 0.0
+    # (0, 0.5]: one event over length one half
+    assert cost[0, 2] == pytest.approx(2.0 * math.log(1.5), rel=1e-13)
+    # (0, 1]: one event over the whole interval
+    assert cost[0, 3] == pytest.approx(2.0 * math.log(2.0), rel=1e-13)
+    assert np.all(np.isposinf(cost[idx[:3, None] >= idx[None, :]]))
+    assert np.all(np.isfinite(cost[idx[:3, None] < idx[None, :]]))
 
 
 def test_leftmost_tie_prefers_the_before_position():
@@ -169,30 +178,32 @@ def _tied_marked_series(draw):
 @example(data=(TIED_TIMES, TIED_MARKS), spec=ContrastSpec("marked_pgeg", a=1.0, b=0.5),
          forbid_empty=False, kmax=6)
 def test_all_k_reconstruction_equals_one_k_at_a_time(data, spec, forbid_empty, kmax):
-    series = EventSeries(np.array(data[0]), np.array(data[1]))
+    grid = build_grid(EventSeries(np.array(data[0]), np.array(data[1])))
     spec = replace(spec, forbid_empty=forbid_empty)
-    cost = build_cost_matrix(series, spec)
-    suffix = _suffix_table(cost, kmax)
-    ks = [k for k in range(1, min(kmax, 2 * series.n + 1) + 1) if suffix[k, 0] < np.inf]
-    assert _reconstruct(cost, suffix, ks) == {k: tuple(reconstruct_one(cost, suffix, k))
-                                              for k in ks}
+    suffix, keep = _sweep(grid, spec, kmax)
+    cost = dense_cost_matrix(grid, spec)
+    ks = [k for k in range(1, min(kmax, grid.size + 1) + 1) if suffix[k, 0] < np.inf]
+    assert _reconstruct(grid, spec, keep, suffix, ks) == {
+        k: tuple(reconstruct_one(cost, suffix, k)) for k in ks}
 
 
 def test_all_k_reconstruction_across_the_row_block():
-    # 2n + 1 = 181 cost rows span two 128-row blocks
+    # 2n + 1 = 601 cost rows: the optima cut past the 512 kept rows, so
+    # the reconstruction prices some of its candidate rows again
     rng = np.random.default_rng(4)
-    times = np.sort(rng.uniform(0.01, 0.99, 90))
+    times = np.sort(np.concatenate([rng.uniform(0.01, 0.5, 100), rng.uniform(0.7, 0.99, 200)]))
     times[41] = times[40]
-    series = EventSeries(times, rng.exponential(1.0, 90))
+    grid = build_grid(EventSeries(times, rng.exponential(1.0, 300)))
     for kind in KINDS:
         for forbid_empty in (False, True):
             spec = ContrastSpec(kind, forbid_empty=forbid_empty)
-            cost = build_cost_matrix(series, spec)
-            suffix = _suffix_table(cost, 12)
+            suffix, keep = _sweep(grid, spec, 12)
+            cost = dense_cost_matrix(grid, spec)
             ks = [k for k in range(1, 13) if suffix[k, 0] < np.inf]
             assert len(ks) == 12
-            assert _reconstruct(cost, suffix, ks) == {k: tuple(reconstruct_one(cost, suffix, k))
-                                                      for k in ks}, spec
+            cuts = _reconstruct(grid, spec, keep, suffix, ks)
+            assert cuts == {k: tuple(reconstruct_one(cost, suffix, k)) for k in ks}, spec
+            assert max(c[-2] for c in cuts.values() if len(c) >= 2) >= _KEEP, spec
 
 
 def test_segmentation_is_built_on_first_read_from_the_indices():
@@ -313,26 +324,28 @@ def test_cardinality_empty_series():
 def test_dp_tables_invariants():
     # S[k, j] is the best cost of splitting (tp_j, 1] into k segments
     rng = np.random.default_rng(5)
-    series = random_series(rng, n_max=5, marked=True, allow_ties=False)
+    grid = build_grid(random_series(rng, n_max=5, marked=True, allow_ties=False))
     spec = ContrastSpec("marked_pgeg", a=1.0, b=0.5)
-    cost = build_cost_matrix(series, spec)
-    suffix = _suffix_table(cost, 4)
-    A = cost.shape[0] - 2
-    assert np.array_equal(suffix[1], cost[1:, A + 1])
+    A = grid.size
+    idx = np.arange(A + 2)
+    cost = build_cost_matrix(grid, spec, idx[:-1], idx)  # cost[i, j] prices (tp_i, tp_j]
+    suffix, keep = _sweep(grid, spec, 4)
+    assert np.array_equal(keep, cost[:, :A + 1])
+    assert np.array_equal(suffix[1], cost[:, A + 1])
     assert np.all(np.isposinf(suffix[0]))
     for k in range(2, 5):
         for j in range(A + 1):
             want = np.min(
-                [cost[j + 1, l] + suffix[k - 1][l] for l in range(A + 1)]
+                [cost[j, l] + suffix[k - 1][l] for l in range(A + 1)]
             )
             assert suffix[k, j] == want
 
 
-
-@pytest.mark.parametrize("n", [63, 64, 127, 128])
+@pytest.mark.parametrize("n", [63, 64, 127, 128, 255, 256])
 def test_blocked_tables_equal_the_dense_construction(n):
-    # the 2n + 1 cost rows and 2n suffix rows fall just below, on or just
-    # above a multiple of the 128-row block
+    # the 2n + 1 cost rows fall just below or just above a multiple of
+    # the 32-row block, where the top block holds row 2n alone, and for
+    # n = 255, 256 just below or above the 512 kept rows
     rng = np.random.default_rng(n)
     times = np.sort(rng.uniform(0.01, 0.99, n))
     marks = rng.exponential(1.0, n)
@@ -344,10 +357,31 @@ def test_blocked_tables_equal_the_dense_construction(n):
             for base in spec_variants(marked):
                 for forbid_empty in (False, True):
                     spec = replace(base, forbid_empty=forbid_empty)
-                    cost = build_cost_matrix(grid, spec)
+                    suffix, keep = _sweep(grid, spec, 12)
                     dense = dense_cost_matrix(grid, spec)
-                    assert np.array_equal(cost, dense), spec
-                    assert np.array_equal(_suffix_table(cost, 12), dense_suffix_table(dense, 12)), spec
+                    assert keep.shape == (min(2 * n + 1, _KEEP), 2 * n + 1)
+                    assert np.array_equal(keep, dense[1:keep.shape[0] + 1, :-1]), spec
+                    assert np.array_equal(suffix, dense_suffix_table(dense, 12)), spec
+
+
+@pytest.mark.parametrize("kind", ["poisson_gamma", "marked_pgeg"])
+def test_rows_priced_again_equal_the_block_built_rows(kind):
+    # _lgamma_shifted looks counts up in a table above 4,096 entries: the
+    # 32-row blocks of the sweep cross that size at n = 300, one row
+    # priced again stays under it and all 601 rows at once go over it
+    rng = np.random.default_rng(9)
+    n = 300
+    times = np.sort(rng.uniform(0.01, 0.99, n))
+    grid = build_grid(EventSeries(times, rng.exponential(1.0, n)))
+    spec = ContrastSpec(kind, a=0.5, b=2.0, a_rho=3.0, b_rho=0.5)
+    rows = np.arange(grid.size + 1)
+    _, keep = _sweep(grid, spec, 2)
+    none_kept = keep[:0]  # every row is priced again
+    one_by_one = np.vstack([_cost_rows(grid, spec, none_kept, rows[i:i + 1]) for i in rows])
+    together = _cost_rows(grid, spec, none_kept, rows)
+    assert np.array_equal(one_by_one, together)
+    assert np.array_equal(together[:_KEEP], keep)
+    assert np.array_equal(together, dense_cost_matrix(grid, spec)[1:, :-1])
 
 def test_infeasible_segment_counts_are_flagged():
     series = EventSeries(np.array([0.5]))
@@ -440,7 +474,7 @@ def test_brute_force_refuses_oversized_instances():
 def test_marked_kinds_need_marked_data():
     series = EventSeries(np.array([0.5]))
     with pytest.raises(ValueError, match="requires marked data"):
-        build_cost_matrix(series, ContrastSpec("marked_pgeg"))
+        solve(series, ContrastSpec("marked_pgeg"), 2)
     with pytest.raises(ValueError, match="requires marked data"):
         brute_force(series, ContrastSpec("marked_poisson"), 2)
 
@@ -469,9 +503,11 @@ def test_contrast_prices_grid_segments():
         contrast(mgrid, mspec, (4, 4))
 
 
-def test_solve_refuses_series_beyond_physical_memory():
-    # the estimate is hundreds of terabytes; the guard fires before any
-    # dense table is allocated
+def test_solve_refuses_series_beyond_physical_memory(monkeypatch):
+    # the estimate is about 14 GiB, more than the 1 GiB this host is made
+    # to report; the guard fires before any table is allocated
+    pages = {"SC_PHYS_PAGES": 2**18, "SC_PAGE_SIZE": 2**12}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     series = EventSeries(np.linspace(0.1, 0.9, 10**6))
     with pytest.raises(ValueError, match=r"n = 1000000 events needs about \d+\.\d GiB"):
         solve(series, UNIT_PG, 2)
@@ -491,3 +527,32 @@ def test_memory_estimate_bounds_the_traced_peak(marked):
         finally:
             tracemalloc.stop()
         assert peak <= solve_bytes(n, kmax), (spec.kind, peak)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_time_reversal_mirrors_the_optimum(seed):
+    # t -> 1 - t keeps every K's optimal contrast and mirrors its
+    # change-points, "at m" <-> "before n + 1 - m", i.e. index p <-> 2n + 1 - p.
+    # At n = 300 to 600 the optima cut past the kept rows. Segments are
+    # left-open, so a tie between two optima can resolve differently in the
+    # mirror; then the mirrored vector must price within the tolerance.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(300, 601))
+    times = np.sort(rng.uniform(0.0, 1.0, n))
+    forward, mirror = EventSeries(times), EventSeries(np.sort(1.0 - times))
+    assert not forward.has_ties and not mirror.has_ties
+    grid = build_grid(forward)
+    eps = np.finfo(float).eps
+    mirrored = ties = 0
+    for spec in (ContrastSpec("poisson"), ContrastSpec("poisson_gamma", a=1.0, b=0.5)):
+        for res, rev in zip(solve(forward, spec, 12), solve(mirror, spec, 12)):
+            counts, lengths, _ = segment_stats(grid, res.indices)
+            tol = 4 * res.k * eps * float(np.sum(np.abs(segment_cost(spec, counts, lengths))))
+            assert abs(res.contrast - rev.contrast) <= tol, (spec.kind, res.k)
+            flipped = tuple(sorted(2 * n + 1 - p for p in rev.indices))
+            if flipped == res.indices:
+                mirrored += 1
+            else:
+                assert abs(contrast(grid, spec, flipped) - res.contrast) <= tol, (spec.kind, res.k)
+                ties += 1
+    assert mirrored >= 3 * ties

@@ -27,6 +27,7 @@ from ppseg import (
     render_result,
     solve,
 )
+from ppseg import bench
 from ppseg.bench import BenchConfig
 from ppseg.cli import _make_document
 from ppseg.contrasts import MARKED_KINDS
@@ -121,6 +122,21 @@ def test_bench_config_takes_the_overrides_its_preset_reads():
         assert BenchConfig(preset=preset, ratios=(2.0,)).ratios == (2.0,)
     for preset in ("k-selection", "hausdorff-l2"):
         assert BenchConfig(preset=preset, means=(50.0, 400.0), ratios=(2.0, 16.0)).means
+
+
+@pytest.mark.parametrize("field", ["means", "ratios"])
+def test_bench_refuses_a_bad_grid_value_before_any_fit(field, monkeypatch):
+    # the bad value sits in the last cell; no earlier cell may be fitted first
+    def fit(*args):
+        raise AssertionError("a cell was fitted before the bad value was refused")
+
+    monkeypatch.setattr(bench, "fit", fit)
+    grid = {"means": (100.0, np.inf), "ratios": (3.0, np.inf)}
+    cfg = BenchConfig(preset="k-selection", samples=1, cv_replicates=2, kmax=2,
+                      **{field: grid[field]})
+    name = {"means": "mean_rate", "ratios": "ratio"}[field]
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+        bench.run_bench(cfg)
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
