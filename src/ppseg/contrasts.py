@@ -13,8 +13,9 @@ segmentation is the quantity to minimize:
 - "marked_pgeg": the marginal cost with Gamma priors on both the event
   rate and the exponential mark rate.
 
-Every cost lies in (-inf, +inf]; ``segment_cost`` alone sets the +inf
-prices. A zero-length segment holding events has an unbounded maximized
+Every cost lies in (-inf, +inf]; ``segment_cost`` sets the +inf prices,
+and the solver's block pricer sets the same ones where they can occur.
+A zero-length segment holding events has an unbounded maximized
 likelihood, a degenerate maximum and not an estimate, so the likelihood
 kinds price it at +inf; the marginal costs are finite there. A segment
 with no event and zero length (only tied times give one) is +inf for
@@ -22,9 +23,11 @@ every kind. A positive length or mark sum so small that count / length
 overflows keeps a finite cost through log count - log length. +inf
 absorbs under IEEE addition, so totals need no special arithmetic.
 
-Every function accepts scalars or numpy arrays of matching shape, which
-keeps the dynamic-programming cost matrices and scalar evaluations on a
-single code path.
+Every function accepts scalars or numpy arrays of matching shape. The
+marginal formula is written once, in ``marginal_cost``, over its parts
+(c + a, log(d + b), lgamma(c + a) and the prior constant): scalar
+evaluations and the solver's cost blocks, which build the parts from
+tables, both go through it and get the same bits.
 """
 
 from __future__ import annotations
@@ -45,16 +48,35 @@ def _scalar_or_array(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _lgamma_shifted(count, shift):
-    # Large integer-count arrays go through a lookup table: gammaln is
-    # by far the most expensive piece of a cost matrix and counts only
-    # take n + 1 distinct values. Bit-identical to the direct call.
-    arr = np.asarray(count, dtype=np.float64)
-    if arr.ndim >= 2 and arr.size > 4096:
-        top = int(arr.max())
-        table = gammaln(np.arange(top + 1, dtype=np.float64) + shift)
-        return table[arr.astype(np.intp)]
-    return gammaln(arr + shift)
+def prior_constant(a, b):
+    """lgamma(a) - a log b, the share of the prior each marginal segment pays."""
+    return gammaln(a) - a * np.log(b)
+
+
+def marginal_cost(ca, log_db, lg_ca, prior, marks=None):
+    """The marginal cost from its parts, in one order of operations.
+
+    (c + a) log(d + b) - lgamma(c + a) + prior, from ``ca`` = c + a,
+    ``log_db`` = log(d + b), ``lg_ca`` = lgamma(c + a) and ``prior`` =
+    ``prior_constant(a, b)``. For ``marked_pgeg``, ``marks`` holds the
+    same four parts of the marks, with a_rho, b_rho and the mark sum s;
+    their terms come before the prior constants. ``segment_cost`` and
+    the solver's block pricer both call it, each with the parts as
+    defined here, so both give the same bits. The parts are of matching
+    shape or broadcast to that of ``ca * log_db``, which holds the sum:
+    a block-sized temporary per term costs more than its arithmetic.
+    """
+    out = ca * log_db
+    out -= lg_ca
+    if marks is not None:
+        car, log_sb, lg_car, prior_rho = marks
+        out += car * log_sb
+        out -= lg_car
+        out += prior
+        out += prior_rho
+        return out
+    out += prior
+    return out
 
 
 def _log_ratio(c, x):
@@ -81,14 +103,15 @@ def poisson_gamma_cost(count, length, a, b):
     c = np.asarray(count, dtype=np.float64)
     d = np.asarray(length, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (c + a) * np.log(d + b) - _lgamma_shifted(c, a) + (gammaln(a) - a * np.log(b))
+        ca = c + a
+        out = marginal_cost(ca, np.log(d + b), gammaln(ca), prior_constant(a, b))
     return _scalar_or_array(out)
 
 
 def _check_prior_constant(a_name, a, b_name, b) -> None:
     # every marginal cost adds lgamma(a) - a log b; were it not finite, costs would be NaN
     with np.errstate(all="ignore"):
-        finite = np.isfinite(gammaln(a) - a * np.log(b))
+        finite = np.isfinite(prior_constant(a, b))
     if not finite:
         raise ValueError(f"hyper-parameters {a_name} = {a!r} and {b_name} = {b!r} give a "
                          f"non-finite prior constant lgamma({a_name}) - {a_name} log {b_name}")
@@ -130,6 +153,12 @@ class ContrastSpec:
         return self.kind in MARKED_KINDS
 
 
+def require_marks(spec: ContrastSpec, marked: bool) -> None:
+    """ValueError when ``spec`` models marks and the data have none."""
+    if spec.requires_marks and not marked:
+        raise ValueError(f"contrast kind {spec.kind!r} requires marked data")
+
+
 def segment_cost(spec: ContrastSpec, count, length, mark_sum=None):
     """Cost of one segment (or an array of segments) under ``spec``.
 
@@ -137,8 +166,7 @@ def segment_cost(spec: ContrastSpec, count, length, mark_sum=None):
     event at all under ``forbid_empty``, and for the likelihood kinds
     events on a zero length or mark sum (an unbounded likelihood).
     """
-    if spec.requires_marks and mark_sum is None:
-        raise ValueError(f"contrast kind {spec.kind!r} requires marked data")
+    require_marks(spec, mark_sum is not None)
     c = np.asarray(count, dtype=np.float64)
     d = np.asarray(length, dtype=np.float64)
     s = None if mark_sum is None else np.asarray(mark_sum, dtype=np.float64)
@@ -154,15 +182,10 @@ def segment_cost(spec: ContrastSpec, count, length, mark_sum=None):
         elif spec.kind == "poisson_gamma":
             out = poisson_gamma_cost(c, d, spec.a, spec.b)
         else:
-            a, b, a_rho, b_rho = spec.a, spec.b, spec.a_rho, spec.b_rho
-            out = (
-                (c + a) * np.log(d + b)
-                - _lgamma_shifted(c, a)
-                + (c + a_rho) * np.log(s + b_rho)
-                - _lgamma_shifted(c, a_rho)
-                + (gammaln(a) - a * np.log(b))
-                + (gammaln(a_rho) - a_rho * np.log(b_rho))
-            )
+            ca, car = c + spec.a, c + spec.a_rho
+            out = marginal_cost(ca, np.log(d + spec.b), gammaln(ca), prior_constant(spec.a, spec.b),
+                                (car, np.log(s + spec.b_rho), gammaln(car),
+                                 prior_constant(spec.a_rho, spec.b_rho)))
     out = np.asarray(out)
     out[np.where(empty, True if spec.forbid_empty else zero_length, unbounded)] = np.inf
     return _scalar_or_array(out)

@@ -7,12 +7,13 @@ one dynamic-programming suffix table in a single bottom-up sweep over
 blocks of rows of the segment prices: each block is priced where the
 sweep uses it, on its upper triangle only, and then dropped. Only the
 rows of the first grid positions are kept for the reconstruction, which
-prices any other row it needs again, bit for bit. That takes
-O((2n)^2 Kmax) time and O(n (Kmax + kept rows + block rows)) memory;
-no (2n + 2)^2 matrix is ever held. It returns, for every segment count
-K up to Kmax, the optimal segmentation and its contrast. ``brute_force``
-enumerates every candidate subset and is the independent oracle for
-small instances.
+prices any other row it needs again, bit for bit. The sweep stops at
+S[Kmax - 1]; row 0 of S[Kmax], the only entry of it anything reads,
+comes from kept row 0. That takes O((2n)^2 Kmax) time and
+O(n (Kmax + kept rows + block rows)) memory; no (2n + 2)^2 matrix is
+ever held. It returns, for every segment count K up to Kmax, the
+optimal segmentation and its contrast. ``brute_force`` enumerates every
+candidate subset and is the independent oracle for small instances.
 
 Ties are broken toward the lexicographically smallest change-point
 index vector. The solver achieves this with a suffix table: the first
@@ -27,10 +28,21 @@ The reconstruction runs for every K in one pass: step s stacks the
 candidate rows of all K that still need an s-th change-point, and each
 row sees the same additions, in the same order, as it would alone.
 
+A block is priced from event-level tables, not entry by entry. Grid
+indices 2q and 2q + 1 lie right of the same q events, and 2m - 1 and
+2m sit at the same time, so ``build_cost_matrix`` takes log(d + b) once
+per distinct pair of times (about a quarter of the entries) and
+log(s + b_rho) once per distinct pair of events, while c + a and
+lgamma(c + a) are row windows of tables over the counts, built once per
+grid and contrast. The parts go through the formula ``segment_cost``
+uses, in the same order, so every price keeps its bits.
+
 Every segment cost lies in (-inf, +inf] (see ``contrasts``), so plain
-IEEE addition accumulates the tables and +inf absorbs. ``segment_cost``
-sets every +inf price, among them the exclusion of segments with no
-event and zero length, which only tied event times produce.
+IEEE addition accumulates the tables and +inf absorbs. The block pricer
+sets +inf only where it can occur: left of the diagonal, and for the
+marginal kinds the one empty segment right of each even row, under
+``forbid_empty`` or where it has zero length, which only tied event
+times produce. ``segment_cost`` sets the likelihood kinds' +inf prices.
 """
 
 from __future__ import annotations
@@ -38,11 +50,21 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import InitVar, dataclass, field
+from functools import partial
 from math import comb
 
 import numpy as np
+from scipy.special import gammaln
 
-from .contrasts import ContrastSpec, contrast, segment_cost
+from .contrasts import (
+    MARGINAL_KINDS,
+    ContrastSpec,
+    contrast,
+    marginal_cost,
+    prior_constant,
+    require_marks,
+    segment_cost,
+)
 from .model import (
     CandidateGrid,
     Segmentation,
@@ -68,27 +90,66 @@ _KEEP = 512
 
 # Peak bytes per entry of one block (_BLOCK rows by up to 2n + 1
 # columns) that ``solve`` allocates besides the kept cost rows and the
-# suffix table: the count, length and mark-sum arrays, the temporaries
-# of the cost formulas and the work array of the suffix DP. A
-# reconstruction step prices up to Kmax rows the same way. The
-# tracemalloc peak beyond those two tables is 80 to 82 bytes per block
-# entry for ``marked_pgeg`` at n = 80 to 2933 and 64 to 66 for the
-# unmarked kinds.
-_BYTES_PER_BLOCK_ENTRY = 96
+# suffix table: the block, the rows of the count tables and logs, the
+# formula's temporaries for one half of the columns and the work array
+# of the suffix DP. A reconstruction step prices up to Kmax rows the
+# same way. The tracemalloc peak beyond those two tables, at Kmax 12 and
+# n = 80 to 2933, is 61 to 62 bytes per block entry for ``marked_pgeg``,
+# 53 to 54 for ``marked_poisson`` and 43 to 47 for the unmarked kinds.
+_BYTES_PER_BLOCK_ENTRY = 72
+
+
+def _count_parts(spec: ContrastSpec, c: np.ndarray) -> list[np.ndarray]:
+    """The parts of the cost that depend on the count alone: c + a and
+    lgamma(c + a), then c + a_rho and lgamma(c + a_rho) for
+    ``marked_pgeg``; the count itself for the likelihood kinds."""
+    if spec.kind not in MARGINAL_KINDS:
+        return [c]
+    shifts = (spec.a, spec.a_rho) if spec.requires_marks else (spec.a,)
+    return [part for cs in (c + shift for shift in shifts) for part in (cs, gammaln(cs))]
 
 
 def build_cost_matrix(grid: CandidateGrid, spec: ContrastSpec, rows, cols) -> np.ndarray:
     """Prices of the segments (tp_i, tp_j] for i in ``rows`` and j in ``cols``.
 
-    ``rows`` and ``cols`` are 1-d grid index arrays; entries with j <= i
-    are +inf. Each entry is computed on its own from ``grid.stats``, so
-    a row priced again equals the same row priced in a block, bit for
-    bit.
+    ``rows`` is a 1-d grid index array, in any order and with repeats;
+    ``cols`` is a contiguous ascending run of grid indices. Entries with
+    j <= i are +inf. Each part of a price is the one ``segment_cost``
+    computes, from the tables of ``CandidateGrid.pairs`` and
+    ``count_rows``, and goes through the same formula, so a row priced
+    again equals the same row priced in a block, bit for bit.
     """
-    nu, dt, sm = grid.stats(rows[:, None], cols[None, :])
-    np.maximum(nu, 0, out=nu)  # left of the diagonal, masked below
-    f = segment_cost(spec, nu, dt, sm)
-    f[cols[None, :] <= rows[:, None]] = np.inf
+    require_marks(spec, grid.mark_prefix is not None)
+    if rows.size == 0 or cols.size == 0:
+        return np.empty((rows.size, cols.size))
+    c0 = int(cols[0])
+    blk = grid.pairs(rows, c0, c0 + cols.size)
+    counted = grid.count_rows(spec, partial(_count_parts, spec), blk)
+    f, halves = blk.empty()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if spec.kind in MARGINAL_KINDS:
+            log_db = blk.by_time(np.log(blk.lengths + spec.b))
+            prior = prior_constant(spec.a, spec.b)
+            marks = None
+            if spec.requires_marks:
+                log_sb = np.log(blk.sums + spec.b_rho)[blk.event_row]
+                marks = (counted[2], log_sb, counted[3], prior_constant(spec.a_rho, spec.b_rho))
+            for half, log_d in zip(halves, log_db):
+                half[...] = marginal_cost(counted[0], log_d, counted[1], prior, marks)
+        else:
+            sums = None if blk.sums is None else blk.sums[blk.event_row]
+            for half, length in zip(halves, blk.by_time(blk.lengths)):
+                half[...] = segment_cost(spec, counted[0], length, sums)
+    # +inf where it can occur: each row is +inf up to its own column, and
+    # for the marginal kinds one column further when its empty gap is
+    # +inf, under forbid_empty or at zero length (segment_cost sets the
+    # likelihood kinds' +inf prices)
+    last = rows
+    if spec.kind in MARGINAL_KINDS:
+        empty, zero_length = grid.empty_gaps(rows)
+        last = rows + (empty if spec.forbid_empty else zero_length)
+    left = min(max(int(last.max()) - c0 + 1, 0), cols.size)
+    f[:, :left][cols[:left] <= last[:, None]] = np.inf
     return f
 
 
@@ -100,11 +161,14 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
     priced, finishes every r and is dropped before the block above it
     starts; ``keep[i, j]`` holds the price of (tp_i, tp_j] for the first
     _KEEP positions i and every j <= 2n. Row 2n has no segment left to
-    split, so S stays +inf there from r = 2 on.
+    split, so S stays +inf there from r = 2 on. At kmax = 0 nothing is
+    priced.
     """
     A = grid.size
     idx = np.arange(A + 2)
     S = np.full((kmax + 1, A + 1), np.inf)
+    if kmax == 0:
+        return S, np.empty((0, A + 1))
     keep = np.empty((min(_KEEP, A + 1), A + 1))
     w = np.empty((min(_BLOCK, A + 1), A))
     for lo in reversed(range(0, A + 1, _BLOCK)):
@@ -122,6 +186,25 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
             np.add(m, S[r - 1, lo + 1:], out=wb)
             S[r, lo:hi] = wb.min(axis=1)
     return S, keep
+
+
+def _suffix_table(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
+    """The suffix table to S[kmax] and the kept cost rows.
+
+    Nothing reads S[kmax] past row 0, the optimum over the whole series,
+    so the sweep stops at S[kmax - 1] and row 0 of S[kmax] is taken
+    from kept row 0, the same sums as a sweep would add. At kmax = 1
+    that prices the one segment (tp_0, 1].
+    """
+    suffix, keep = _sweep(grid, spec, kmax - 1)
+    top = np.full((1, suffix.shape[1]), np.inf)
+    if kmax == 1:
+        whole = build_cost_matrix(grid, spec, np.zeros(1, dtype=np.intp),
+                                  np.array([grid.last_index]))
+        top[0, 0] = whole[0, 0]
+    else:
+        top[0, 0] = np.min(keep[0] + suffix[kmax - 1])
+    return np.vstack((suffix, top)), keep
 
 
 @dataclass(eq=False)
@@ -231,7 +314,7 @@ def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:
             f"solve at n = {grid.n} events needs about {need / 2**30:.1f} GiB for its "
             f"suffix table and cost rows, more than the {have / 2**30:.1f} GiB of physical memory"
         )
-    suffix, keep = _sweep(grid, spec, kmax)
+    suffix, keep = _suffix_table(grid, spec, kmax)
     base_warn = (TIES_WARNING,) if grid.events.has_ties else ()
     feasible = range(1, min(kmax, grid.size + 1) + 1)
     finite = [k for k in feasible if suffix[k, 0] < np.inf]

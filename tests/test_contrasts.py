@@ -25,7 +25,6 @@ from ppseg import (
 from ppseg.contrasts import (
     KINDS,
     MARKED_KINDS,
-    _lgamma_shifted,
     mle_rate,
     poisson_gamma_cost,
     posterior_mean_rate,
@@ -88,14 +87,6 @@ def test_frozen_cost_values(compute, expected):
 def test_gammaln_against_reference_table():
     for x, expected in GAMMALN_TABLE:
         assert gammaln(x) == pytest.approx(expected, rel=1e-13, abs=1e-15)
-
-
-def test_lgamma_lookup_table_is_bit_identical():
-    counts = (np.arange(70 * 70).reshape(70, 70) % 53).astype(np.float64)
-    for shift in (0.3, 1.0, 2.01):
-        assert np.array_equal(_lgamma_shifted(counts, shift), gammaln(counts + shift))
-    small = np.array([0.0, 1.0, 7.0])
-    assert np.array_equal(_lgamma_shifted(small, 1.0), gammaln(small + 1.0))
 
 
 def test_poisson_cost_edges():

@@ -29,6 +29,7 @@ from ppseg import (
     upsilon_cardinality,
     upsilon_star_cardinality,
 )
+from ppseg import dp
 from ppseg.contrasts import KINDS
 from ppseg.dp import (
     _KEEP,
@@ -366,9 +367,9 @@ def test_blocked_tables_equal_the_dense_construction(n):
 
 @pytest.mark.parametrize("kind", ["poisson_gamma", "marked_pgeg"])
 def test_rows_priced_again_equal_the_block_built_rows(kind):
-    # _lgamma_shifted looks counts up in a table above 4,096 entries: the
-    # 32-row blocks of the sweep cross that size at n = 300, one row
-    # priced again stays under it and all 601 rows at once go over it
+    # one row at a time, all 601 rows at once and the sweep's 32-row
+    # blocks read different windows of the count tables and take their
+    # logs on arrays of different sizes
     rng = np.random.default_rng(9)
     n = 300
     times = np.sort(rng.uniform(0.01, 0.99, n))
@@ -382,6 +383,85 @@ def test_rows_priced_again_equal_the_block_built_rows(kind):
     assert np.array_equal(one_by_one, together)
     assert np.array_equal(together[:_KEEP], keep)
     assert np.array_equal(together, dense_cost_matrix(grid, spec)[1:, :-1])
+
+
+def _assert_block_is_dense(grid, spec, rows, cols):
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    got = build_cost_matrix(grid, spec, rows, cols)
+    want = dense_cost_matrix(grid, spec)[rows + 1][:, cols]
+    assert got.shape == want.shape
+    assert np.array_equal(got, want), (spec, rows.tolist(), cols[:1].tolist())
+
+
+def _pricer_cases():
+    rng = np.random.default_rng(13)
+    for n, tied in ((1, False), (2, True), (9, True), (40, False), (40, True)):
+        times = np.sort(rng.uniform(0.01, 0.99, n))
+        if tied:
+            times[n // 2 - 1:n // 2 + 1] = times[n // 2 - 1]
+        yield EventSeries(times, rng.exponential(1.0, n))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("forbid_empty", [False, True])
+def test_pricer_blocks_equal_the_dense_matrix(kind, forbid_empty):
+    # rows in any order and with repeats, as _cost_rows passes them;
+    # column runs starting on both parities; blocks whose first row is
+    # the "at" half of a before/at pair; n = 1 and tied times
+    spec = ContrastSpec(kind, a=0.5, b=2.0, a_rho=3.0, b_rho=0.5, forbid_empty=forbid_empty)
+    for series in _pricer_cases():
+        grid = build_grid(series)
+        last = grid.last_index
+        idx = np.arange(last + 1)
+        _assert_block_is_dense(grid, spec, idx[:-1], idx)
+        for lo in {0, 1, 2, 3, last // 2, last - 2, last - 1} & set(range(last)):
+            rows = idx[lo:min(lo + 5, last)]
+            for c0 in {lo, lo + 1, lo + 2, 0, 1}:
+                _assert_block_is_dense(grid, spec, rows, idx[c0:])
+                _assert_block_is_dense(grid, spec, rows, idx[c0:c0 + 3])
+        rows = [min(r, last - 1) for r in (last - 1, 0, 3, 3, last // 2, 1, 2, last - 1)]
+        for c0 in (1, 2, last // 2):
+            _assert_block_is_dense(grid, spec, rows, idx[c0:])
+
+
+@given(data=_tied_marked_series(), spec=st.sampled_from(TIE_SPECS), forbid_empty=st.booleans(),
+       rows=st.lists(st.integers(0, 28), min_size=1, max_size=8),
+       start=st.integers(0, 29), width=st.integers(0, 30))
+def test_pricer_contract_on_drawn_blocks(data, spec, forbid_empty, rows, start, width):
+    grid = build_grid(EventSeries(np.array(data[0]), np.array(data[1])))
+    spec = replace(spec, forbid_empty=forbid_empty)
+    rows = [min(r, grid.size) for r in rows]
+    start = min(start, grid.last_index)
+    cols = np.arange(start, min(start + width, grid.last_index + 1))
+    _assert_block_is_dense(grid, spec, rows, cols)
+
+
+def test_kmax_one_prices_one_entry(monkeypatch):
+    # S[1] is read at row 0 only: the whole series as one segment
+    priced = []
+
+    def counting(grid, spec, rows, cols):
+        priced.append(rows.size * cols.size)
+        return build_cost_matrix(grid, spec, rows, cols)
+
+    monkeypatch.setattr(dp, "build_cost_matrix", counting)
+    rng = np.random.default_rng(17)
+    for trial in range(12):
+        marked = trial % 2 == 1
+        series = random_series(rng, n_max=6, marked=marked)
+        for base in spec_variants(marked):
+            for forbid_empty in (False, True):
+                spec = replace(base, forbid_empty=forbid_empty)
+                priced.clear()
+                (res,) = solve(series, spec, 1)
+                assert priced == [1]
+                _assert_same_result(res, brute_force(series, spec, 1))
+                assert res.contrast == solve(series, spec, 3)[0].contrast
+    series = EventSeries(np.sort(rng.uniform(0.01, 0.99, 1500)))
+    priced.clear()
+    assert solve(series, UNIT_PG, 1)[0].indices == ()
+    assert priced == [1]
+
 
 def test_infeasible_segment_counts_are_flagged():
     series = EventSeries(np.array([0.5]))
