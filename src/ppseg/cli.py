@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .bench import PRESETS, BenchConfig, run_bench
-from .contrasts import KINDS, default_spec
+from .contrasts import KINDS, MARGINAL_KINDS, default_spec
 from .io import (
     ResultDocument,
     load_series,
@@ -161,6 +161,9 @@ def _cmd_segment(args) -> int:
         if ignored:
             raise ValueError(f"{', '.join(ignored)} only apply to cross-validation, "
                              "which --k skips")
+    if args.prior_shape is not None and args.contrast not in (None, *MARGINAL_KINDS):
+        raise ValueError(f"--prior-shape only applies to the marginal contrasts "
+                         f"{' and '.join(MARGINAL_KINDS)}, not {args.contrast!r}")
     data = _load(args)
     if data.n == 0:
         raise ValueError("the events file is empty; nothing to segment")

@@ -28,14 +28,15 @@ The reconstruction runs for every K in one pass: step s stacks the
 candidate rows of all K that still need an s-th change-point, and each
 row sees the same additions, in the same order, as it would alone.
 
-A block is priced from event-level tables, not entry by entry. Grid
-indices 2q and 2q + 1 lie right of the same q events, and 2m - 1 and
-2m sit at the same time, so ``build_cost_matrix`` takes log(d + b) once
-per distinct pair of times (about a quarter of the entries) and
-log(s + b_rho) once per distinct pair of events, while c + a and
-lgamma(c + a) are row windows of tables over the counts, built once per
-grid and contrast. The parts go through the formula ``segment_cost``
-uses, in the same order, so every price keeps its bits.
+A block is priced from event-level tables, not entry by entry, which
+``build_cost_matrix`` reads off the grid's slots. Grid indices 2q and
+2q + 1 lie right of the same q events, and 2m - 1 and 2m sit at the
+same time, so it prices a block as its even and its odd columns, takes
+log(d + b) once per distinct pair of times (about a quarter of the
+entries) and log(s + b_rho) once per pair of events, and reads c + a
+and lgamma(c + a) off count tables kept on the grid per prior shift.
+The parts go through the formula ``segment_cost`` uses, in the same
+order, so every price keeps its bits.
 
 Every segment cost lies in (-inf, +inf] (see ``contrasts``), so plain
 IEEE addition accumulates the tables and +inf absorbs. The block pricer
@@ -50,7 +51,6 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import InitVar, dataclass, field
-from functools import partial
 from math import comb
 
 import numpy as np
@@ -95,18 +95,38 @@ _KEEP = 512
 # of the suffix DP. A reconstruction step prices up to Kmax rows the
 # same way. The tracemalloc peak beyond those two tables, at Kmax 12 and
 # n = 80 to 2933, is 61 to 62 bytes per block entry for ``marked_pgeg``,
-# 53 to 54 for ``marked_poisson`` and 43 to 47 for the unmarked kinds.
+# 52 to 54 for ``marked_poisson`` and 43 to 47 for the unmarked kinds.
 _BYTES_PER_BLOCK_ENTRY = 72
 
 
-def _count_parts(spec: ContrastSpec, c: np.ndarray) -> list[np.ndarray]:
-    """The parts of the cost that depend on the count alone: c + a and
-    lgamma(c + a), then c + a_rho and lgamma(c + a_rho) for
-    ``marked_pgeg``; the count itself for the likelihood kinds."""
-    if spec.kind not in MARGINAL_KINDS:
-        return [c]
-    shifts = (spec.a, spec.a_rho) if spec.requires_marks else (spec.a,)
-    return [part for cs in (c + shift for shift in shifts) for part in (cs, gammaln(cs))]
+def _distinct(slots):
+    """The distinct values of ``slots`` and where each entry sits among them.
+
+    Slots that fill their span, as a run of consecutive rows gives, skip
+    the sort of ``np.unique``.
+    """
+    lo, hi = int(slots.min()), int(slots.max())
+    if hi - lo < slots.size:
+        return np.arange(lo, hi + 1), slots - lo
+    return np.unique(slots, return_inverse=True)
+
+
+def _count_rows(grid: CandidateGrid, shift: float, first: np.ndarray, width: int):
+    """c + shift and lgamma(c + shift) at the counts c = first[r] + k,
+    k < width: row windows of two tables over the counts -n .. 2n (a
+    negative count, left of the diagonal, read as 0) built once per grid
+    and shift."""
+    tables = grid.count_tables.get(shift)
+    if tables is None:
+        n = grid.n
+        cs = np.maximum(np.arange(-n, 2 * n + 1), 0).astype(np.float64) + shift
+        # window w holds counts w - n .. w; np.ndarray on the buffer costs
+        # less than sliding_window_view on a small series
+        tables = grid.count_tables[shift] = [
+            np.ndarray((2 * n + 1, n + 1), t.dtype, t, 0, 2 * t.strides)
+            for t in (cs, gammaln(cs))]
+    at = grid.n + first
+    return [t[:, :width][at] for t in tables]
 
 
 def build_cost_matrix(grid: CandidateGrid, spec: ContrastSpec, rows, cols) -> np.ndarray:
@@ -115,39 +135,59 @@ def build_cost_matrix(grid: CandidateGrid, spec: ContrastSpec, rows, cols) -> np
     ``rows`` is a 1-d grid index array, in any order and with repeats;
     ``cols`` is a contiguous ascending run of grid indices. Entries with
     j <= i are +inf. Each part of a price is the one ``segment_cost``
-    computes, from the tables of ``CandidateGrid.pairs`` and
-    ``count_rows``, and goes through the same formula, so a row priced
-    again equals the same row priced in a block, bit for bit.
+    computes, read off the grid's slots and count tables, and goes
+    through the same formula, so a row priced again equals the same row
+    priced in a block, bit for bit.
     """
     require_marks(spec, grid.mark_prefix is not None)
     if rows.size == 0 or cols.size == 0:
         return np.empty((rows.size, cols.size))
+    # Columns 2q and 2q + 1 lie right of the same q events and sit at the
+    # times of slots q and q + 1. The block is widened to whole column
+    # pairs q0 .. q1 - 1 and priced as its even and its odd columns, each
+    # a (rows, width) half whose entry [r, k] has count first[r] + k.
     c0 = int(cols[0])
-    blk = grid.pairs(rows, c0, c0 + cols.size)
-    counted = grid.count_rows(spec, partial(_count_parts, spec), blk)
-    f, halves = blk.empty()
+    q0, q1 = c0 // 2, (c0 + cols.size + 1) // 2
+    width = q1 - q0
+    events = rows // 2
+    first = q0 - events
+    out = np.empty((rows.size, 2 * width))
+    # a length per distinct (row time, column time) pair and a mark sum
+    # per distinct (row event, column event) pair
+    row_times, time_row = _distinct((rows + 1) // 2)
+    lengths = grid.slot_times[q0:q1 + 1] - grid.slot_times[row_times][:, None]
+    if spec.requires_marks:
+        row_events, event_row = _distinct(events)
+        sums = grid.mark_prefix[q0:q1] - grid.mark_prefix[row_events][:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if spec.kind in MARGINAL_KINDS:
-            log_db = blk.by_time(np.log(blk.lengths + spec.b))
-            prior = prior_constant(spec.a, spec.b)
-            marks = None
+            ca, lg_ca = _count_rows(grid, spec.a, first, width)
+            prior, marks = prior_constant(spec.a, spec.b), None
             if spec.requires_marks:
-                log_sb = np.log(blk.sums + spec.b_rho)[blk.event_row]
-                marks = (counted[2], log_sb, counted[3], prior_constant(spec.a_rho, spec.b_rho))
-            for half, log_d in zip(halves, log_db):
-                half[...] = marginal_cost(counted[0], log_d, counted[1], prior, marks)
+                car, lg_car = _count_rows(grid, spec.a_rho, first, width)
+                marks = (car, np.log(sums + spec.b_rho)[event_row], lg_car,
+                         prior_constant(spec.a_rho, spec.b_rho))
+            log_d = np.log(lengths + spec.b)[time_row]
+            out[:, 0::2] = marginal_cost(ca, log_d[:, :-1], lg_ca, prior, marks)
+            out[:, 1::2] = marginal_cost(ca, log_d[:, 1:], lg_ca, prior, marks)
         else:
-            sums = None if blk.sums is None else blk.sums[blk.event_row]
-            for half, length in zip(halves, blk.by_time(blk.lengths)):
-                half[...] = segment_cost(spec, counted[0], length, sums)
+            counts = (first[:, None] + np.arange(width)).astype(np.float64)
+            row_sums = sums[event_row] if spec.requires_marks else None
+            d = lengths[time_row]
+            out[:, 0::2] = segment_cost(spec, counts, d[:, :-1], row_sums)
+            out[:, 1::2] = segment_cost(spec, counts, d[:, 1:], row_sums)
+    f = out[:, c0 - 2 * q0:c0 - 2 * q0 + cols.size]
     # +inf where it can occur: each row is +inf up to its own column, and
     # for the marginal kinds one column further when its empty gap is
     # +inf, under forbid_empty or at zero length (segment_cost sets the
-    # likelihood kinds' +inf prices)
+    # likelihood kinds' +inf prices). Right of row i only the gap
+    # (tp_i, tp_{i+1}] can be empty, and only for even i.
     last = rows
     if spec.kind in MARGINAL_KINDS:
-        empty, zero_length = grid.empty_gaps(rows)
-        last = rows + (empty if spec.forbid_empty else zero_length)
+        inf_gap = rows % 2 == 0
+        if not spec.forbid_empty:
+            inf_gap &= grid.values[rows + 1] == grid.values[rows]
+        last = rows + inf_gap
     left = min(max(int(last.max()) - c0 + 1, 0), cols.size)
     f[:, :left][cols[:left] <= last[:, None]] = np.inf
     return f

@@ -12,15 +12,15 @@ endpoint is the "at" variant, otherwise it falls in the next segment.
 The parity encoding makes event counting O(1): index p lies right of
 exactly the first floor(p / 2) events and sits at the time of slot
 floor((p + 1) / 2), where slot 0 is time 0, slot m the m-th event and
-slot n + 1 time 1. ``CandidateGrid.stats`` and ``CandidateGrid.pairs``
-alone read counts, lengths and mark sums off grid indices.
+slot n + 1 time 1. ``CandidateGrid.stats`` reads counts, lengths and
+mark sums off grid indices; the solver's block pricer reads them off
+the slots (``slot_times`` and ``mark_prefix``).
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -153,45 +153,6 @@ class GridPoint:
     value: float
 
 
-class PairBlock(NamedTuple):
-    """The segments (tp_i, tp_j], i in rows, c0 <= j < c1, read off
-    slots by ``CandidateGrid.pairs``.
-
-    Columns 2q and 2q + 1 lie right of the same q events and sit at the
-    times of slots q and q + 1. Widened to ``width`` column pairs from
-    q0 on, the block's even and odd columns are (rows, width) arrays:
-    entry [r, k] of half s is the segment from row r to column
-    2 (q0 + k) + s. Its count, ``first[r] + k``, is read off
-    ``CandidateGrid.count_rows``, its length is ``by_time(lengths)[s]``
-    and its mark sum ``sums[event_row][r, k]``; ``lengths`` has a row
-    per distinct time of the rows and ``sums`` a row per distinct event
-    slot (None when unmarked). Each value equals the one
-    ``CandidateGrid.stats`` gives, bit for bit.
-    """
-
-    q0: int
-    width: int
-    skip: int
-    size: int
-    first: np.ndarray
-    time_row: np.ndarray
-    lengths: np.ndarray
-    event_row: np.ndarray | None
-    sums: np.ndarray | None
-
-    def by_time(self, per_time: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of ``per_time`` (one row per distinct time, width + 1
-        slots) at the even and at the odd columns."""
-        per_row = per_time[self.time_row]
-        return per_row[:, :-1], per_row[:, 1:]
-
-    def empty(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """A new block as its columns c0 .. c1 - 1 and as its even and odd
-        widened columns, views of one array."""
-        out = np.empty((self.first.size, 2 * self.width))
-        return out[:, self.skip:self.skip + self.size], (out[:, 0::2], out[:, 1::2])
-
-
 class CandidateGrid:
     """The 2n + 2 grid positions induced by an event series."""
 
@@ -205,7 +166,9 @@ class CandidateGrid:
         # number of interior candidate positions, indices 1 .. size
         self.size = 2 * n
         self.mark_prefix = events.mark_prefix
-        self._count_tables: dict = {}
+        # tables over the segment count, one per prior shift, that the
+        # solver's block pricer builds on first use
+        self.count_tables: dict = {}
 
     @property
     def last_index(self) -> int:
@@ -221,64 +184,6 @@ class CandidateGrid:
         if self.mark_prefix is None:
             return counts, lengths, None
         return counts, lengths, self.mark_prefix[ev_hi] - self.mark_prefix[ev_lo]
-
-    def pairs(self, rows, c0: int, c1: int) -> PairBlock:
-        """The segments (tp_i, tp_j] for i in ``rows`` and c0 <= j < c1,
-        read off slots: a length per distinct (time, time) pair and a
-        count and mark sum per distinct (event, event) pair."""
-        q0, q1 = c0 // 2, (c1 + 1) // 2
-        events, times = rows // 2, (rows + 1) // 2
-        row_times, time_row = _distinct(times)
-        lengths = self.slot_times[q0:q1 + 1] - self.slot_times[row_times][:, None]
-        event_row = sums = None
-        if self.mark_prefix is not None:
-            row_events, event_row = _distinct(events)
-            sums = self.mark_prefix[q0:q1] - self.mark_prefix[row_events][:, None]
-        return PairBlock(q0, q1 - q0, c0 - 2 * q0, c1 - c0, q0 - events,
-                         time_row, lengths, event_row, sums)
-
-    def count_rows(self, key, parts, blk: PairBlock) -> list[np.ndarray]:
-        """Tables over the segment count, read at the counts of ``blk``.
-
-        ``parts(counts)`` gives a list of arrays over float counts. It
-        runs once per ``key`` on the counts -n .. 2n, a negative count
-        (left of the diagonal) read as 0, and the grid keeps its tables.
-        Returns each part as (rows, width), at the counts of ``blk``'s
-        column pairs.
-        """
-        windows = self._count_tables.get(key)
-        if windows is None:
-            n = self.n
-            counts = np.maximum(np.arange(-n, 2 * n + 1), 0).astype(np.float64)
-            # window c holds counts c - n .. c; np.ndarray on the buffer
-            # costs less than sliding_window_view on a small series
-            windows = self._count_tables[key] = [
-                np.ndarray((2 * n + 1, n + 1), t.dtype, t, 0, 2 * t.strides)
-                for t in parts(counts)]
-        at = self.n + blk.first
-        return [w[:, :blk.width][at] for w in windows]
-
-    def empty_gaps(self, rows):
-        """Whether the segment (tp_i, tp_{i+1}] of each row holds no event,
-        and whether it also has zero length.
-
-        Right of row i, only that segment can be empty, and only for even
-        i: the gap up to the next event. Rows run up to 2n.
-        """
-        empty = rows % 2 == 0
-        return empty, empty & (self.values[rows + 1] == self.values[rows])
-
-
-def _distinct(slots):
-    """The distinct values of ``slots`` and where each entry sits among them.
-
-    Slots that fill their span, as a block of consecutive rows gives,
-    skip the sort of ``np.unique``.
-    """
-    lo, hi = int(slots.min()), int(slots.max())
-    if hi - lo < slots.size:
-        return np.arange(lo, hi + 1), slots - lo
-    return np.unique(slots, return_inverse=True)
 
 
 def build_grid(events) -> CandidateGrid:

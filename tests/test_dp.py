@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from ppseg import (
     ContrastSpec,
@@ -22,6 +23,7 @@ from ppseg import (
     brute_force,
     build_grid,
     contrast,
+    default_spec,
     enumerate_count_vectors,
     segment_cost,
     segment_stats,
@@ -40,6 +42,7 @@ from ppseg.dp import (
     build_cost_matrix,
     solve_bytes,
 )
+from ppseg.simulate import alternating_intensity, simulate_marked
 
 from helpers import (
     dense_cost_matrix,
@@ -636,3 +639,71 @@ def test_time_reversal_mirrors_the_optimum(seed):
                 assert abs(contrast(grid, spec, flipped) - res.contrast) <= tol, (spec.kind, res.k)
                 ties += 1
     assert mirrored >= 3 * ties
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mark_scale_shifts_every_contrast_by_n_log_c(seed):
+    # Marks x 1024 scale b_rho = mean mark x (a_rho - 1) exactly, so under
+    # default_spec each segment's cost moves by its count x log 1024 and
+    # every K keeps its change-points. At n = 430 to 490 the optima cut
+    # past the kept rows, so the reconstruction prices rows again. The
+    # logs of the scaled sums round differently: contrasts agree within
+    # 4 ulps per segment of the summed magnitudes of the formula's terms,
+    # and a draw whose optimum ties within that tolerance may move.
+    series = simulate_marked(alternating_intensity(450.0, 3.0, 0.1, 0.005), seed=seed)
+    scaled = EventSeries(series.times, series.marks * 1024.0)
+    base, scaled_base = default_spec(series), default_spec(scaled)
+    assert scaled_base.b_rho == 1024.0 * base.b_rho
+    grid = build_grid(series)
+    shift = series.n * math.log(1024.0)
+    eps = np.finfo(float).eps
+    same = moved = 0
+    past_kept = False
+    for forbid_empty in (False, True):
+        spec = replace(base, forbid_empty=forbid_empty)
+        scaled_spec = replace(scaled_base, forbid_empty=forbid_empty)
+        for res, big in zip(solve(grid, spec, 12), solve(scaled, scaled_spec, 12)):
+            c, d, s = segment_stats(grid, res.indices)
+            terms = ((c + spec.a) * np.abs(np.log(d + spec.b)) + gammaln(c + spec.a)
+                     + (c + spec.a_rho) * np.abs(np.log(1024.0 * s + scaled_spec.b_rho))
+                     + gammaln(c + spec.a_rho))
+            tol = 4 * res.k * eps * float(np.sum(terms))
+            assert abs(big.contrast - shift - res.contrast) <= tol, (forbid_empty, res.k)
+            past_kept |= any(p >= _KEEP for p in res.indices)
+            if big.indices == res.indices:
+                same += 1
+            else:
+                assert abs(contrast(grid, spec, big.indices) - res.contrast) <= tol
+                moved += 1
+    assert past_kept
+    assert same >= 3 * moved
+
+
+@pytest.mark.parametrize("kind, tables", [("poisson_gamma", 1), ("marked_pgeg", 2)])
+def test_one_solve_builds_each_count_table_once(monkeypatch, kind, tables):
+    # the sweep prices 19 blocks of the 601 rows, yet c + a and
+    # lgamma(c + a) come from one table per prior shift, over the 3n + 1
+    # counts -n .. 2n, kept on the grid for its next solve
+    built, priced = [], []
+
+    def counting_gammaln(x):
+        built.append(x.size)
+        return gammaln(x)
+
+    def counting_pricer(grid, spec, rows, cols):
+        priced.append(rows.size)
+        return build_cost_matrix(grid, spec, rows, cols)
+
+    monkeypatch.setattr(dp, "gammaln", counting_gammaln)
+    monkeypatch.setattr(dp, "build_cost_matrix", counting_pricer)
+    rng = np.random.default_rng(21)
+    n = 300
+    series = EventSeries(np.sort(rng.uniform(0.01, 0.99, n)), rng.exponential(1.0, n))
+    grid = build_grid(series)
+    spec = replace(default_spec(series, kind), forbid_empty=True)
+    solve(grid, spec, 12)
+    assert len(priced) >= 19
+    assert built == [3 * n + 1] * tables
+    built.clear()
+    solve(grid, spec, 12)
+    assert built == []

@@ -519,6 +519,18 @@ def test_cli_error_paths(tmp_path, capsys):
     assert captured.out == ""
     assert "--kmax, --replicates, --fraction, --seed only apply" in captured.err
 
+    # the likelihood kinds have no prior: the shape would reach the
+    # document's "a:" line and change nothing else
+    fixed_k = ["segment", str(events), "--window", "0", "1", "--k", "3", "-o", "-"]
+    for kind, shape in (("poisson", "5"), ("marked_poisson", "-5")):
+        assert _run([*fixed_k, "--contrast", kind, "--prior-shape", shape]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("--prior-shape only applies to the marginal contrasts poisson_gamma and "
+                f"marked_pgeg, not {kind!r}") in captured.err
+    assert _run([*fixed_k, "--contrast", "poisson_gamma", "--prior-shape", "5"]) == 0
+    assert "\na: 5.0\n" in capsys.readouterr().out
+
 
 @pytest.mark.parametrize("edit, named", [
     (lambda text: re.sub(r"^k_hat: .*\n", "", text, flags=re.M), "no 'k_hat' line"),

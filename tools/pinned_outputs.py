@@ -1,6 +1,6 @@
 """Hash the outputs that every change to ppseg must leave byte-identical.
 
-Runs twenty-five ``ppseg`` commands against the ``src/`` of this checkout, in a
+Runs twenty-six ``ppseg`` commands against the ``src/`` of this checkout, in a
 temporary directory, and prints one ``label sha256`` line per output:
 
     python3 tools/pinned_outputs.py
@@ -29,9 +29,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SIMULATE_PLAIN = ["simulate", "--design", "100,8", "--seed", "1"]
 SIMULATE_MARKED = ["simulate", "--design", "100,8", "--marks", "0.1,0.005", "--seed", "1"]
-# about 1,000 events: the only pinned series whose solves price rows past
-# the 512 kept ones and refit on many cost blocks
+# about 1,000 events, unmarked and marked: the only pinned series whose
+# solves price rows past the 512 kept ones and refit on many cost blocks
 SIMULATE_N1000 = ["simulate", "--design", "1000,3", "--seed", "1"]
+SIMULATE_N1000_MARKED = ["simulate", "--design", "1000,3", "--marks", "0.1,0.005",
+                         "--seed", "1"]
 K6_MARKED = ["segment", "marked.txt", "--window", "0", "1", "--k", "6"]
 
 # the input files the pinned commands read, made in this order by the
@@ -41,6 +43,7 @@ INPUTS = (
     ("marked.txt", SIMULATE_MARKED),
     ("k6.txt", K6_MARKED),
     ("n1000.txt", SIMULATE_N1000),
+    ("n1000-marked.txt", SIMULATE_N1000_MARKED),
 )
 
 # A marked events table on (0, 10) with 13 tied neighbours, written as is.
@@ -82,8 +85,9 @@ COMMANDS = (
     *((f"segment-tied-k6-{kind}",
        ["segment", "tied.txt", *TIED_WINDOW, "--k", "6", "--contrast", kind])
       for kind in ("poisson", "marked_pgeg")),
-    ("segment-n1000-unit", ["segment", "n1000.txt", "--window", "0", "1",
-                            "--seed", "0", "--replicates", "3"]),
+    *((f"segment-{name}-unit", ["segment", f"{name}.txt", "--window", "0", "1",
+                                "--seed", "0", "--replicates", "3"])
+      for name in ("n1000", "n1000-marked")),
 )
 
 
