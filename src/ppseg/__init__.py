@@ -30,11 +30,10 @@ from .metrics import hausdorff, l2_distance
 from .model import (
     EventSeries,
     PiecewiseIntensity,
-    Segmentation,
     build_grid,
     intensity_from_breaks,
     segment_stats,
-    segmentation_from_indices,
+    segmentation_from_indices,  # importable from here, but not public
 )
 from .selection import CvConfig, CvCurve, FitResult, cross_validate, fit, refit
 from .simulate import alternating_intensity, simulate_events, simulate_marked
@@ -50,7 +49,6 @@ __all__ = [
     "KINDS",
     "PiecewiseIntensity",
     "ResultDocument",
-    "Segmentation",
     "SolveResult",
     "alternating_intensity",
     "brute_force",
@@ -69,7 +67,6 @@ __all__ = [
     "render_result",
     "segment_cost",
     "segment_stats",
-    "segmentation_from_indices",
     "simulate_events",
     "simulate_marked",
     "solve",

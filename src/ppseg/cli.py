@@ -32,7 +32,7 @@ from .io import (
     render_table,
 )
 from .metrics import hausdorff, l2_distance, true_change_values
-from .model import intensity_from_breaks
+from .model import intensity_from_breaks, side_of
 from .selection import CvConfig, cross_validate, fit, refit
 from .simulate import alternating_intensity, simulate_events, simulate_marked
 
@@ -77,17 +77,18 @@ def _parse_design(text: str):
 
 def _make_document(source, data, result, kmax, cfg) -> ResultDocument:
     """The result document of a fit; ``cfg`` is None when K was fixed."""
-    spec, seg, curve = result.spec, result.segmentation, result.curve
+    spec, curve = result.spec, result.curve
     cv_rows = ()
     if curve is not None:
         cv_rows = tuple(zip(curve.ks, curve.means, curve.stderrs, curve.counts))
     change_points = tuple(
-        (p.index, p.side, p.value, t) for p, t in zip(seg.change_points, result.change_point_times)
+        (p, side_of(p), u, t)
+        for p, u, t in zip(result.indices, result.change_point_values, result.change_point_times)
     )
     segments = tuple(
         (i + 1, result.counts[i], result.rates[i], result.rates[i] / data.width,
          None if result.mark_rates is None else result.mark_rates[i])
-        for i in range(seg.k)
+        for i in range(result.k_hat)
     )
     return ResultDocument(
         command="segment",
@@ -170,7 +171,7 @@ def _cmd_segment(args) -> int:
     if args.k is not None:
         if args.k < 1:
             raise ValueError("--k must be at least 1")
-        a = CvConfig.prior_shape if args.prior_shape is None else args.prior_shape
+        a = CvConfig(**_given(args, ("prior_shape",))).prior_shape
         spec = default_spec(data, kind=args.contrast, a=a)
         cfg, kmax = None, args.k
         result = refit(data, spec, kmax, args.k)

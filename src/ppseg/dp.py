@@ -7,13 +7,14 @@ one dynamic-programming suffix table in a single bottom-up sweep over
 blocks of rows of the segment prices: each block is priced where the
 sweep uses it, on its upper triangle only, and then dropped. Only the
 rows of the first grid positions are kept for the reconstruction, which
-prices any other row it needs again, bit for bit. The sweep stops at
-S[Kmax - 1]; row 0 of S[Kmax], the only entry of it anything reads,
-comes from kept row 0. That takes O((2n)^2 Kmax) time and
+prices any other row it needs again, bit for bit. The sweep fills
+S[1 .. Kmax - 1] and, from kept row 0, row 0 of S[Kmax], the one entry
+of it anything reads. That takes O((2n)^2 Kmax) time and
 O(n (Kmax + kept rows + block rows)) memory; no (2n + 2)^2 matrix is
 ever held. It returns, for every segment count K up to Kmax, the
-optimal segmentation and its contrast. ``brute_force`` enumerates every
-candidate subset and is the independent oracle for small instances.
+optimum's change-point indices and its contrast. ``brute_force``
+enumerates every candidate subset and is the independent oracle for
+small instances.
 
 Ties are broken toward the lexicographically smallest change-point
 index vector. The solver achieves this with a suffix table: the first
@@ -198,17 +199,21 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
 
     S[r, i] is the optimal cost of splitting (tp_i, 1] into r segments.
     Row i reads S[r - 1] only right of i, so each block of rows is
-    priced, finishes every r and is dropped before the block above it
-    starts; ``keep[i, j]`` holds the price of (tp_i, tp_j] for the first
-    _KEEP positions i and every j <= 2n. Row 2n has no segment left to
-    split, so S stays +inf there from r = 2 on. At kmax = 0 nothing is
-    priced.
+    priced, finishes every r < kmax and is dropped before the block
+    above it starts; ``keep[i, j]`` holds the price of (tp_i, tp_j] for
+    the first _KEEP positions i and every j <= 2n. Row 2n has no segment
+    left to split, so S stays +inf there from r = 2 on. Of S[kmax] only
+    row 0, the optimum over the whole series, is read; it is summed from
+    kept row 0 as a sweep would, and the rest stays +inf. At kmax = 1
+    only (tp_0, 1] is priced and no row is kept.
     """
     A = grid.size
-    idx = np.arange(A + 2)
     S = np.full((kmax + 1, A + 1), np.inf)
-    if kmax == 0:
+    if kmax == 1:
+        S[1, 0] = build_cost_matrix(grid, spec, np.zeros(1, dtype=np.intp),
+                                    np.array([grid.last_index]))[0, 0]
         return S, np.empty((0, A + 1))
+    idx = np.arange(A + 2)
     keep = np.empty((min(_KEEP, A + 1), A + 1))
     w = np.empty((min(_BLOCK, A + 1), A))
     for lo in reversed(range(0, A + 1, _BLOCK)):
@@ -222,29 +227,11 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
         if lo == A:
             continue  # a block of row 2n alone has no column to reduce
         wb = w[:hi - lo, :A - lo]
-        for r in range(2, kmax + 1):
+        for r in range(2, kmax):
             np.add(m, S[r - 1, lo + 1:], out=wb)
             S[r, lo:hi] = wb.min(axis=1)
+    S[kmax, 0] = np.min(keep[0] + S[kmax - 1])
     return S, keep
-
-
-def _suffix_table(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
-    """The suffix table to S[kmax] and the kept cost rows.
-
-    Nothing reads S[kmax] past row 0, the optimum over the whole series,
-    so the sweep stops at S[kmax - 1] and row 0 of S[kmax] is taken
-    from kept row 0, the same sums as a sweep would add. At kmax = 1
-    that prices the one segment (tp_0, 1].
-    """
-    suffix, keep = _sweep(grid, spec, kmax - 1)
-    top = np.full((1, suffix.shape[1]), np.inf)
-    if kmax == 1:
-        whole = build_cost_matrix(grid, spec, np.zeros(1, dtype=np.intp),
-                                  np.array([grid.last_index]))
-        top[0, 0] = whole[0, 0]
-    else:
-        top[0, 0] = np.min(keep[0] + suffix[kmax - 1])
-    return np.vstack((suffix, top)), keep
 
 
 @dataclass(eq=False)
@@ -354,7 +341,7 @@ def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:
             f"solve at n = {grid.n} events needs about {need / 2**30:.1f} GiB for its "
             f"suffix table and cost rows, more than the {have / 2**30:.1f} GiB of physical memory"
         )
-    suffix, keep = _suffix_table(grid, spec, kmax)
+    suffix, keep = _sweep(grid, spec, kmax)
     base_warn = (TIES_WARNING,) if grid.events.has_ties else ()
     feasible = range(1, min(kmax, grid.size + 1) + 1)
     finite = [k for k in feasible if suffix[k, 0] < np.inf]

@@ -53,6 +53,8 @@ def require_integer(name: str, value) -> None:
 
 def _validated_window(window) -> tuple[float, float]:
     w0, w1 = float(window[0]), float(window[1])
+    if not np.isfinite(w1 - w0):
+        raise ValueError("window bounds and width must be finite")
     if not w1 > w0:
         raise ValueError("window must satisfy t_min < t_max")
     return w0, w1
@@ -140,12 +142,16 @@ class EventSeries:
         return cls((raw - w0) / (w1 - w0), marks, window=(w0, w1))
 
 
+def side_of(index: int) -> str:
+    """Where grid index ``index`` sits: "before" its event when odd, "at" it when even."""
+    return BEFORE if index % 2 else AT
+
+
 @dataclass(frozen=True)
 class GridPoint:
     """One candidate change-point position.
 
-    ``side`` is "before" for odd indices (just left of an event) and
-    "at" for even ones (the event time itself).
+    ``side`` is ``side_of(index)``.
     """
 
     index: int
@@ -238,8 +244,7 @@ def segmentation_from_indices(grid: CandidateGrid, indices) -> Segmentation:
     counts, lengths, _ = segment_stats(grid, cuts)
     if np.any((counts == 0) & (lengths == 0.0)):
         raise ValueError("segmentation contains an empty zero-length segment")
-    points = tuple(GridPoint(int(p), BEFORE if p % 2 else AT, float(grid.values[p]))
-                   for p in cuts)
+    points = tuple(GridPoint(int(p), side_of(p), float(grid.values[p])) for p in cuts)
     return Segmentation(len(points) + 1, points)
 
 

@@ -50,14 +50,7 @@ from .contrasts import (
     segment_rates,
 )
 from .dp import TIES_WARNING, solve
-from .model import (
-    EventSeries,
-    Segmentation,
-    build_grid,
-    intensity_from_breaks,
-    require_integer,
-    segment_stats,
-)
+from .model import EventSeries, build_grid, intensity_from_breaks, require_integer, segment_stats
 
 MIN_DEFINED_FRACTION = 0.5  # share of replicates in which a K must be scored
 
@@ -265,20 +258,21 @@ def cross_validate(data, config: CvConfig | None = None) -> CvCurve:
 class FitResult:
     """Fitted model with rate estimates, posterior means for marginal kinds.
 
-    ``spec`` is the contrast of the full-data fit and ``counts`` the
-    events per segment. Rates are per unit normalized time; divide by
-    the window width for original-scale rates. Under ``marked_pgeg``
-    ``mark_rates`` are the posterior means (a_rho + c) / (b_rho + S) of
-    segments with c events and mark sum S, while cross-validation scores
-    test marks with the rate (a_rho + c - 1) / (b_rho + S), the inverse
-    posterior mean of the mean mark. ``contrast_by_k`` maps each feasible
-    K to its optimal full-data contrast. ``curve`` is the cross-validation
-    curve that chose K, or None when K was fixed.
+    ``spec`` is the contrast of the full-data fit, ``indices`` the
+    change-points' interior grid indices and ``counts`` the events per
+    segment. Rates are per unit normalized time; divide by the window
+    width for original-scale rates. Under ``marked_pgeg`` ``mark_rates``
+    are the posterior means (a_rho + c) / (b_rho + S) of segments with c
+    events and mark sum S, while cross-validation scores test marks with
+    the rate (a_rho + c - 1) / (b_rho + S), the inverse posterior mean of
+    the mean mark. ``contrast_by_k`` maps each feasible K to its optimal
+    full-data contrast. ``curve`` is the cross-validation curve that
+    chose K, or None when K was fixed.
     """
 
     k_hat: int
     spec: ContrastSpec
-    segmentation: Segmentation
+    indices: tuple[int, ...]
     counts: tuple[int, ...]
     change_point_values: tuple[float, ...]
     change_point_times: tuple[float, ...]
@@ -316,20 +310,21 @@ def refit(data, spec: ContrastSpec, kmax: int, k: int, curve: CvCurve | None = N
     final = results[k - 1]
     if not final.feasible:
         raise ValueError(f"K = {k} exceeds the candidate grid of this series")
-    seg = final.segmentation
-    if seg is None:
+    if final.indices is None:
         raise ValueError(f"no admissible segmentation with K = {k}")
-    counts, lengths, sums = segment_stats(grid, seg.indices)
+    # a finite optimum holds no empty zero-length segment: every kind prices one +inf
+    counts, lengths, sums = segment_stats(grid, final.indices)
+    values = grid.values[np.array(final.indices, dtype=np.intp)]
     rates, mark_rates = segment_rates(spec, counts, lengths, sums)
     contrast_by_k = {res.k: float(res.contrast) for res in results if res.feasible}
     cv_warnings = () if curve is None else curve.warnings
     return FitResult(
         k_hat=k,
         spec=spec,
-        segmentation=seg,
+        indices=final.indices,
         counts=tuple(int(c) for c in counts),
-        change_point_values=tuple(float(v) for v in seg.values),
-        change_point_times=tuple(float(v) for v in data.to_original(np.asarray(seg.values))),
+        change_point_values=tuple(float(v) for v in values),
+        change_point_times=tuple(float(v) for v in data.to_original(values)),
         rates=tuple(float(r) for r in rates),
         mark_rates=None if mark_rates is None else tuple(float(r) for r in mark_rates),
         contrast=float(final.contrast),

@@ -338,11 +338,13 @@ def test_dp_tables_invariants():
     assert np.array_equal(suffix[1], cost[:, A + 1])
     assert np.all(np.isposinf(suffix[0]))
     for k in range(2, 5):
-        for j in range(A + 1):
+        # S[4], the top row, is filled at row 0 only
+        for j in range(A + 1 if k < 4 else 1):
             want = np.min(
                 [cost[j, l] + suffix[k - 1][l] for l in range(A + 1)]
             )
             assert suffix[k, j] == want
+    assert np.all(np.isposinf(suffix[4, 1:]))
 
 
 @pytest.mark.parametrize("n", [63, 64, 127, 128, 255, 256])
@@ -365,7 +367,11 @@ def test_blocked_tables_equal_the_dense_construction(n):
                     dense = dense_cost_matrix(grid, spec)
                     assert keep.shape == (min(2 * n + 1, _KEEP), 2 * n + 1)
                     assert np.array_equal(keep, dense[1:keep.shape[0] + 1, :-1]), spec
-                    assert np.array_equal(suffix, dense_suffix_table(dense, 12)), spec
+                    # S[1 .. 11] on every row, and the top row S[12] at row 0 only
+                    want = dense_suffix_table(dense, 12)
+                    assert np.array_equal(suffix[:12], want[:12]), spec
+                    assert suffix[12, 0] == want[12, 0], spec
+                    assert np.all(np.isposinf(suffix[12, 1:])), spec
 
 
 @pytest.mark.parametrize("kind", ["poisson_gamma", "marked_pgeg"])

@@ -532,6 +532,67 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "\na: 5.0\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("shape", ["-5", "0", "nan", "inf"])
+def test_cli_prior_shape_is_refused_alike_with_and_without_k(tmp_path, capsys, shape):
+    # CvConfig checks the shape on both paths, so neither names the
+    # contrast's internal hyper-parameter a
+    events = tmp_path / "events.csv"
+    assert _run(["simulate", "--design", "100,8", "--seed", "1", "-o", str(events)]) == 0
+    for command in (["segment", str(events), "--k", "3"], ["cv-curve", str(events)]):
+        assert _run([*command, "--prior-shape", shape, "-o", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "prior_shape must be finite and positive" in captured.err
+
+
+@pytest.mark.parametrize("window", [["0", "inf"], ["nan", "1"]])
+def test_cli_refuses_a_window_with_a_non_finite_bound(tmp_path, capsys, window):
+    events = tmp_path / "events.csv"
+    events.write_text(render_events([0.2, 0.5, 0.7]))
+    assert _run(["segment", str(events), "--window", *window, "--k", "2", "-o", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "window bounds and width must be finite" in captured.err
+
+
+@pytest.mark.parametrize("k", [-3, 10, 40])
+def test_cli_dyadic_window_scales_only_the_original_columns(tmp_path, k):
+    # a window (0, 2^k) normalizes every time exactly, so the document
+    # equals the unit-window one line by line, apart from its source and
+    # window and the original-scale columns, which scale exactly
+    scale = 2.0 ** k
+    unit = tmp_path / "unit.csv"
+    assert _run(["simulate", "--design", "100,8", "--marks", "0.1,0.005", "--seed", "1",
+                 "-o", str(unit)]) == 0
+    times, marks = read_events_file(unit)
+    scaled = tmp_path / "scaled.csv"
+    rows = zip((times * scale).tolist(), marks.tolist())
+    scaled.write_text("time,mark\n" + "".join(f"{t!r},{m!r}\n" for t, m in rows))
+    docs = []
+    for events, width in ((unit, "1"), (scaled, repr(scale))):
+        out = tmp_path / f"{events.stem}.txt"
+        assert _run(["segment", str(events), "--window", "0", width, "--seed", "0",
+                     "--replicates", "20", "-o", str(out)]) == 0
+        docs.append(out.read_text().splitlines())
+    assert len(docs[0]) == len(docs[1])
+    section, scaled_rows = None, 0
+    for a, b in zip(*docs):
+        if a.startswith("["):
+            section = a
+        if a.startswith(("source:", "window:")):
+            continue
+        if section in ("[change_points]", "[segments]") and a[:1].isdigit():
+            # the fourth column is on the original scale: a time, or a rate
+            fa, fb = a.split(), b.split()
+            factor = scale if section == "[change_points]" else 1.0 / scale
+            assert fa[:3] + fa[4:] == fb[:3] + fb[4:]
+            assert float(fb[3]) == float(fa[3]) * factor
+            scaled_rows += 1
+        else:
+            assert a == b
+    assert scaled_rows >= 7  # at least two segments and their change-point
+
+
 @pytest.mark.parametrize("edit, named", [
     (lambda text: re.sub(r"^k_hat: .*\n", "", text, flags=re.M), "no 'k_hat' line"),
     (lambda text: text.replace("[segments]\n", ""), "no [segments] section"),

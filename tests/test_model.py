@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from ppseg import (
     EventSeries,
     PiecewiseIntensity,
-    Segmentation,
     build_grid,
     intensity_from_breaks,
     segment_stats,
-    segmentation_from_indices,
 )
-from ppseg.model import AT, BEFORE
+from ppseg.model import AT, BEFORE, Segmentation, segmentation_from_indices
 
 
 def _count(grid, p_lo, p_hi):
@@ -101,6 +99,15 @@ def test_window_must_be_increasing():
         EventSeries(np.array([0.5]), window=(2.0, 2.0))
     with pytest.raises(ValueError, match="t_min < t_max"):
         EventSeries.from_window([0.5], window=(3.0, 1.0))
+
+
+@pytest.mark.parametrize("window", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0),
+                                    (-1e308, 1e308)])
+def test_window_bounds_and_width_must_be_finite(window):
+    with pytest.raises(ValueError, match="window bounds and width must be finite"):
+        EventSeries(np.array([0.5]), window=window)
+    with pytest.raises(ValueError, match="window bounds and width must be finite"):
+        EventSeries.from_window([0.5], window=window)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -310,7 +310,7 @@ def test_fit_constant_rate_selects_one_segment():
     assert data.n == 60
     result = fit(data, CvConfig(replicates=40, kmax=8, seed=0))
     assert result.k_hat == 1
-    assert result.segmentation.indices == ()
+    assert result.indices == ()
     assert result.change_point_values == ()
     # posterior mean with a = 1, b = 1/n over the whole interval
     assert result.rates == ((data.n + 1.0) / (1.0 + 1.0 / data.n),)

@@ -1,6 +1,6 @@
 """Hash the outputs that every change to ppseg must leave byte-identical.
 
-Runs twenty-six ``ppseg`` commands against the ``src/`` of this checkout, in a
+Runs twenty-eight ``ppseg`` commands against the ``src/`` of this checkout, in a
 temporary directory, and prints one ``label sha256`` line per output:
 
     python3 tools/pinned_outputs.py
@@ -88,6 +88,11 @@ COMMANDS = (
     *((f"segment-{name}-unit", ["segment", f"{name}.txt", "--window", "0", "1",
                                 "--seed", "0", "--replicates", "3"])
       for name in ("n1000", "n1000-marked")),
+    # the solver's two special sizes: at Kmax 1 it prices one segment, and
+    # at Kmax 2 its sweep fills S[1] alone and takes S[2, 0] from kept row 0
+    *((f"segment-n1000-marked-k{k}",
+       ["segment", "n1000-marked.txt", "--window", "0", "1", "--k", str(k)])
+      for k in (1, 2)),
 )
 
 
