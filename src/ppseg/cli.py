@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -249,6 +250,14 @@ def _add_cv_options(p: argparse.ArgumentParser) -> None:
                         f"(default {CvConfig.prior_shape})")
 
 
+# Every spelling float() reads of a negative number. argparse takes a
+# token that starts with "-" for an option unless its parser's pattern
+# for negative numbers matches it, and before Python 3.13 that pattern
+# misses exponents, inf and nan, so "--window -1e3 1" found one value.
+_NEGATIVE_NUMBER = re.compile(r"-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$",
+                              re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ppseg",
@@ -320,6 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "(as --means, but marked-table takes none)")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=_cmd_bench)
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

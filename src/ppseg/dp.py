@@ -5,12 +5,14 @@ Optimal change-points of a concave per-segment cost always sit on the
 vectors reduces to a discrete shortest-path problem. ``solve`` fills
 one dynamic-programming suffix table in a single bottom-up sweep over
 blocks of rows of the segment prices: each block is priced where the
-sweep uses it, on its upper triangle only, and then dropped. Only the
-rows of the first grid positions are kept for the reconstruction, which
-prices any other row it needs again, bit for bit. The sweep fills
-S[1 .. Kmax - 1] and, from kept row 0, row 0 of S[Kmax], the one entry
-of it anything reads. That takes O((2n)^2 Kmax) time and
-O(n (Kmax + kept rows + block rows)) memory; no (2n + 2)^2 matrix is
+sweep uses it, on its upper triangle only and in column chunks of a
+fixed width, and then dropped. Only the rows of the first grid
+positions that fit a fixed byte budget are kept for the
+reconstruction, which prices any other row it needs again, bit for
+bit. The sweep fills S[1 .. Kmax - 1] and, from row 0 of the top
+block, row 0 of S[Kmax], the one entry of it anything reads. That
+takes O((2n)^2 Kmax) time and O(n Kmax) memory beyond two constants,
+the kept rows and one chunk's work arrays; no (2n + 2)^2 matrix is
 ever held. It returns, for every segment count K up to Kmax, the
 optimum's change-point indices and its contrast. ``brute_force``
 enumerates every candidate subset and is the independent oracle for
@@ -84,20 +86,44 @@ TIES_WARNING = "event times contain ties"
 # n = 788 and Kmax = 12, against none once warm with 32 rows.
 _BLOCK = 32
 
-# Cost rows of the first _KEEP grid positions stay in memory for the
-# reconstruction, which then never prices a row again on series of up to
-# 255 events. Rows further right are priced again when a step needs them.
-_KEEP = 512
+# Bytes of cost rows kept for the reconstruction: the rows of the first
+# grid positions, in whole blocks, up to 2 MiB, which is 512 rows of 512
+# entries. A grid of up to 511 positions (n <= 255) keeps every row and
+# never prices one again; at n = 985 the first 128 rows are kept. Rows
+# further right are priced again when a reconstruction step needs them.
+_KEPT_BYTES = 2 * 2**20
 
-# Peak bytes per entry of one block (_BLOCK rows by up to 2n + 1
-# columns) that ``solve`` allocates besides the kept cost rows and the
-# suffix table: the block, the rows of the count tables and logs, the
-# formula's temporaries for one half of the columns and the work array
-# of the suffix DP. A reconstruction step prices up to Kmax rows the
-# same way. The tracemalloc peak beyond those two tables, at Kmax 12 and
-# n = 80 to 2933, is 61 to 62 bytes per block entry for ``marked_pgeg``,
-# 52 to 54 for ``marked_poisson`` and 43 to 47 for the unmarked kinds.
+# Columns per priced chunk of a block. The sweep prices a block in chunks
+# of up to _CHUNK columns, right to left, so its work arrays stop growing
+# with n once 2n + 1 exceeds it. It must be at least _BLOCK: the leftmost
+# chunk then holds every column inside the block, whose suffix entries
+# the block itself finishes before the next layer reads them. Wider
+# chunks outgrow what glibc's malloc keeps between them once the kept
+# rows are small: at 4,096 columns a solve at n = 2933 took 61,000 page
+# faults, against 900 at 2,048.
+_CHUNK = 2048
+
+# Peak bytes per entry of one priced chunk (_BLOCK rows by up to _CHUNK
+# columns) that ``solve`` allocates besides its tables: the chunk, the
+# rows of the count tables and logs, the formula's temporaries for one
+# half of the columns and the work array of the suffix DP. A
+# reconstruction step prices up to Kmax rows the same way. The
+# tracemalloc peak beyond the tables, at Kmax 12 and n = 80 to 2933, is
+# 61 to 62 bytes per chunk entry for ``marked_pgeg``, 52 to 54 for
+# ``marked_poisson`` and 43 to 47 for the unmarked kinds.
 _BYTES_PER_BLOCK_ENTRY = 72
+
+# Peak bytes per entry of the up to Kmax - 1 full cost rows a
+# reconstruction step gathers: the rows, their sum with the suffix
+# table, one more while the chosen pieces are folded on, and the mask of
+# the entries equal to the optimum.
+_BYTES_PER_ROW_ENTRY = 32
+
+
+def _kept_rows(size: int) -> int:
+    """How many of a grid's ``size`` cost rows, each ``size`` entries
+    long, fit _KEPT_BYTES in whole blocks."""
+    return min(size, _KEPT_BYTES // (8 * size) // _BLOCK * _BLOCK)
 
 
 def _distinct(slots):
@@ -200,12 +226,16 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
     S[r, i] is the optimal cost of splitting (tp_i, 1] into r segments.
     Row i reads S[r - 1] only right of i, so each block of rows is
     priced, finishes every r < kmax and is dropped before the block
-    above it starts; ``keep[i, j]`` holds the price of (tp_i, tp_j] for
-    the first _KEEP positions i and every j <= 2n. Row 2n has no segment
-    left to split, so S stays +inf there from r = 2 on. Of S[kmax] only
-    row 0, the optimum over the whole series, is read; it is summed from
-    kept row 0 as a sweep would, and the rest stays +inf. At kmax = 1
-    only (tp_0, 1] is priced and no row is kept.
+    above it starts. A block is priced in chunks of columns, right to
+    left; each chunk lowers the block's entries of S[r] to its row
+    minima, and the last column, the segment to 1, gives S[1]. Only the
+    leftmost chunk reads entries of S[r - 1] inside the block, and it
+    does so after they are finished. ``keep[i, j]`` holds the price of
+    (tp_i, tp_j] for the first ``_kept_rows`` positions i and every
+    j <= 2n. Row 2n has no segment left to split, so S stays +inf there
+    from r = 2 on. Of S[kmax] only row 0, the optimum over the whole
+    series, is read; the top block sums it, and the rest stays +inf. At
+    kmax = 1 only (tp_0, 1] is priced and no row is kept.
     """
     A = grid.size
     S = np.full((kmax + 1, A + 1), np.inf)
@@ -214,23 +244,37 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
                                     np.array([grid.last_index]))[0, 0]
         return S, np.empty((0, A + 1))
     idx = np.arange(A + 2)
-    keep = np.empty((min(_KEEP, A + 1), A + 1))
-    w = np.empty((min(_BLOCK, A + 1), A))
+    keep = np.empty((_kept_rows(A + 1), A + 1))
+    w = np.empty((_BLOCK, min(_CHUNK, A)))
     for lo in reversed(range(0, A + 1, _BLOCK)):
         hi = min(lo + _BLOCK, A + 1)
-        f = build_cost_matrix(grid, spec, idx[lo:hi], idx[lo + 1:])
-        S[1, lo:hi] = f[:, -1]
-        m = f[:, :-1]  # m[i - lo, l - lo - 1] prices (tp_i, tp_l] for l <= 2n
-        if lo < _KEEP:
+        kept = lo < keep.shape[0]
+        if kept:
             keep[lo:hi, :lo + 1] = np.inf
-            keep[lo:hi, lo + 1:] = m
-        if lo == A:
-            continue  # a block of row 2n alone has no column to reduce
-        wb = w[:hi - lo, :A - lo]
-        for r in range(2, kmax):
-            np.add(m, S[r - 1, lo + 1:], out=wb)
-            S[r, lo:hi] = wb.min(axis=1)
-    S[kmax, 0] = np.min(keep[0] + S[kmax - 1])
+        for c0 in reversed(range(lo + 1, A + 2, _CHUNK)):
+            c1 = min(c0 + _CHUNK, A + 2)
+            m = build_cost_matrix(grid, spec, idx[lo:hi], idx[c0:c1])
+            first = c1 == A + 2  # the chunk priced first sets the minima
+            if first:
+                S[1, lo:hi] = m[:, -1]
+                m, c1 = m[:, :-1], A + 1  # m[i - lo, l - c0] prices (tp_i, tp_l]
+                if c1 == c0:
+                    continue  # a chunk of the last column alone has none to reduce
+            if kept:
+                keep[lo:hi, c0:c1] = m
+            wb = w[:hi - lo, :c1 - c0]
+            for r in range(2, kmax):
+                np.add(m, S[r - 1, c0:c1], out=wb)
+                low = wb.min(axis=1)
+                S[r, lo:hi] = low if first else np.minimum(S[r, lo:hi], low)
+            if lo == 0:
+                low = np.min(m[0] + S[kmax - 1, c0:c1])
+                S[kmax, 0] = low if first else min(S[kmax, 0], low)
+            # dropped before the next chunk is priced: with two chunks alive,
+            # glibc's malloc gave the heap top back to the system and faulted
+            # it in again, about 970 page faults per solve at n = 772 against
+            # 80 without
+            del m
     return S, keep
 
 
@@ -271,15 +315,19 @@ SolveResult.segmentation = property(_segmentation)
 def _cost_rows(grid: CandidateGrid, spec: ContrastSpec, keep: np.ndarray,
                rows: np.ndarray) -> np.ndarray:
     """Prices of (tp_i, tp_j] for i in ``rows`` and every j <= 2n: kept rows
-    are read, the others priced again."""
+    are read, the others priced again in column chunks."""
     far = rows >= keep.shape[0]
     if not far.any():
         return keep[rows]
     m = np.empty((rows.size, keep.shape[1]))
     m[~far] = keep[rows[~far]]
-    lo = int(rows[far].min())  # every column up to lo is left of the diagonal
+    # the K of a step often share a candidate row: each is priced once
+    again, at = np.unique(rows[far], return_inverse=True)
+    lo = int(again[0])  # every column up to lo is left of the diagonal
     m[far, :lo + 1] = np.inf
-    m[far, lo + 1:] = build_cost_matrix(grid, spec, rows[far], np.arange(lo + 1, keep.shape[1]))
+    for c0 in range(lo + 1, keep.shape[1], _CHUNK):
+        cols = np.arange(c0, min(c0 + _CHUNK, keep.shape[1]))
+        m[far, c0:c0 + cols.size] = build_cost_matrix(grid, spec, again, cols)[at]
     return m
 
 
@@ -314,12 +362,13 @@ def _reconstruct(grid: CandidateGrid, spec: ContrastSpec, keep: np.ndarray,
 def solve_bytes(n: int, kmax: int) -> int:
     """Upper estimate of the memory ``solve`` allocates for n events.
 
-    The suffix table, the kept cost rows and one block's working set
-    during the sweep, or the rows a reconstruction step gathers.
+    The suffix table, the kept cost rows, the rows a reconstruction step
+    gathers, and one priced chunk's working set: a block's during the
+    sweep, or a reconstruction step's.
     """
     side = 2 * n + 2
-    tables = 8 * (kmax + 1 + min(_KEEP, side)) * side
-    return tables + _BYTES_PER_BLOCK_ENTRY * max(_BLOCK, kmax) * side
+    tables = 8 * (kmax + 1) * side + _KEPT_BYTES + _BYTES_PER_ROW_ENTRY * kmax * side
+    return tables + _BYTES_PER_BLOCK_ENTRY * max(_BLOCK, kmax) * min(_CHUNK, side)
 
 
 def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:
@@ -351,7 +400,9 @@ def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:
         if k not in feasible:
             results.append(SolveResult(k, False, None, None, base_warn))
         elif k not in cuts:
-            # only reachable when ties make every candidate degenerate
+            # every candidate prices +inf: under forbid_empty once K exceeds
+            # the event count, as three untied events at K = 4 to 7 show, or
+            # where ties leave each candidate a zero-length segment at +inf
             results.append(SolveResult(k, True, None, np.inf,
                                        base_warn + ("no admissible segmentation",)))
         else:

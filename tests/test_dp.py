@@ -34,9 +34,9 @@ from ppseg import (
 from ppseg import dp
 from ppseg.contrasts import KINDS
 from ppseg.dp import (
-    _KEEP,
     TIES_WARNING,
     _cost_rows,
+    _kept_rows,
     _reconstruct,
     _sweep,
     build_cost_matrix,
@@ -192,8 +192,9 @@ def test_all_k_reconstruction_equals_one_k_at_a_time(data, spec, forbid_empty, k
 
 
 def test_all_k_reconstruction_across_the_row_block():
-    # 2n + 1 = 601 cost rows: the optima cut past the 512 kept rows, so
-    # the reconstruction prices some of its candidate rows again
+    # 2n + 1 = 601 cost rows, of which 416 fit the kept bytes: the optima
+    # cut past them, so the reconstruction prices some of its candidate
+    # rows again
     rng = np.random.default_rng(4)
     times = np.sort(np.concatenate([rng.uniform(0.01, 0.5, 100), rng.uniform(0.7, 0.99, 200)]))
     times[41] = times[40]
@@ -207,7 +208,7 @@ def test_all_k_reconstruction_across_the_row_block():
             assert len(ks) == 12
             cuts = _reconstruct(grid, spec, keep, suffix, ks)
             assert cuts == {k: tuple(reconstruct_one(cost, suffix, k)) for k in ks}, spec
-            assert max(c[-2] for c in cuts.values() if len(c) >= 2) >= _KEEP, spec
+            assert max(c[-2] for c in cuts.values() if len(c) >= 2) >= len(keep), spec
 
 
 def test_segmentation_is_built_on_first_read_from_the_indices():
@@ -351,7 +352,8 @@ def test_dp_tables_invariants():
 def test_blocked_tables_equal_the_dense_construction(n):
     # the 2n + 1 cost rows fall just below or just above a multiple of
     # the 32-row block, where the top block holds row 2n alone, and for
-    # n = 255, 256 just below or above the 512 kept rows
+    # n = 255, 256 just below or above the grid whose rows all fit the
+    # kept bytes (511 of 511 rows, then 480 of 513)
     rng = np.random.default_rng(n)
     times = np.sort(rng.uniform(0.01, 0.99, n))
     marks = rng.exponential(1.0, n)
@@ -365,7 +367,7 @@ def test_blocked_tables_equal_the_dense_construction(n):
                     spec = replace(base, forbid_empty=forbid_empty)
                     suffix, keep = _sweep(grid, spec, 12)
                     dense = dense_cost_matrix(grid, spec)
-                    assert keep.shape == (min(2 * n + 1, _KEEP), 2 * n + 1)
+                    assert keep.shape == (2 * n + 1 if n <= 255 else 480, 2 * n + 1)
                     assert np.array_equal(keep, dense[1:keep.shape[0] + 1, :-1]), spec
                     # S[1 .. 11] on every row, and the top row S[12] at row 0 only
                     want = dense_suffix_table(dense, 12)
@@ -390,9 +392,39 @@ def test_rows_priced_again_equal_the_block_built_rows(kind):
     one_by_one = np.vstack([_cost_rows(grid, spec, none_kept, rows[i:i + 1]) for i in rows])
     together = _cost_rows(grid, spec, none_kept, rows)
     assert np.array_equal(one_by_one, together)
-    assert np.array_equal(together[:_KEEP], keep)
+    assert len(keep) == _kept_rows(grid.size + 1) == 416
+    assert np.array_equal(together[:len(keep)], keep)
     assert np.array_equal(together, dense_cost_matrix(grid, spec)[1:, :-1])
 
+
+
+@pytest.mark.parametrize("width", [32, 34, 100])
+def test_chunked_pricing_equals_one_chunk(monkeypatch, width):
+    # 2n + 1 = 201 columns in chunks of 32 or more columns, the least the
+    # sweep allows; at width 34 the block at row 64 and at width 100 the
+    # top block end on a chunk of the last column alone
+    rng = np.random.default_rng(31)
+    n = 100
+    times = np.sort(rng.uniform(0.01, 0.99, n))
+    tied = times.copy()
+    tied[40:43] = tied[40]
+    marks = rng.exponential(1.0, n)
+    rows = np.array([200, 0, 7, 7, 64, 199, 1, 136])
+    for t in (times, tied):
+        grid = build_grid(EventSeries(t, marks))
+        for kind in KINDS:
+            for forbid_empty in (False, True):
+                spec = replace(default_spec(grid.events, kind), forbid_empty=forbid_empty)
+                for kmax in (2, 12):
+                    whole, keep = _sweep(grid, spec, kmax)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(dp, "_CHUNK", width)
+                        chunked, chunked_keep = _sweep(grid, spec, kmax)
+                        again = _cost_rows(grid, spec, keep[:0], rows)
+                    assert np.array_equal(chunked, whole), (spec, kmax)
+                    assert np.array_equal(chunked_keep, keep), (spec, kmax)
+                    assert np.array_equal(again, _cost_rows(grid, spec, keep[:0], rows)), spec
+                    assert np.array_equal(again, keep[rows]), spec
 
 def _assert_block_is_dense(grid, spec, rows, cols):
     rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
@@ -499,6 +531,23 @@ def test_no_admissible_segmentation_under_ties():
     assert ref.contrast == np.inf and ref.segmentation is None
 
 
+
+def test_no_admissible_segmentation_without_ties():
+    # under forbid_empty every segment must hold one of the three events,
+    # so K = 4 to 7 are feasible on the 7-position grid but admit none
+    series = EventSeries(np.array([0.2, 0.5, 0.8]))
+    assert not series.has_ties
+    for kind in ("poisson", "poisson_gamma"):
+        spec = replace(default_spec(series, kind), forbid_empty=True)
+        results = solve(series, spec, 7)
+        for res in results[:3]:
+            assert np.isfinite(res.contrast) and res.warnings == ()
+        for res in results[3:]:
+            assert res.feasible and res.indices is None and res.contrast == np.inf
+            assert res.warnings == ("no admissible segmentation",)
+            ref = brute_force(series, spec, res.k)
+            assert ref.contrast == np.inf and ref.indices is None
+
 def test_forbidding_empty_segments_keeps_solver_exact():
     # every segment of a restricted optimum holds an event, K above n is
     # inadmissible, and the solver still equals the exhaustive search
@@ -593,9 +642,9 @@ def test_contrast_prices_grid_segments():
 
 
 def test_solve_refuses_series_beyond_physical_memory(monkeypatch):
-    # the estimate is about 14 GiB, more than the 1 GiB this host is made
-    # to report; the guard fires before any table is allocated
-    pages = {"SC_PHYS_PAGES": 2**18, "SC_PAGE_SIZE": 2**12}
+    # the estimate is about 0.2 GiB, more than the 64 MiB this host is
+    # made to report; the guard fires before any table is allocated
+    pages = {"SC_PHYS_PAGES": 2**14, "SC_PAGE_SIZE": 2**12}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     series = EventSeries(np.linspace(0.1, 0.9, 10**6))
     with pytest.raises(ValueError, match=r"n = 1000000 events needs about \d+\.\d GiB"):
@@ -603,19 +652,25 @@ def test_solve_refuses_series_beyond_physical_memory(monkeypatch):
 
 
 @pytest.mark.parametrize("marked", [False, True])
-def test_memory_estimate_bounds_the_traced_peak(marked):
+def test_memory_estimate_bounds_the_traced_peak(monkeypatch, marked):
+    # at n = 300, 416 of the 601 cost rows fit the kept bytes; at
+    # n = 1000, 128 of 2001 rows do and the blocks are priced in chunks of
+    # 256 columns, so the estimate counts a chunk's work arrays, not a
+    # whole block's, and the traced peak must stay below it
     rng = np.random.default_rng(2)
-    n, kmax = 300, 12
-    times = np.sort(rng.uniform(0.01, 0.99, n))
-    series = EventSeries(times, rng.exponential(1.0, n) if marked else None)
-    for spec in spec_variants(marked):
-        tracemalloc.start()
-        try:
-            solve(series, spec, kmax)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= solve_bytes(n, kmax), (spec.kind, peak)
+    kmax = 12
+    for n, chunk in ((300, dp._CHUNK), (1000, 256)):
+        monkeypatch.setattr(dp, "_CHUNK", chunk)
+        times = np.sort(rng.uniform(0.01, 0.99, n))
+        series = EventSeries(times, rng.exponential(1.0, n) if marked else None)
+        for spec in spec_variants(marked):
+            tracemalloc.start()
+            try:
+                solve(series, spec, kmax)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= solve_bytes(n, kmax), (n, spec.kind, peak)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -675,7 +730,7 @@ def test_mark_scale_shifts_every_contrast_by_n_log_c(seed):
                      + gammaln(c + spec.a_rho))
             tol = 4 * res.k * eps * float(np.sum(terms))
             assert abs(big.contrast - shift - res.contrast) <= tol, (forbid_empty, res.k)
-            past_kept |= any(p >= _KEEP for p in res.indices)
+            past_kept |= any(p >= _kept_rows(grid.size + 1) for p in res.indices)
             if big.indices == res.indices:
                 same += 1
             else:

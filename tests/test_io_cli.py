@@ -483,6 +483,26 @@ def test_cross_validated_segment_rejects_another_contrast(tmp_path, capsys):
     assert "contrast: poisson_gamma" in capsys.readouterr().out
 
 
+
+@pytest.mark.parametrize("command", [["segment", "--k", "2"],
+                                     ["cv-curve", "--replicates", "3", "--kmax", "3"]])
+def test_cli_window_takes_any_float_spelling(tmp_path, capsys, command):
+    # a negative bound in exponent form, or -inf, is a value, not an option
+    events = tmp_path / "events.csv"
+    assert _run(["simulate", "--design", "40,2", "--seed", "0", "-o", str(events)]) == 0
+    name, *flags = command
+    outputs = []
+    for low in ("-1000", "-1e3", "-1.E+3", "-.1e4"):
+        out = tmp_path / f"{low}.txt"
+        assert _run([name, str(events), "--window", low, "1", *flags, "-o", str(out)]) == 0
+        outputs.append(out.read_text())
+    assert outputs[1:] == outputs[:1] * 3
+    for low in ("-inf", "-Infinity", "-nan"):
+        assert _run([name, str(events), "--window", low, "1", *flags, "-o", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "window bounds and width must be finite" in captured.err
+
 def test_cli_error_paths(tmp_path, capsys):
     events = tmp_path / "events.csv"
     empty = tmp_path / "empty.csv"
