@@ -27,7 +27,8 @@ Every function accepts scalars or numpy arrays of matching shape. The
 marginal formula is written once, in ``marginal_cost``, over its parts
 (c + a, log(d + b), lgamma(c + a) and the prior constant): scalar
 evaluations and the solver's cost blocks, which build the parts from
-tables, both go through it and get the same bits.
+tables, both go through it and get the same bits. lgamma is
+``special.gammaln``, a port of the routine scipy runs, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .model import as_grid, segment_stats
+from .special import gammaln
 
 KINDS = ("poisson", "poisson_gamma", "marked_poisson", "marked_pgeg")
 MARKED_KINDS = ("marked_poisson", "marked_pgeg")

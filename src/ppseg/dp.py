@@ -37,7 +37,8 @@ A block is priced from event-level tables, not entry by entry, which
 same time, so it prices a block as its even and its odd columns, takes
 log(d + b) once per distinct pair of times (about a quarter of the
 entries) and log(s + b_rho) once per pair of events, and reads c + a
-and lgamma(c + a) off count tables kept on the grid per prior shift.
+and lgamma(c + a) off count tables kept on the grid per prior shift,
+whose lgamma values ``special.gammaln_counts`` memoises across grids.
 The parts go through the formula ``segment_cost`` uses, in the same
 order, so every price keeps its bits.
 
@@ -57,7 +58,6 @@ from dataclasses import InitVar, dataclass, field
 from math import comb
 
 import numpy as np
-from scipy.special import gammaln
 
 from .contrasts import (
     MARGINAL_KINDS,
@@ -75,6 +75,7 @@ from .model import (
     require_integer,
     segmentation_from_indices,
 )
+from .special import gammaln_counts
 
 TIES_WARNING = "event times contain ties"
 
@@ -142,16 +143,17 @@ def _count_rows(grid: CandidateGrid, shift: float, first: np.ndarray, width: int
     """c + shift and lgamma(c + shift) at the counts c = first[r] + k,
     k < width: row windows of two tables over the counts -n .. 2n (a
     negative count, left of the diagonal, read as 0) built once per grid
-    and shift."""
+    and shift. lgamma comes from the memo of the 2n + 1 distinct counts."""
     tables = grid.count_tables.get(shift)
     if tables is None:
         n = grid.n
         cs = np.maximum(np.arange(-n, 2 * n + 1), 0).astype(np.float64) + shift
+        lg = gammaln_counts(shift, 2 * n + 1)
+        lgs = np.concatenate((np.full(n, lg[0]), lg))
         # window w holds counts w - n .. w; np.ndarray on the buffer costs
         # less than sliding_window_view on a small series
         tables = grid.count_tables[shift] = [
-            np.ndarray((2 * n + 1, n + 1), t.dtype, t, 0, 2 * t.strides)
-            for t in (cs, gammaln(cs))]
+            np.ndarray((2 * n + 1, n + 1), t.dtype, t, 0, 2 * t.strides) for t in (cs, lgs)]
     at = grid.n + first
     return [t[:, :width][at] for t in tables]
 

@@ -102,29 +102,33 @@ def thin(data, fraction: float, rng: np.random.Generator):
     return data.select(keep), data.select(~keep)
 
 
-def _test_pieces(spec, ratio: float, counts, lengths, test_counts):
+def _test_pieces(a, b, ratio: float, counts, lengths, test_counts):
     """Negated log predictive of the test counts given the learned fit,
     one entry per segment of positive length.
 
     Each segment of length L updates the prior share Gamma(a L, b L) by
     its learning count; the test rate is ``ratio`` times the learning
-    rate. Zero-length segments hold no test event and get no entry.
+    rate. ``b`` is one rate or one per segment. Zero-length segments hold
+    no test event and get no entry.
     """
     keep = lengths > 0.0
     d = lengths[keep]
-    shape = spec.a * d + counts[keep]
-    rate = d * (1.0 + spec.b) / ratio
+    shape = a * d + counts[keep]
+    rate = d * (1.0 + np.broadcast_to(b, lengths.shape)[keep]) / ratio
     return poisson_gamma_cost(test_counts[keep], d, shape, rate)
 
 
-def _mark_pieces(spec, counts, mark_sums, test_counts, test_sums):
+def _mark_pieces(a_rho, b_rho, counts, mark_sums, test_counts, test_sums):
     """Negated exponential log-likelihood of the test marks, per segment.
 
     The mark rate is the reciprocal of the posterior mean of the mean
-    mark under the Gamma(a_rho, b_rho) rate prior.
+    mark under the Gamma(a_rho, b_rho) rate prior; ``b_rho`` is one rate
+    or one per segment. Marks hundreds of decades apart can overflow the
+    product to +inf, which makes that K's mean score +inf.
     """
-    rho = posterior_mean_rate(counts, mark_sums, spec.a_rho - 1.0, spec.b_rho)
-    return rho * test_sums - test_counts * np.log(rho)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = posterior_mean_rate(counts, mark_sums, a_rho - 1.0, b_rho)
+        return rho * test_sums - test_counts * np.log(rho)
 
 
 def _run_sums(values: np.ndarray, ends) -> list[float]:
@@ -133,26 +137,39 @@ def _run_sums(values: np.ndarray, ends) -> list[float]:
     return [float(np.sum(values[a:b])) for a, b in zip([0, *ends[:-1]], ends)]
 
 
-def _scores(spec, ratio: float, grid, test: EventSeries, cuts) -> list[float]:
-    """Test score of the segmentation of ``grid`` at each change-point
-    index tuple in ``cuts``, all priced in one pass.
-
-    A tuple's score sums its own pieces only, the same elements in the
-    same order as when it is scored alone, so no score depends on the
-    other tuples of the pass.
-    """
+def _segments(spec, grid, test: EventSeries, cuts):
+    """Per-segment inputs of the test score of the segmentation of
+    ``grid`` at each change-point index tuple in ``cuts``, the tuples'
+    segments one after another: learning counts, lengths and mark sums,
+    test counts and mark sums, and the replicate's b and b_rho."""
     lo = np.array([p for c in cuts for p in (0, *c)], dtype=np.intp)
     hi = np.array([p for c in cuts for p in (*c, grid.last_index)], dtype=np.intp)
-    ends = np.cumsum([len(c) + 1 for c in cuts], dtype=np.intp)  # segments through each tuple
     counts, lengths, sums = grid.stats(lo, hi)
     # test events at or before each grid position, counted per segment like grid.stats
     pos = np.searchsorted(test.times, grid.values, side="right")
-    test_counts = pos[hi] - pos[lo]
-    gamma = _test_pieces(spec, ratio, counts, lengths, test_counts)
-    scores = _run_sums(gamma, np.cumsum(lengths > 0.0)[ends - 1])
+    test_sums = None
     if test.mark_prefix is not None:
         pref = test.mark_prefix[pos]
-        marks = _mark_pieces(spec, counts, sums, test_counts, pref[hi] - pref[lo])
+        test_sums = pref[hi] - pref[lo]
+    return (counts, lengths, sums, pos[hi] - pos[lo], test_sums,
+            np.full(lo.size, spec.b), np.full(lo.size, spec.b_rho))
+
+
+def _scores(a: float, a_rho: float, ratio: float, segments, sizes) -> list[float]:
+    """Test score of each segmentation whose ``sizes[i]`` segments are
+    the next ones of ``segments`` (``_segments``' arrays, joined), all
+    priced in one pass.
+
+    A segmentation's score sums its own pieces only, the same elements in
+    the same order as when it is scored alone, so no score depends on the
+    others of the pass.
+    """
+    counts, lengths, sums, test_counts, test_sums, b, b_rho = segments
+    ends = np.cumsum(sizes, dtype=np.intp)  # segments through each segmentation
+    gamma = _test_pieces(a, b, ratio, counts, lengths, test_counts)
+    scores = _run_sums(gamma, np.cumsum(lengths > 0.0)[ends - 1])
+    if test_sums is not None:
+        marks = _mark_pieces(a_rho, b_rho, counts, sums, test_counts, test_sums)
         scores = [score + mark for score, mark in zip(scores, _run_sums(marks, ends))]
     return scores
 
@@ -204,20 +221,20 @@ def cross_validate(data, config: CvConfig | None = None) -> CvCurve:
     """Average test contrasts over thinning replicates for K = 1..kmax.
 
     Each replicate solves the learning set once for every K, reading
-    only each optimum's change-point indices, and scores every K in one
-    pass over the concatenated segments; a K's score sums its own pieces
-    in the order it would alone, so the curve does not depend on the
-    batching. A K with no admissible learning-set segmentation is not
-    scored in that replicate.
+    only each optimum's change-point indices. Every K of every replicate
+    is then scored in one pass over the concatenated segments; a K's
+    score sums its own pieces in the order it would alone, so the curve
+    does not depend on the batching. A K with no admissible learning-set
+    segmentation is not scored in that replicate.
     """
     cfg = config if config is not None else CvConfig()
     if data.n == 0:
         raise ValueError("cross-validation needs at least one event")
     m_total, kmax = cfg.replicates, cfg.kmax
-    ratio = (1.0 - cfg.fraction) / cfg.fraction
     gammas = np.full((m_total, kmax), np.nan)
     streams = np.random.SeedSequence(cfg.seed).spawn(m_total)
     empty_learning = 0
+    at, segments, sizes = [], [], []  # (replicate, K - 1), inputs and size of each score
     for m in range(m_total):
         rng = np.random.default_rng(streams[m])
         learn, test = thin(data, cfg.fraction, rng)
@@ -227,18 +244,28 @@ def cross_validate(data, config: CvConfig | None = None) -> CvCurve:
         spec = replace(default_spec(learn, a=cfg.prior_shape), forbid_empty=True)
         grid = build_grid(learn)
         scored = [res for res in solve(grid, spec, kmax) if res.indices is not None]
-        gammas[m, [res.k - 1 for res in scored]] = _scores(
-            spec, ratio, grid, test, [res.indices for res in scored])
+        at += [(m, res.k - 1) for res in scored]
+        sizes += [len(res.indices) + 1 for res in scored]
+        segments.append(_segments(spec, grid, test, [res.indices for res in scored]))
+    if at:
+        # a and a_rho are the same in every replicate; b and b_rho go per segment
+        joined = [None if parts[0] is None else np.concatenate(parts)
+                  for parts in zip(*segments)]
+        ratio = (1.0 - cfg.fraction) / cfg.fraction
+        gammas[tuple(np.array(at).T)] = _scores(spec.a, spec.a_rho, ratio, joined, sizes)
     defined = ~np.isnan(gammas)
     counts_k = defined.sum(axis=0)
     means = np.full(kmax, np.nan)
     stderrs = np.zeros(kmax)
-    for j in range(kmax):
-        col = gammas[defined[:, j], j]
-        if col.size:
-            means[j] = np.mean(col)
-        if col.size >= 2:
-            stderrs[j] = _stderr(col)
+    # scores near 1e308 overflow a mean to +inf, and a +inf score leaves
+    # its stderr nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(kmax):
+            col = gammas[defined[:, j], j]
+            if col.size:
+                means[j] = np.mean(col)
+            if col.size >= 2:
+                stderrs[j] = _stderr(col)
     warnings = ()
     if data.has_ties:
         warnings += (TIES_WARNING,)

@@ -1,0 +1,188 @@
+"""log Gamma, bit for bit the routine that ``scipy.special.gammaln`` runs.
+
+That routine is Cephes' ``lgam`` (S. L. Moshier, *Methods and Programs
+for Mathematical Functions*, 1989). This is a port of it, operation for
+operation and in the same order, so that it returns the same bits
+without loading scipy. Its branches:
+
+- x < 13: the argument is multiplied down into [2, 3), or divided up
+  while fl(x + p) < 2, and a rational function finishes it there;
+  below -34 the reflection formula takes over;
+- 13 <= x < 1000: Stirling's series with the polynomial A in 1 / x^2;
+- 1000 <= x <= 1e8: the series' first three terms;
+- 1e8 < x: Stirling's leading terms alone;
+- x > 2.556348e305: +inf; nan and +-inf pass through.
+
+Each log is ``math.log``, the C library's log that the compiled routine
+calls. numpy's own vectorized log may round differently (numpy 2.4 on
+an AVX-512 machine did on 87 of 600,000 uniform draws from (0, 1000)),
+so the array path takes every log per element. Its arithmetic is numpy's, which rounds every +, -, *
+and / as C does.
+
+``gammaln`` caches scalars by value. ``gammaln_counts`` memoises
+lgamma(c + shift) over the counts c = 0, 1, ... of the solver's count
+tables, for a few shifts: every cross-validation replicate of a fit
+prices its blocks at the same prior shapes.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+
+import numpy as np
+
+_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+      -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+      -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+# the leading coefficient 1 is implied
+_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+      -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_LOGPI = 1.14472988584940017414
+_MAXLGM = 2.556348e305
+
+
+def _polevl(x, coef):
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x, coef):
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _stirling(x, log_x):
+    """Every branch from 13 up to _MAXLGM, for x and its log."""
+    q = (x - 0.5) * log_x - x + _LS2PI
+    p = 1.0 / (x * x)
+    series = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+              + 0.0833333333333333333333) / x
+    return q, q + _polevl(p, _A) / x, q + series
+
+
+def _rational(x, p):
+    """The x < 13 finish, after the loops left fl(x + p) in [2, 3)."""
+    p = p - 2.0
+    x = x + p
+    return x * _polevl(x, _B) / _p1evl(x, _C)
+
+
+@lru_cache(maxsize=256)
+def _lgam(x: float) -> float:
+    if not math.isfinite(x):
+        return x
+    if x < -34.0:
+        q = -x
+        w = _lgam(q)
+        p = math.floor(q)
+        if p == q:
+            return math.inf
+        z = q - p
+        if z > 0.5:
+            p += 1.0
+            z = p - q
+        z = q * math.sin(math.pi * z)
+        if z == 0.0:
+            return math.inf
+        return _LOGPI - math.log(z) - w
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            if u == 0.0:
+                return math.inf
+            z /= u
+            p += 1.0
+            u = x + p
+        z = abs(z)
+        if u == 2.0:
+            return math.log(z)
+        return math.log(z) + _rational(x, p)
+    if x > _MAXLGM:
+        return math.inf
+    q, mid, large = _stirling(x, math.log(x))
+    return q if x > 1e8 else large if x >= 1000.0 else mid
+
+
+def _logs(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
+
+
+def _lgam_array(x: np.ndarray) -> np.ndarray:
+    out = x.copy()  # nan and +-inf pass through
+    # a z that overflows, or is divided by a singular u = 0, goes on to +inf
+    with np.errstate(all="ignore"):
+        small = np.flatnonzero((x >= -34.0) & (x < 13.0))
+        if small.size:
+            # whole-array steps: an entry whose loop has ended keeps its p,
+            # so it gets its u again and its z back
+            xs = x[small]
+            z, p, u = np.ones_like(xs), np.zeros_like(xs), xs
+            while (down := u >= 3.0).any():
+                p -= down
+                u = xs + p
+                z = np.where(down, z * u, z)
+            while (up := u < 2.0).any():
+                z = np.where(up, z / u, z)
+                p += up
+                u = xs + p
+            log_z = _logs(np.abs(z))
+            out[small] = np.where(u == 2.0, log_z, log_z + _rational(xs, p))
+        big = np.flatnonzero((x >= 13.0) & (x <= _MAXLGM))
+        if big.size:
+            xb = x[big]
+            q, mid, large = _stirling(xb, _logs(xb))
+            out[big] = np.where(xb > 1e8, q, np.where(xb >= 1000.0, large, mid))
+    out[x > _MAXLGM] = np.inf
+    for i in np.flatnonzero(x < -34.0).tolist():
+        out[i] = _lgam(float(x[i]))
+    return out
+
+
+def gammaln(x):
+    """log |Gamma(x)|, with scipy.special.gammaln's bits, for a scalar
+    or an array of any shape."""
+    if isinstance(x, float) or np.ndim(x) == 0:  # np.float64 is a float
+        return np.float64(_lgam(float(x)))
+    a = np.asarray(x, dtype=np.float64)
+    # each distinct value once: the 7,700 pieces of one curve of the
+    # marked benchmark study hold 500 to 1,000 distinct values. No two
+    # nans are merged, so each passes through with its own bits.
+    values, at = np.unique(a.ravel(), return_inverse=True, equal_nan=False)
+    return _lgam_array(values)[at].reshape(a.shape)
+
+
+# shifts whose count memo is kept, the most recently grown last
+_MEMO_SHIFTS = 8
+_count_memo: dict[float, np.ndarray] = {}
+
+
+def gammaln_counts(shift: float, size: int) -> np.ndarray:
+    """lgamma(c + shift) for the counts c = 0 .. size - 1, read-only.
+
+    Each shift's memo grows to at least twice its length when it is too
+    short, evaluating lgamma at the new counts only. A grown array is
+    published whole, so a concurrent reader sees the old one or the new
+    one, never a part.
+    """
+    table = _count_memo.get(shift)
+    have = 0 if table is None else table.size
+    if have < size:
+        fresh = gammaln(np.arange(have, max(size, 2 * have), dtype=np.float64) + shift)
+        table = fresh if table is None else np.concatenate((table, fresh))
+        table.flags.writeable = False
+        _count_memo.pop(shift, None)
+        for old in list(_count_memo)[:max(0, len(_count_memo) - _MEMO_SHIFTS + 1)]:
+            _count_memo.pop(old, None)
+        _count_memo[shift] = table
+    return table[:size]

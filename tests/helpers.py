@@ -1,8 +1,9 @@
 """Scalar pure-python reference implementations for cross-checks.
 
-Everything here deliberately avoids numpy vectorization and scipy so
-that agreement with the library is evidence, not tautology. math.lgamma
-is an independent code path from scipy's gammaln. The oracles at the
+Everything here deliberately avoids numpy vectorization and ppseg's
+own lgamma so that agreement with the library is evidence, not
+tautology. math.lgamma is an independent code path from
+``ppseg.special.gammaln``. The oracles at the
 end are the exception: they check how the library batches its work, not
 its formulas. The dense cost matrix and suffix table check the solver's
 row blocking, and call the library's vectorized ``segment_cost`` on the

@@ -6,12 +6,13 @@ of slack for the library's different evaluation order.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import gammaln
 
 from ppseg import (
     ContrastSpec,
@@ -22,6 +23,7 @@ from ppseg import (
     segment_cost,
     segmentation_from_indices,
 )
+from ppseg import special
 from ppseg.contrasts import (
     KINDS,
     MARKED_KINDS,
@@ -29,6 +31,8 @@ from ppseg.contrasts import (
     poisson_gamma_cost,
     posterior_mean_rate,
 )
+from ppseg.dp import _count_rows
+from ppseg.special import gammaln, gammaln_counts
 
 from helpers import marked_loglik, naive_cost, poisson_loglik, spec_variants
 
@@ -87,6 +91,89 @@ def test_frozen_cost_values(compute, expected):
 def test_gammaln_against_reference_table():
     for x, expected in GAMMALN_TABLE:
         assert gammaln(x) == pytest.approx(expected, rel=1e-13, abs=1e-15)
+
+
+def _assert_scipy_bits(x):
+    """The port's scalar and array paths give scipy.special.gammaln's bits at x."""
+    scipy_special = pytest.importorskip("scipy.special")
+    x = np.asarray(x, dtype=np.float64)
+    want = scipy_special.gammaln(x).view(np.int64)
+    got = gammaln(x)
+    assert got.shape == x.shape
+    bad = got.view(np.int64) != want
+    assert not bad.any(), x[bad][:5].tolist()
+    scalars = np.array([gammaln(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    bad = scalars.view(np.int64) != want
+    assert not bad.any(), x[bad][:5].tolist()
+
+
+# where the routine changes branch or loop count, and the extremes
+BRANCH_EDGES = (*map(float, range(15)), 1000.0, 1e8, 2.556348e305, 5e-324,
+                2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.0, -0.5, -33.5, -34.0, -35.0, -100.25)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gammaln_keeps_scipy_bits_at_branch_edges():
+    # 1 - 2**-53 divides once, since fl(x + 1) = 2, though it lies below 1
+    near = [-0.0, math.inf, -math.inf, math.nan]
+    for edge in BRANCH_EDGES:
+        down = up = edge
+        for _ in range(16):
+            down, up = math.nextafter(down, -math.inf), math.nextafter(up, math.inf)
+            near += [down, up]
+    _assert_scipy_bits(np.array([*BRANCH_EDGES, *near]))
+    _assert_scipy_bits(np.array(BRANCH_EDGES).reshape(-1, 1))
+    assert 1.0 - 2.0**-53 in near
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("shift", [1.0, 2.01, 0.1, 10.0])
+def test_gammaln_keeps_scipy_bits_on_the_count_tables(monkeypatch, shift):
+    # the memo at 2n + 1 counts for n = 300, then grown for n = 3000, and
+    # the grid's windows over the counts -n .. 2n of a series of 300 events
+    scipy_special = pytest.importorskip("scipy.special")
+    monkeypatch.setattr(special, "_count_memo", {})
+    for n in (300, 3000):
+        want = scipy_special.gammaln(np.arange(2 * n + 1) + shift)
+        assert np.array_equal(gammaln_counts(shift, 2 * n + 1).view(np.int64),
+                              want.view(np.int64))
+    grid = build_grid(EventSeries(np.linspace(0.001, 0.999, 300)))
+    ca, lg = _count_rows(grid, shift, np.arange(-300, 301), 301)
+    assert np.array_equal(lg.view(np.int64), scipy_special.gammaln(ca).view(np.int64))
+
+
+def test_count_memo_is_whole_under_threads(monkeypatch):
+    # run_bench's threads share the memo: while some grow a shift's array,
+    # others must read either the old array or the new one, never a part.
+    # Twelve shifts overflow the memo's eight, so arrays are evicted and
+    # grown again throughout.
+    monkeypatch.setattr(special, "_count_memo", {})
+    shifts = [1.0 + 0.25 * i for i in range(12)]
+    want = [gammaln(np.arange(2000) + shift) for shift in shifts]
+
+    def reader(seed):
+        rng = np.random.default_rng(seed)
+        for i, size in zip(rng.integers(0, 12, 150).tolist(), rng.integers(1, 2000, 150).tolist()):
+            table = gammaln_counts(shifts[i], size)
+            assert np.array_equal(table.view(np.int64), want[i][:size].view(np.int64))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for future in [pool.submit(reader, seed) for seed in range(8)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(st.lists(st.floats(min_value=0.0, max_value=1.8e308, exclude_min=True)
+                | st.floats(max_value=1e-300, min_value=0.0, allow_subnormal=True)
+                | st.floats(), min_size=1, max_size=40))
+def test_gammaln_keeps_scipy_bits_on_any_float(xs):
+    _assert_scipy_bits(np.array(xs))
 
 
 def test_poisson_cost_edges():

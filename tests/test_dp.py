@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy.special import gammaln
 
 from ppseg import (
     ContrastSpec,
@@ -31,7 +30,7 @@ from ppseg import (
     upsilon_cardinality,
     upsilon_star_cardinality,
 )
-from ppseg import dp
+from ppseg import dp, special
 from ppseg.contrasts import KINDS
 from ppseg.dp import (
     TIES_WARNING,
@@ -43,6 +42,7 @@ from ppseg.dp import (
     solve_bytes,
 )
 from ppseg.simulate import alternating_intensity, simulate_marked
+from ppseg.special import gammaln
 
 from helpers import (
     dense_cost_matrix,
@@ -743,19 +743,26 @@ def test_mark_scale_shifts_every_contrast_by_n_log_c(seed):
 @pytest.mark.parametrize("kind, tables", [("poisson_gamma", 1), ("marked_pgeg", 2)])
 def test_one_solve_builds_each_count_table_once(monkeypatch, kind, tables):
     # the sweep prices 19 blocks of the 601 rows, yet c + a and
-    # lgamma(c + a) come from one table per prior shift, over the 3n + 1
-    # counts -n .. 2n, kept on the grid for its next solve
-    built, priced = [], []
+    # lgamma(c + a) come from one table per prior shift, kept on the grid
+    # for its next solve; lgamma itself is evaluated once per shift, over
+    # the 2n + 1 distinct counts, and memoised for other grids
+    evaluated, tabled, priced = [], [], []
 
     def counting_gammaln(x):
-        built.append(x.size)
+        evaluated.append(x.size)
         return gammaln(x)
+
+    def counting_counts(shift, size):
+        tabled.append(size)
+        return special.gammaln_counts(shift, size)
 
     def counting_pricer(grid, spec, rows, cols):
         priced.append(rows.size)
         return build_cost_matrix(grid, spec, rows, cols)
 
-    monkeypatch.setattr(dp, "gammaln", counting_gammaln)
+    monkeypatch.setattr(special, "_count_memo", {})
+    monkeypatch.setattr(special, "gammaln", counting_gammaln)
+    monkeypatch.setattr(dp, "gammaln_counts", counting_counts)
     monkeypatch.setattr(dp, "build_cost_matrix", counting_pricer)
     rng = np.random.default_rng(21)
     n = 300
@@ -764,7 +771,17 @@ def test_one_solve_builds_each_count_table_once(monkeypatch, kind, tables):
     spec = replace(default_spec(series, kind), forbid_empty=True)
     solve(grid, spec, 12)
     assert len(priced) >= 19
-    assert built == [3 * n + 1] * tables
-    built.clear()
+    assert tabled == [2 * n + 1] * tables
+    assert evaluated == [2 * n + 1] * tables
+    tabled.clear()
+    evaluated.clear()
     solve(grid, spec, 12)
-    assert built == []
+    assert tabled == evaluated == []
+    # a smaller grid at the same shifts reads the memo, and a larger one
+    # evaluates lgamma at the new counts alone, growing the memo at least
+    # twofold: from 601 counts to 1,202 for 801, then to 2,404 for 2,001
+    for m, grown in ((100, []), (400, [601] * tables), (1000, [1202] * tables)):
+        other = EventSeries(np.sort(rng.uniform(0.01, 0.99, m)), rng.exponential(1.0, m))
+        solve(other, replace(spec, forbid_empty=False), 2)
+        assert evaluated == grown, m
+        evaluated.clear()

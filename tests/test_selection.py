@@ -282,10 +282,10 @@ def test_test_score_is_the_length_share_predictive():
         shape, rate = 2.0 * d + c, d * 1.5 / ratio
         want += ((t + shape) * math.log(d + rate) - math.lgamma(t + shape)
                  + math.lgamma(shape) - shape * math.log(rate))
-    pieces = _test_pieces(spec, ratio, counts, lengths, test)
+    pieces = _test_pieces(spec.a, spec.b, ratio, counts, lengths, test)
     assert float(np.sum(pieces)) == pytest.approx(want, rel=1e-12)
     # a zero-length segment holds no test event and gets no piece
-    padded = _test_pieces(spec, ratio, np.array([3, 1, 2]), np.array([0.25, 0.75, 0.0]),
+    padded = _test_pieces(spec.a, spec.b, ratio, np.array([3, 1, 2]), np.array([0.25, 0.75, 0.0]),
                           np.array([1, 2, 0]))
     assert np.array_equal(padded, pieces)
 
