@@ -54,24 +54,25 @@ def prior_constant(a, b):
     return gammaln(a) - a * np.log(b)
 
 
-def marginal_cost(ca, log_db, lg_ca, prior, marks=None):
+def marginal_cost(ca, log_db, lg_ca, prior, marks=None, out=None):
     """The marginal cost from its parts, in one order of operations.
 
     (c + a) log(d + b) - lgamma(c + a) + prior, from ``ca`` = c + a,
     ``log_db`` = log(d + b), ``lg_ca`` = lgamma(c + a) and ``prior`` =
     ``prior_constant(a, b)``. For ``marked_pgeg``, ``marks`` holds the
-    same four parts of the marks, with a_rho, b_rho and the mark sum s;
-    their terms come before the prior constants. ``segment_cost`` and
-    the solver's block pricer both call it, each with the parts as
-    defined here, so both give the same bits. The parts are of matching
-    shape or broadcast to that of ``ca * log_db``, which holds the sum:
+    mark term (c + a_rho) log(s + b_rho), lgamma(c + a_rho) and
+    ``prior_constant(a_rho, b_rho)``, with the mark sum s; its terms come
+    before the prior constants. ``segment_cost`` and the solver's block
+    pricer both call it, each with the parts as defined here, so both
+    give the same bits. The parts are of matching shape or broadcast to
+    that of ``ca * log_db``, which holds the sum, in ``out`` when given:
     a block-sized temporary per term costs more than its arithmetic.
     """
-    out = ca * log_db
+    out = np.multiply(ca, log_db, out=out)
     out -= lg_ca
     if marks is not None:
-        car, log_sb, lg_car, prior_rho = marks
-        out += car * log_sb
+        mark_term, lg_car, prior_rho = marks
+        out += mark_term
         out -= lg_car
         out += prior
         out += prior_rho
@@ -185,7 +186,7 @@ def segment_cost(spec: ContrastSpec, count, length, mark_sum=None):
         else:
             ca, car = c + spec.a, c + spec.a_rho
             out = marginal_cost(ca, np.log(d + spec.b), gammaln(ca), prior_constant(spec.a, spec.b),
-                                (car, np.log(s + spec.b_rho), gammaln(car),
+                                (car * np.log(s + spec.b_rho), gammaln(car),
                                  prior_constant(spec.a_rho, spec.b_rho)))
     out = np.asarray(out)
     out[np.where(empty, True if spec.forbid_empty else zero_length, unbounded)] = np.inf

@@ -4,19 +4,19 @@ Optimal change-points of a concave per-segment cost always sit on the
 2n-point candidate grid, so minimizing over continuous change-point
 vectors reduces to a discrete shortest-path problem. ``solve`` fills
 one dynamic-programming suffix table in a single bottom-up sweep over
-blocks of rows of the segment prices: each block is priced where the
-sweep uses it, on its upper triangle only and in column chunks of a
-fixed width, and then dropped. Only the rows of the first grid
-positions that fit a fixed byte budget are kept for the
+blocks of rows of the segment prices, sized by entries: each block is
+priced where the sweep uses it, on its upper triangle only and in
+column chunks of a fixed width, and then dropped. Only the rows of the
+first grid positions that fit a fixed byte budget are kept for the
 reconstruction, which prices any other row it needs again, bit for
 bit. The sweep fills S[1 .. Kmax - 1] and, from row 0 of the top
 block, row 0 of S[Kmax], the one entry of it anything reads. That
 takes O((2n)^2 Kmax) time and O(n Kmax) memory beyond two constants,
-the kept rows and one chunk's work arrays; no (2n + 2)^2 matrix is
-ever held. It returns, for every segment count K up to Kmax, the
-optimum's change-point indices and its contrast. ``brute_force``
-enumerates every candidate subset and is the independent oracle for
-small instances.
+the kept rows and one work area that holds a priced chunk; no
+(2n + 2)^2 matrix is ever held. It returns, for every segment count K
+up to Kmax, the optimum's change-point indices and its contrast.
+``brute_force`` enumerates every candidate subset and is the
+independent oracle for small instances.
 
 Ties are broken toward the lexicographically smallest change-point
 index vector. The solver achieves this with a suffix table: the first
@@ -34,13 +34,16 @@ row sees the same additions, in the same order, as it would alone.
 A block is priced from event-level tables, not entry by entry, which
 ``build_cost_matrix`` reads off the grid's slots. Grid indices 2q and
 2q + 1 lie right of the same q events, and 2m - 1 and 2m sit at the
-same time, so it prices a block as its even and its odd columns, takes
-log(d + b) once per distinct pair of times (about a quarter of the
-entries) and log(s + b_rho) once per pair of events, and reads c + a
-and lgamma(c + a) off count tables kept on the grid per prior shift,
-whose lgamma values ``special.gammaln_counts`` memoises across grids.
-The parts go through the formula ``segment_cost`` uses, in the same
-order, so every price keeps its bits.
+same time, so it takes log(d + b) once per pair of a row time and a
+column (about half of the entries) and log(s + b_rho) once per pair of
+a row event and a column, and reads c + a and lgamma(c + a) off count
+tables kept on the grid per prior shift, each count twice, whose lgamma
+values ``special.gammaln_counts`` memoises across grids. The sweep's
+blocks are runs of consecutive rows from an even one, and for the
+marginal kinds it reads every part of a run through strided views of
+these tables, with no gather, and writes the prices into one work area
+per solve. The parts go through the formula ``segment_cost`` uses, in
+the same order, so every price keeps its bits.
 
 Every segment cost lies in (-inf, +inf] (see ``contrasts``), so plain
 IEEE addition accumulates the tables and +inf absorbs. The block pricer
@@ -79,13 +82,16 @@ from .special import gammaln_counts
 
 TIES_WARNING = "event times contain ties"
 
-# Rows per block of the bottom-up sweep. A block prices only the columns
-# right of its first row, so the +inf lower triangle is never evaluated
-# and work arrays hold _BLOCK rows at a time. With 128-row blocks malloc
-# hands each block's temporaries back to the system and faults them in
-# again for the next one: about 3,500 minor page faults per solve at
-# n = 788 and Kmax = 12, against none once warm with 32 rows.
+# Rows per block of the bottom-up sweep: _BLOCK_ENTRIES entries of a
+# priced chunk divided by its width, rounded down to even, and at least
+# _BLOCK. Every numpy call of the sweep pays a fixed overhead, which at
+# n = 75 cost more than its arithmetic: a grid of about 150 positions
+# takes one or two blocks, where 32-row blocks took five. From 512
+# columns on, blocks keep 32 rows, which bound the work area. The height
+# is even, so every block starts at an even row and is priced from views
+# of whole row pairs (see ``build_cost_matrix``).
 _BLOCK = 32
+_BLOCK_ENTRIES = 16384
 
 # Bytes of cost rows kept for the reconstruction: the rows of the first
 # grid positions, in whole blocks, up to 2 MiB, which is 512 rows of 512
@@ -95,36 +101,49 @@ _BLOCK = 32
 _KEPT_BYTES = 2 * 2**20
 
 # Columns per priced chunk of a block. The sweep prices a block in chunks
-# of up to _CHUNK columns, right to left, so its work arrays stop growing
-# with n once 2n + 1 exceeds it. It must be at least _BLOCK: the leftmost
-# chunk then holds every column inside the block, whose suffix entries
-# the block itself finishes before the next layer reads them. Wider
-# chunks outgrow what glibc's malloc keeps between them once the kept
-# rows are small: at 4,096 columns a solve at n = 2933 took 61,000 page
-# faults, against 900 at 2,048.
+# of up to _CHUNK columns, right to left, so its work area stops growing
+# with n once 2n + 1 exceeds it. A block has at most _CHUNK rows: the
+# leftmost chunk then holds every column inside the block, whose suffix
+# entries the block itself finishes before the next layer reads them.
+# Wider chunks outgrow what glibc's malloc keeps between them once the
+# kept rows are small: at 4,096 columns a solve at n = 2933 took 61,000
+# page faults, against 900 at 2,048. For the marginal kinds every chunk
+# is priced into one work area, which the sweep allocates once per solve
+# and which also holds its min-plus work array (see ``_work_entries``):
+# block-sized temporaries freed after every block let malloc give the
+# heap top back to the system and fault it in again. The area lives as
+# long as the solve and no longer: ``run_bench`` starts a fresh worker
+# thread per call, so a buffer kept per thread is never reused and only
+# adds to the peak memory.
 _CHUNK = 2048
 
-# Peak bytes per entry of one priced chunk (_BLOCK rows by up to _CHUNK
-# columns) that ``solve`` allocates besides its tables: the chunk, the
-# rows of the count tables and logs, the formula's temporaries for one
-# half of the columns and the work array of the suffix DP. A
-# reconstruction step prices up to Kmax rows the same way. The
-# tracemalloc peak beyond the tables, at Kmax 12 and n = 80 to 2933, is
-# 61 to 62 bytes per chunk entry for ``marked_pgeg``, 52 to 54 for
-# ``marked_poisson`` and 43 to 47 for the unmarked kinds.
-_BYTES_PER_BLOCK_ENTRY = 72
+# Peak bytes per entry of one priced chunk (a block's rows by up to _CHUNK
+# columns) that ``solve`` allocates besides its tables: for the marginal
+# kinds the work area, for the likelihood kinds the min-plus work array,
+# the chunk, its count and length arrays and the formula's temporaries.
+# A reconstruction step prices up to Kmax rows, gathered, the same way as
+# the likelihood kinds. The tracemalloc peak beyond the tables, at Kmax
+# 12 and n = 80 to 2933, is 17 to 26 bytes per chunk entry for the
+# marginal kinds and 19 to 42 for the likelihood kinds.
+_BYTES_PER_BLOCK_ENTRY = 48
 
 # Peak bytes per entry of the up to Kmax - 1 full cost rows a
 # reconstruction step gathers: the rows, their sum with the suffix
-# table, one more while the chosen pieces are folded on, and the mask of
-# the entries equal to the optimum.
+# table, and the mask of the entries equal to the optimum.
 _BYTES_PER_ROW_ENTRY = 32
+
+
+def _block_rows(width: int) -> int:
+    """Rows per sweep block on a grid whose cost rows are ``width`` long."""
+    chunk = min(_CHUNK, width)
+    return max(_BLOCK, min(_BLOCK_ENTRIES // chunk, _CHUNK) // 2 * 2)
 
 
 def _kept_rows(size: int) -> int:
     """How many of a grid's ``size`` cost rows, each ``size`` entries
     long, fit _KEPT_BYTES in whole blocks."""
-    return min(size, _KEPT_BYTES // (8 * size) // _BLOCK * _BLOCK)
+    block = _block_rows(size)
+    return min(size, _KEPT_BYTES // (8 * size) // block * block)
 
 
 def _distinct(slots):
@@ -139,72 +158,172 @@ def _distinct(slots):
     return np.unique(slots, return_inverse=True)
 
 
-def _count_rows(grid: CandidateGrid, shift: float, first: np.ndarray, width: int):
-    """c + shift and lgamma(c + shift) at the counts c = first[r] + k,
-    k < width: row windows of two tables over the counts -n .. 2n (a
-    negative count, left of the diagonal, read as 0) built once per grid
-    and shift. lgamma comes from the memo of the 2n + 1 distinct counts."""
+def _count_tables(grid: CandidateGrid, shift: float):
+    """c + shift and lgamma(c + shift) over the counts c = -n .. 2n, a
+    negative count, left of the diagonal, read as 0: two 1-d tables
+    built once per grid and shift that hold each count twice, entries
+    2k and 2k + 1 at count k - n, as the grid's columns 2q and 2q + 1 lie
+    right of the same q events. lgamma comes from the memo of the 2n + 1
+    distinct counts."""
     tables = grid.count_tables.get(shift)
     if tables is None:
         n = grid.n
         cs = np.maximum(np.arange(-n, 2 * n + 1), 0).astype(np.float64) + shift
         lg = gammaln_counts(shift, 2 * n + 1)
         lgs = np.concatenate((np.full(n, lg[0]), lg))
-        # window w holds counts w - n .. w; np.ndarray on the buffer costs
-        # less than sliding_window_view on a small series
-        tables = grid.count_tables[shift] = [
-            np.ndarray((2 * n + 1, n + 1), t.dtype, t, 0, 2 * t.strides) for t in (cs, lgs)]
-    at = grid.n + first
-    return [t[:, :width][at] for t in tables]
+        tables = grid.count_tables[shift] = (np.repeat(cs, 2), np.repeat(lgs, 2))
+    return tables
 
 
-def build_cost_matrix(grid: CandidateGrid, spec: ContrastSpec, rows, cols) -> np.ndarray:
+def _count_rows(grid: CandidateGrid, shift: float, first: np.ndarray, width: int):
+    """c + shift and lgamma(c + shift) on the column pairs k < width of
+    rows r, gathered as (rows, 2 width) windows of the count tables: the
+    count first[r] + k at columns 2k and 2k + 1."""
+    n = grid.n
+    # window w holds counts w - n .. w; np.ndarray on the buffer costs
+    # less than sliding_window_view on a small series
+    return [np.ndarray((2 * n + 1, 2 * width), t.dtype, t, 0, (16, 8))[n + first]
+            for t in _count_tables(grid, shift)]
+
+
+def _count_run(grid: CandidateGrid, shift: float, first: int, pairs: int, width: int):
+    """The same for the row pairs of a run, as (pairs, 2, 2 width) views
+    of the count tables: pair e counts first - e + k events at column
+    pair k, on both of its rows, so its window starts one count left of
+    pair e - 1's."""
+    return [np.ndarray((pairs, 2, 2 * width), t.dtype, t, 16 * (grid.n + first), (-16, 0, 8))
+            for t in _count_tables(grid, shift)]
+
+
+def _work_entries(rows: int, cols: int) -> int:
+    """Float entries of the work area that prices any run of up to
+    ``rows`` rows on up to ``cols`` columns (see ``build_cost_matrix``):
+    the prices of up to rows // 2 + 1 row pairs, then the pricer's
+    scratch, free once the call returns. The sweep keeps its min-plus
+    work array in the last ``rows`` by ``cols`` entries, which the
+    prices of a block from an even row never reach."""
+    pairs, width = rows // 2 + 1, 2 * (cols // 2 + 1)
+    return width * (4 * pairs + 1)
+
+
+def _price_run(grid: CandidateGrid, spec: ContrastSpec, lo: int, hi: int,
+               q0: int, q1: int, work) -> np.ndarray:
+    """The marginal prices of rows lo .. hi - 1 on the columns 2 q0 ..
+    2 q1 - 1, from views, in ``work``.
+
+    The run is widened to whole row pairs from r0 = lo - lo % 2: row
+    r0 + 2e + p, p = 0 or 1, lies right of event r0 / 2 + e and sits at
+    the time of slot r0 / 2 + e + p. Its counts are a window of the count
+    tables that slides one count left per pair, its log(d + b) row e + p
+    of a log array over (slot, column) and its mark term row e of one
+    over (event, column), each read through a stride-0 or overlapping
+    pair axis. The work area holds the priced pairs, the log array and
+    the mark term, one after another. Left of the diagonal, where the
+    prices are set to +inf, lengths and mark sums are negative; they are
+    read as 0, which spares np.log its slow path for negative input.
+    """
+    r0 = lo - lo % 2
+    pairs, width = (hi - r0 + 1) // 2, 2 * (q1 - q0)
+    t0 = r0 // 2  # the event of row r0 and the slot of its time
+    if work is None:
+        work = np.empty(_work_entries(2 * pairs, width))
+    size = 2 * pairs * width
+    block = work[:size].reshape(pairs, 2, width)
+    log_d = work[size:size + (pairs + 1) * width].reshape(pairs + 1, width)
+    size += log_d.size
+    np.subtract(grid.values[2 * q0:2 * q1], grid.slot_times[t0:t0 + pairs + 1, None], out=log_d)
+    np.maximum(log_d, 0.0, out=log_d)
+    log_d += spec.b
+    np.log(log_d, out=log_d)
+    log_d = np.ndarray((pairs, 2, width), log_d.dtype, log_d, 0, (log_d.strides[0], *log_d.strides))
+    ca, lg_ca = _count_run(grid, spec.a, q0 - t0, pairs, width // 2)
+    marks = None
+    if spec.requires_marks:
+        car, lg_car = _count_run(grid, spec.a_rho, q0 - t0, pairs, width // 2)
+        term = work[size:size + pairs * width].reshape(pairs, width)
+        prefix = grid.mark_prefix
+        np.subtract(np.repeat(prefix[q0:q1], 2), prefix[t0:t0 + pairs, None], out=term)
+        np.maximum(term, 0.0, out=term)
+        term += spec.b_rho
+        np.log(term, out=term)
+        term *= car[:, 0]
+        marks = (term[:, None], lg_car, prior_constant(spec.a_rho, spec.b_rho))
+    marginal_cost(ca, log_d, lg_ca, prior_constant(spec.a, spec.b), marks, out=block)
+    return block.reshape(2 * pairs, width)[lo - r0:hi - r0]
+
+
+def _price_rows(grid: CandidateGrid, spec: ContrastSpec, rows: np.ndarray,
+                q0: int, q1: int) -> np.ndarray:
+    """The prices of ``rows`` on the columns 2 q0 .. 2 q1 - 1, gathered:
+    a length per distinct (row time, column) pair and a mark sum per
+    distinct (row event, column) pair."""
+    width = q1 - q0
+    events = rows // 2
+    first = q0 - events
+    row_times, time_row = _distinct((rows + 1) // 2)
+    if spec.requires_marks:
+        row_events, event_row = _distinct(events)
+    if spec.kind in MARGINAL_KINDS:
+        # negative left of the diagonal, read as 0 as in _price_run
+        lengths = grid.values[2 * q0:2 * q1] - grid.slot_times[row_times][:, None]
+        np.maximum(lengths, 0.0, out=lengths)
+        ca, lg_ca = _count_rows(grid, spec.a, first, width)
+        marks = None
+        if spec.requires_marks:
+            car, lg_car = _count_rows(grid, spec.a_rho, first, width)
+            prefix = grid.mark_prefix
+            sums = np.repeat(prefix[q0:q1], 2) - prefix[row_events][:, None]
+            np.maximum(sums, 0.0, out=sums)
+            term = np.log(sums + spec.b_rho)[event_row]
+            term *= car
+            marks = (term, lg_car, prior_constant(spec.a_rho, spec.b_rho))
+        return marginal_cost(ca, np.log(lengths + spec.b)[time_row], lg_ca,
+                             prior_constant(spec.a, spec.b), marks)
+    # the likelihood kinds price the even and the odd columns as two
+    # (rows, width) halves, at the times of slots q and q + 1
+    out = np.empty((rows.size, 2 * width))
+    lengths = grid.slot_times[q0:q1 + 1] - grid.slot_times[row_times][:, None]
+    counts = (first[:, None] + np.arange(width)).astype(np.float64)
+    row_sums = None
+    if spec.requires_marks:
+        row_sums = (grid.mark_prefix[q0:q1] - grid.mark_prefix[row_events][:, None])[event_row]
+    d = lengths[time_row]
+    out[:, 0::2] = segment_cost(spec, counts, d[:, :-1], row_sums)
+    out[:, 1::2] = segment_cost(spec, counts, d[:, 1:], row_sums)
+    return out
+
+
+def build_cost_matrix(grid: CandidateGrid, spec: ContrastSpec, rows, cols,
+                      work: np.ndarray | None = None) -> np.ndarray:
     """Prices of the segments (tp_i, tp_j] for i in ``rows`` and j in ``cols``.
 
-    ``rows`` is a 1-d grid index array, in any order and with repeats;
-    ``cols`` is a contiguous ascending run of grid indices. Entries with
-    j <= i are +inf. Each part of a price is the one ``segment_cost``
-    computes, read off the grid's slots and count tables, and goes
-    through the same formula, so a row priced again equals the same row
-    priced in a block, bit for bit.
+    ``rows`` is a 1-d grid index array, in any order and with repeats, or
+    a ``range`` of consecutive rows; ``cols`` is a contiguous ascending
+    run of grid indices. Entries with j <= i are +inf. Each part of a
+    price is the one ``segment_cost`` computes, read off the grid's slots
+    and count tables, and goes through the same formula, so a row priced
+    again equals the same row priced in a block, bit for bit. A range is
+    priced, for the marginal kinds, from strided views of the tables
+    instead of gathers, in ``work`` when given, a float array of at least
+    ``_work_entries(len(rows), len(cols))`` entries; the prices are
+    then a view of it, overwritten by the next call that uses it.
     """
     require_marks(spec, grid.mark_prefix is not None)
+    run = rows if isinstance(rows, range) else None
+    rows = np.arange(run.start, run.stop) if run is not None else np.asarray(rows)
     if rows.size == 0 or cols.size == 0:
         return np.empty((rows.size, cols.size))
     # Columns 2q and 2q + 1 lie right of the same q events and sit at the
     # times of slots q and q + 1. The block is widened to whole column
-    # pairs q0 .. q1 - 1 and priced as its even and its odd columns, each
-    # a (rows, width) half whose entry [r, k] has count first[r] + k.
+    # pairs q0 .. q1 - 1, where row r counts q0 - r // 2 + k events at
+    # pair k.
     c0 = int(cols[0])
     q0, q1 = c0 // 2, (c0 + cols.size + 1) // 2
-    width = q1 - q0
-    events = rows // 2
-    first = q0 - events
-    out = np.empty((rows.size, 2 * width))
-    # a length per distinct (row time, column time) pair and a mark sum
-    # per distinct (row event, column event) pair
-    row_times, time_row = _distinct((rows + 1) // 2)
-    lengths = grid.slot_times[q0:q1 + 1] - grid.slot_times[row_times][:, None]
-    if spec.requires_marks:
-        row_events, event_row = _distinct(events)
-        sums = grid.mark_prefix[q0:q1] - grid.mark_prefix[row_events][:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if spec.kind in MARGINAL_KINDS:
-            ca, lg_ca = _count_rows(grid, spec.a, first, width)
-            prior, marks = prior_constant(spec.a, spec.b), None
-            if spec.requires_marks:
-                car, lg_car = _count_rows(grid, spec.a_rho, first, width)
-                marks = (car, np.log(sums + spec.b_rho)[event_row], lg_car,
-                         prior_constant(spec.a_rho, spec.b_rho))
-            log_d = np.log(lengths + spec.b)[time_row]
-            out[:, 0::2] = marginal_cost(ca, log_d[:, :-1], lg_ca, prior, marks)
-            out[:, 1::2] = marginal_cost(ca, log_d[:, 1:], lg_ca, prior, marks)
+        if run is not None and spec.kind in MARGINAL_KINDS:
+            out = _price_run(grid, spec, run.start, run.stop, q0, q1, work)
         else:
-            counts = (first[:, None] + np.arange(width)).astype(np.float64)
-            row_sums = sums[event_row] if spec.requires_marks else None
-            d = lengths[time_row]
-            out[:, 0::2] = segment_cost(spec, counts, d[:, :-1], row_sums)
-            out[:, 1::2] = segment_cost(spec, counts, d[:, 1:], row_sums)
+            out = _price_rows(grid, spec, rows, q0, q1)
     f = out[:, c0 - 2 * q0:c0 - 2 * q0 + cols.size]
     # +inf where it can occur: each row is +inf up to its own column, and
     # for the marginal kinds one column further when its empty gap is
@@ -242,20 +361,39 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
     A = grid.size
     S = np.full((kmax + 1, A + 1), np.inf)
     if kmax == 1:
-        S[1, 0] = build_cost_matrix(grid, spec, np.zeros(1, dtype=np.intp),
-                                    np.array([grid.last_index]))[0, 0]
+        S[1, 0] = build_cost_matrix(grid, spec, range(1), np.array([grid.last_index]))[0, 0]
         return S, np.empty((0, A + 1))
     idx = np.arange(A + 2)
-    keep = np.empty((_kept_rows(A + 1), A + 1))
-    w = np.empty((_BLOCK, min(_CHUNK, A)))
-    for lo in reversed(range(0, A + 1, _BLOCK)):
-        hi = min(lo + _BLOCK, A + 1)
+    block, width = _block_rows(A + 1), min(_CHUNK, A + 1)
+    rows_kept = _kept_rows(A + 1)
+    marginal = spec.kind in MARGINAL_KINDS
+    size = _work_entries(block, width) if marginal else block * width
+    if rows_kept == A + 1:
+        # every row is kept, and the reconstruction prices none again: the
+        # kept rows and the work area are one allocation, which malloc
+        # hands out again to the next solve. As two, both freed at the end
+        # of the solve, malloc gave the heap top back to the system and
+        # faulted it in again, about 60 page faults per solve at n = 71.
+        area = np.empty((A + 1) ** 2 + size)
+        keep, area = area[:(A + 1) ** 2].reshape(A + 1, A + 1), area[(A + 1) ** 2:]
+    else:
+        # the work area is dropped before the reconstruction prices rows.
+        # The kept rows take the whole _KEPT_BYTES, whatever their width:
+        # with a size that changed from one solve to the next, around the
+        # threshold above which malloc maps a block afresh, the peak
+        # resident memory of ten CV solves at n = 788 rose by 2 MB.
+        keep = np.empty(_KEPT_BYTES // 8)[:rows_kept * (A + 1)].reshape(rows_kept, A + 1)
+        area = np.empty(size)
+    work = area if marginal else None
+    w = area[-block * width:].reshape(block, width)
+    for lo in reversed(range(0, A + 1, block)):
+        hi = min(lo + block, A + 1)
         kept = lo < keep.shape[0]
         if kept:
             keep[lo:hi, :lo + 1] = np.inf
         for c0 in reversed(range(lo + 1, A + 2, _CHUNK)):
             c1 = min(c0 + _CHUNK, A + 2)
-            m = build_cost_matrix(grid, spec, idx[lo:hi], idx[c0:c1])
+            m = build_cost_matrix(grid, spec, range(lo, hi), idx[c0:c1], work)
             first = c1 == A + 2  # the chunk priced first sets the minima
             if first:
                 S[1, lo:hi] = m[:, -1]
@@ -267,15 +405,17 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
             wb = w[:hi - lo, :c1 - c0]
             for r in range(2, kmax):
                 np.add(m, S[r - 1, c0:c1], out=wb)
-                low = wb.min(axis=1)
-                S[r, lo:hi] = low if first else np.minimum(S[r, lo:hi], low)
+                if first:
+                    np.minimum.reduce(wb, axis=1, out=S[r, lo:hi])
+                else:
+                    np.minimum(S[r, lo:hi], wb.min(axis=1), out=S[r, lo:hi])
             if lo == 0:
                 low = np.min(m[0] + S[kmax - 1, c0:c1])
                 S[kmax, 0] = low if first else min(S[kmax, 0], low)
-            # dropped before the next chunk is priced: with two chunks alive,
-            # glibc's malloc gave the heap top back to the system and faulted
-            # it in again, about 970 page faults per solve at n = 772 against
-            # 80 without
+            # the likelihood kinds' chunk is dropped before the next one is
+            # priced: with two alive, malloc gave the heap top back to the
+            # system and faulted it in again, about 970 page faults per
+            # solve at n = 772 against 80 without
             del m
     return S, keep
 
@@ -342,23 +482,31 @@ def _reconstruct(grid: CandidateGrid, spec: ContrastSpec, keep: np.ndarray,
     prefix; their candidate rows are gathered at once, and the pieces
     already chosen are folded on right to left, as for one K alone.
     """
-    kd = np.sort(np.asarray(ks, dtype=np.intp))[::-1]
-    steps = int(kd[0]) - 1 if kd.size else 0
-    best = suffix[kd, 0][:, None]
-    prev = np.zeros(kd.size, dtype=np.intp)
-    pieces = np.empty((kd.size, steps))
-    cuts = np.empty((kd.size, steps), dtype=np.intp)
+    kd = sorted(ks, reverse=True)
+    steps = kd[0] - 1 if kd else 0
+    # the K - 1 - s of each K, whose suffix rows step s adds
+    layer = np.array(kd, dtype=np.intp) - 1
+    best = suffix[layer + 1, 0][:, None]
+    pieces = np.empty((len(kd), steps))
+    cuts = np.empty((len(kd), steps), dtype=np.intp)
+    every_row_kept = keep.shape[0] == keep.shape[1]
+    at = np.arange(len(kd))
+    prev = np.zeros(len(kd), dtype=np.intp)  # each K's last change-point, first 0
+    na = len(kd)
     for s in range(steps):
-        na = int(np.count_nonzero(kd > s + 1))
-        m = _cost_rows(grid, spec, keep, prev[:na])
-        total = m + suffix[kd[:na] - 1 - s]
+        while kd[na - 1] <= s + 1:
+            na -= 1
+        m = keep[prev[:na]] if every_row_kept else _cost_rows(grid, spec, keep, prev[:na])
+        total = suffix[layer[:na]]
+        total += m
         for i in range(s - 1, -1, -1):
-            total = pieces[:na, i, None] + total
-        j = np.argmax(total == best[:na], axis=1)
-        pieces[:na, s] = m[np.arange(na), j]
-        cuts[:na, s] = j
-        prev[:na] = j
-    return {k: tuple(cuts[row, : k - 1].tolist()) for row, k in enumerate(kd.tolist())}
+            total += pieces[:na, i, None]
+        prev = (total == best[:na]).argmax(axis=1)
+        pieces[:na, s] = m[at[:na], prev]
+        cuts[:na, s] = prev
+        layer -= 1
+    rows = cuts.tolist()
+    return {k: tuple(row[:k - 1]) for row, k in zip(rows, kd)}
 
 
 def solve_bytes(n: int, kmax: int) -> int:
@@ -370,7 +518,7 @@ def solve_bytes(n: int, kmax: int) -> int:
     """
     side = 2 * n + 2
     tables = 8 * (kmax + 1) * side + _KEPT_BYTES + _BYTES_PER_ROW_ENTRY * kmax * side
-    return tables + _BYTES_PER_BLOCK_ENTRY * max(_BLOCK, kmax) * min(_CHUNK, side)
+    return tables + _BYTES_PER_BLOCK_ENTRY * max(_block_rows(side - 1), kmax) * min(_CHUNK, side)
 
 
 def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:

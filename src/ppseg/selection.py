@@ -132,9 +132,20 @@ def _mark_pieces(a_rho, b_rho, counts, mark_sums, test_counts, test_sums):
 
 
 def _run_sums(values: np.ndarray, ends) -> list[float]:
-    # np.sum of each run values[ends[i - 1]:ends[i]], the first from 0
-    ends = np.asarray(ends).tolist()
-    return [float(np.sum(values[a:b])) for a, b in zip([0, *ends[:-1]], ends)]
+    """np.sum of each run values[ends[i - 1]:ends[i]], the first from 0.
+
+    The runs of one length are gathered as the rows of one array and
+    summed along them, which adds each row's elements as np.sum adds a
+    slice of them, bit for bit.
+    """
+    ends = np.asarray(ends, dtype=np.intp)
+    starts = np.concatenate(([0], ends[:-1]))
+    lengths = ends - starts
+    sums = np.empty(ends.size)
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
+        at = np.flatnonzero(lengths == length)
+        sums[at] = values[starts[at, None] + np.arange(length)].sum(axis=1)
+    return sums.tolist()
 
 
 def _segments(spec, grid, test: EventSeries, cuts):
@@ -187,12 +198,14 @@ class CvCurve:
 
     def best_k(self) -> int:
         """Smallest K attaining the minimal average test contrast among
-        those scored in at least MIN_DEFINED_FRACTION of the replicates."""
+        those scored in at least MIN_DEFINED_FRACTION of the replicates
+        whose mean is below +inf."""
         threshold = MIN_DEFINED_FRACTION * self.replicates
         best = None
         best_mean = None
         for k, mean, count in zip(self.ks, self.means, self.counts):
-            if count < threshold or count == 0 or math.isnan(mean):
+            # a nan or +inf mean carries no information about K
+            if count < threshold or count == 0 or not mean < math.inf:
                 continue
             if best_mean is None or mean < best_mean:
                 best = k

@@ -477,13 +477,59 @@ def test_pricer_contract_on_drawn_blocks(data, spec, forbid_empty, rows, start, 
     _assert_block_is_dense(grid, spec, rows, cols)
 
 
+@st.composite
+def _priced_runs(draw):
+    # up to 40 events, drawn often enough from three values to tie, with
+    # or without marks, and a run of rows with a column run of any start
+    times = sorted(draw(st.lists(st.sampled_from([0.2, 0.5, 0.7]) | st.floats(0.01, 0.99),
+                                 min_size=1, max_size=40)))
+    marks = draw(st.none() | st.lists(st.floats(0.01, 10.0), min_size=len(times),
+                                      max_size=len(times)))
+    size = 2 * len(times) + 1  # rows 0 .. 2n
+    lo = draw(st.integers(0, size - 1))
+    hi = draw(st.integers(lo + 1, size))
+    start = draw(st.integers(0, size))
+    width = draw(st.integers(1, size + 1 - start))
+    return times, marks, lo, hi, start, width
+
+
+@given(run=_priced_runs(), spec=st.sampled_from(TIE_SPECS), forbid_empty=st.booleans(),
+       chunk=st.integers(32, 90))
+@example(run=([0.1, 0.3, 0.3, 0.6, 0.9], [1.0, 2.0, 0.5, 3.0, 1.0], 3, 11, 4, 8),
+         spec=ContrastSpec("marked_pgeg", a=1.0, b=0.5), forbid_empty=False, chunk=32)
+@example(run=([0.2, 0.5, 0.5, 0.7], None, 2, 9, 3, 7),
+         spec=ContrastSpec("poisson_gamma", a=0.5, b=2.0), forbid_empty=True, chunk=32)
+def test_view_priced_runs_equal_the_gathered_rows(run, spec, forbid_empty, chunk):
+    # a run of rows from an even or an odd row, up to an odd-length last
+    # block ending at row 2n, priced from views into a work area full of
+    # nan equals the same rows gathered, bit for bit; so do the sweep's
+    # tables with blocks and chunks of a drawn width below and above the
+    # grid's 2n + 1 columns
+    times, marks, lo, hi, start, width = run
+    if spec.requires_marks and marks is None:
+        marks = [1.0] * len(times)
+    grid = build_grid(EventSeries(np.array(times), None if marks is None else np.array(marks)))
+    spec = replace(spec, forbid_empty=forbid_empty)
+    cols = np.arange(start, start + width)
+    work = np.full(dp._work_entries(hi - lo, width), np.nan)
+    viewed = build_cost_matrix(grid, spec, range(lo, hi), cols, work)
+    gathered = build_cost_matrix(grid, spec, np.arange(lo, hi), cols)
+    assert np.array_equal(viewed.view(np.int64), gathered.view(np.int64))
+    whole, keep = _sweep(grid, spec, 12)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dp, "_CHUNK", chunk)
+        chunked, chunked_keep = _sweep(grid, spec, 12)
+    assert np.array_equal(chunked.view(np.int64), whole.view(np.int64))
+    assert np.array_equal(chunked_keep.view(np.int64), keep.view(np.int64))
+
+
 def test_kmax_one_prices_one_entry(monkeypatch):
     # S[1] is read at row 0 only: the whole series as one segment
     priced = []
 
-    def counting(grid, spec, rows, cols):
-        priced.append(rows.size * cols.size)
-        return build_cost_matrix(grid, spec, rows, cols)
+    def counting(grid, spec, rows, cols, work=None):
+        priced.append(len(rows) * cols.size)
+        return build_cost_matrix(grid, spec, rows, cols, work)
 
     monkeypatch.setattr(dp, "build_cost_matrix", counting)
     rng = np.random.default_rng(17)
@@ -756,9 +802,9 @@ def test_one_solve_builds_each_count_table_once(monkeypatch, kind, tables):
         tabled.append(size)
         return special.gammaln_counts(shift, size)
 
-    def counting_pricer(grid, spec, rows, cols):
-        priced.append(rows.size)
-        return build_cost_matrix(grid, spec, rows, cols)
+    def counting_pricer(grid, spec, rows, cols, work=None):
+        priced.append(len(rows))
+        return build_cost_matrix(grid, spec, rows, cols, work)
 
     monkeypatch.setattr(special, "_count_memo", {})
     monkeypatch.setattr(special, "gammaln", counting_gammaln)

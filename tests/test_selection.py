@@ -29,10 +29,10 @@ from ppseg import (
 )
 from ppseg import bench
 from ppseg.bench import BenchConfig
-from ppseg.cli import _make_document
+from ppseg.cli import _make_document, main
 from ppseg.contrasts import MARKED_KINDS
 from ppseg.dp import TIES_WARNING
-from ppseg.selection import _test_pieces, thin
+from ppseg.selection import _run_sums, _test_pieces, thin
 from ppseg.simulate import alternating_intensity, simulate_events, simulate_marked
 
 from helpers import edge_events, per_k_cross_validate
@@ -204,6 +204,39 @@ def test_best_k_ignores_undefined_and_may_fail():
                     counts=(0,), replicates=10)
     with pytest.raises(ValueError, match="no candidate K"):
         empty.best_k()
+
+
+def test_best_k_skips_an_infinite_mean(tmp_path, capsys):
+    # a +inf mean carries no information about K, like a nan one
+    curve = CvCurve(ks=(1, 2, 3), means=(math.inf, 4.0, 3.0), stderrs=(math.nan, 0.0, 0.0),
+                    counts=(10, 10, 4), replicates=10)
+    assert curve.best_k() == 2
+    only_inf = CvCurve(ks=(1, 2), means=(math.inf, 0.5), stderrs=(math.nan, 0.0),
+                       counts=(3, 1), replicates=3)
+    with pytest.raises(ValueError, match="no candidate K"):
+        only_inf.best_k()
+    # marks 309 decades apart: K = 1 is scored in all 3 replicates with a
+    # +inf mean, and K = 2 in 1, under the half MIN_DEFINED_FRACTION asks
+    events = tmp_path / "events.csv"
+    events.write_text("time,mark\n1e-300,1.447411717787145e+295\n1e-300,8.051494939362949e-14\n")
+    argv = ["segment", str(events), "--window", "0", "1", "--replicates", "3", "-o", "-"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no candidate K was defined in enough replicates" in captured.err
+
+
+def test_grouped_run_sums_equal_per_slice_sums():
+    # runs of lengths 0 to 40 in shuffled order, over values spanning many
+    # decades and both signs, where the order of the adds shows in the bits
+    rng = np.random.default_rng(8)
+    lengths = rng.permutation(np.repeat(np.arange(41), 25))
+    values = rng.standard_normal(lengths.sum()) * 10.0 ** rng.integers(-8, 9, lengths.sum())
+    ends = np.cumsum(lengths)
+    want = [float(np.sum(values[a:b])) for a, b in zip([0, *ends[:-1]], ends)]
+    got = _run_sums(values, ends)
+    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+    assert all(type(v) is float for v in got)
 
 
 def test_cross_validate_is_seed_deterministic():

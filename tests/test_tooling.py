@@ -9,11 +9,14 @@ AttributeError in a traced benchmark run.
 import dataclasses
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _tracing():
@@ -41,3 +44,17 @@ def test_workload_names_resolve():
                          (model, "build_grid"), (model, "segmentation_from_indices")):
         assert callable(getattr(module, attr)), (module.__name__, attr)
     assert dataclasses.is_dataclass(dp.SolveResult)
+
+
+def test_ab_interleave_runs_one_rep():
+    # this checkout against itself: both sides import their own copy of
+    # ppseg into the one process, and the outputs must be equal
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_interleave.py"), str(ROOT), str(ROOT),
+         "--workload", "segment-n1000", "--seed", "1", "--reps", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "segment-n1000 seed 1, 1 reps, outputs equal"
+    assert [line.split()[0] for line in lines[2:4]] == ["parent", "change"]
+    assert lines[-1].startswith("change / parent median: ")
