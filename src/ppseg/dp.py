@@ -34,16 +34,17 @@ row sees the same additions, in the same order, as it would alone.
 A block is priced from event-level tables, not entry by entry, which
 ``build_cost_matrix`` reads off the grid's slots. Grid indices 2q and
 2q + 1 lie right of the same q events, and 2m - 1 and 2m sit at the
-same time, so it takes log(d + b) once per pair of a row time and a
-column (about half of the entries) and log(s + b_rho) once per pair of
-a row event and a column, and reads c + a and lgamma(c + a) off count
-tables kept on the grid per prior shift, each count twice, whose lgamma
-values ``special.gammaln_counts`` memoises across grids. The sweep's
-blocks are runs of consecutive rows from an even one, and for the
-marginal kinds it reads every part of a run through strided views of
-these tables, with no gather, and writes the prices into one work area
-per solve. The parts go through the formula ``segment_cost`` uses, in
-the same order, so every price keeps its bits.
+same time, so it takes each length once per pair of a row time and a
+column (about half of the entries) and each mark sum once per pair of a
+row event and a column, and reads the counts, c + a and lgamma(c + a)
+off count tables kept on the grid, each count twice, whose lgamma
+values ``special.gammaln_counts`` memoises across grids; the likelihood
+kinds read the counts alone and evaluate no lgamma. Every block, the
+sweep's and the reconstruction's, is a run of consecutive rows widened
+to whole row pairs, and the one pricer reads every part of it through
+strided views of these tables, with no gather, and writes the prices
+into a work area. The parts go through the formula ``segment_cost``
+uses, in the same order, so every price keeps its bits.
 
 Every segment cost lies in (-inf, +inf] (see ``contrasts``), so plain
 IEEE addition accumulates the tables and +inf absorbs. The block pricer
@@ -107,24 +108,24 @@ _KEPT_BYTES = 2 * 2**20
 # entries the block itself finishes before the next layer reads them.
 # Wider chunks outgrow what glibc's malloc keeps between them once the
 # kept rows are small: at 4,096 columns a solve at n = 2933 took 61,000
-# page faults, against 900 at 2,048. For the marginal kinds every chunk
-# is priced into one work area, which the sweep allocates once per solve
-# and which also holds its min-plus work array (see ``_work_entries``):
-# block-sized temporaries freed after every block let malloc give the
-# heap top back to the system and fault it in again. The area lives as
-# long as the solve and no longer: ``run_bench`` starts a fresh worker
-# thread per call, so a buffer kept per thread is never reused and only
-# adds to the peak memory.
+# page faults, against 900 at 2,048. Every chunk is priced into one work
+# area, which the sweep allocates once per solve and which also holds
+# its min-plus work array (see ``_work_entries``): block-sized
+# temporaries freed after every block let malloc give the heap top back
+# to the system and fault it in again. The area lives as long as the
+# solve and no longer: ``run_bench`` starts a fresh worker thread per
+# call, so a buffer kept per thread is never reused and only adds to the
+# peak memory.
 _CHUNK = 2048
 
 # Peak bytes per entry of one priced chunk (a block's rows by up to _CHUNK
-# columns) that ``solve`` allocates besides its tables: for the marginal
-# kinds the work area, for the likelihood kinds the min-plus work array,
-# the chunk, its count and length arrays and the formula's temporaries.
-# A reconstruction step prices up to Kmax rows, gathered, the same way as
-# the likelihood kinds. The tracemalloc peak beyond the tables, at Kmax
-# 12 and n = 80 to 2933, is 17 to 26 bytes per chunk entry for the
-# marginal kinds and 19 to 42 for the likelihood kinds.
+# columns) that ``solve`` allocates besides its tables: the work area,
+# which also holds the min-plus work array, and for the likelihood kinds
+# the temporaries of ``segment_cost``. A reconstruction step prices one
+# row pair at a time, in a work area of its own and far less. The
+# tracemalloc peak of the sweep beyond the suffix table and the kept
+# rows, at Kmax 12 and n = 40 to 2933, is 10 to 28 bytes per chunk entry
+# for the marginal kinds and 11 to 44 for the likelihood kinds.
 _BYTES_PER_BLOCK_ENTRY = 48
 
 # Peak bytes per entry of the up to Kmax - 1 full cost rows a
@@ -146,51 +147,32 @@ def _kept_rows(size: int) -> int:
     return min(size, _KEPT_BYTES // (8 * size) // block * block)
 
 
-def _distinct(slots):
-    """The distinct values of ``slots`` and where each entry sits among them.
-
-    Slots that fill their span, as a run of consecutive rows gives, skip
-    the sort of ``np.unique``.
-    """
-    lo, hi = int(slots.min()), int(slots.max())
-    if hi - lo < slots.size:
-        return np.arange(lo, hi + 1), slots - lo
-    return np.unique(slots, return_inverse=True)
-
-
-def _count_tables(grid: CandidateGrid, shift: float):
-    """c + shift and lgamma(c + shift) over the counts c = -n .. 2n, a
-    negative count, left of the diagonal, read as 0: two 1-d tables
-    built once per grid and shift that hold each count twice, entries
+def _count_tables(grid: CandidateGrid, shift: float | None = None):
+    """Tables over the counts c = -n .. 2n, a negative count, left of the
+    diagonal, read as 0: 1-d tables that hold each count twice, entries
     2k and 2k + 1 at count k - n, as the grid's columns 2q and 2q + 1 lie
-    right of the same q events. lgamma comes from the memo of the 2n + 1
-    distinct counts."""
+    right of the same q events. Without a ``shift`` the counts alone;
+    with one, c + shift, the counts plus the shift, and lgamma(c +
+    shift), from the memo of the 2n + 1 distinct counts. Each is built
+    once per grid and kept on it."""
     tables = grid.count_tables.get(shift)
     if tables is None:
         n = grid.n
-        cs = np.maximum(np.arange(-n, 2 * n + 1), 0).astype(np.float64) + shift
-        lg = gammaln_counts(shift, 2 * n + 1)
-        lgs = np.concatenate((np.full(n, lg[0]), lg))
-        tables = grid.count_tables[shift] = (np.repeat(cs, 2), np.repeat(lgs, 2))
+        if shift is None:
+            tables = (np.repeat(np.maximum(np.arange(-n, 2 * n + 1), 0).astype(np.float64), 2),)
+        else:
+            lg = gammaln_counts(shift, 2 * n + 1)
+            lgs = np.concatenate((np.full(n, lg[0]), lg))
+            tables = (_count_tables(grid)[0] + shift, np.repeat(lgs, 2))
+        grid.count_tables[shift] = tables
     return tables
 
 
-def _count_rows(grid: CandidateGrid, shift: float, first: np.ndarray, width: int):
-    """c + shift and lgamma(c + shift) on the column pairs k < width of
-    rows r, gathered as (rows, 2 width) windows of the count tables: the
-    count first[r] + k at columns 2k and 2k + 1."""
-    n = grid.n
-    # window w holds counts w - n .. w; np.ndarray on the buffer costs
-    # less than sliding_window_view on a small series
-    return [np.ndarray((2 * n + 1, 2 * width), t.dtype, t, 0, (16, 8))[n + first]
-            for t in _count_tables(grid, shift)]
-
-
-def _count_run(grid: CandidateGrid, shift: float, first: int, pairs: int, width: int):
-    """The same for the row pairs of a run, as (pairs, 2, 2 width) views
-    of the count tables: pair e counts first - e + k events at column
-    pair k, on both of its rows, so its window starts one count left of
-    pair e - 1's."""
+def _count_run(grid: CandidateGrid, shift: float | None, first: int, pairs: int, width: int):
+    """The count tables on the column pairs k < width of the row pairs of
+    a run, as (pairs, 2, 2 width) views: pair e counts first - e + k
+    events at column pair k, on both of its rows, so its window starts
+    one count left of pair e - 1's."""
     return [np.ndarray((pairs, 2, 2 * width), t.dtype, t, 16 * (grid.n + first), (-16, 0, 8))
             for t in _count_tables(grid, shift)]
 
@@ -208,19 +190,20 @@ def _work_entries(rows: int, cols: int) -> int:
 
 def _price_run(grid: CandidateGrid, spec: ContrastSpec, lo: int, hi: int,
                q0: int, q1: int, work) -> np.ndarray:
-    """The marginal prices of rows lo .. hi - 1 on the columns 2 q0 ..
-    2 q1 - 1, from views, in ``work``.
+    """The prices of rows lo .. hi - 1 on the columns 2 q0 .. 2 q1 - 1,
+    from views, in ``work``.
 
     The run is widened to whole row pairs from r0 = lo - lo % 2: row
     r0 + 2e + p, p = 0 or 1, lies right of event r0 / 2 + e and sits at
     the time of slot r0 / 2 + e + p. Its counts are a window of the count
-    tables that slides one count left per pair, its log(d + b) row e + p
-    of a log array over (slot, column) and its mark term row e of one
-    over (event, column), each read through a stride-0 or overlapping
-    pair axis. The work area holds the priced pairs, the log array and
-    the mark term, one after another. Left of the diagonal, where the
-    prices are set to +inf, lengths and mark sums are negative; they are
-    read as 0, which spares np.log its slow path for negative input.
+    tables that slides one count left per pair, its length (or log(d +
+    b)) row e + p of an array over (slot, column) and its mark sum (or
+    mark term) row e of one over (event, column), each read through a
+    stride-0 or overlapping pair axis. The work area holds the priced
+    pairs, the length array and the mark array, one after another. Left
+    of the diagonal, where the prices are set to +inf, lengths and mark
+    sums are negative; they are read as 0, which spares np.log its slow
+    path for negative input.
     """
     r0 = lo - lo % 2
     pairs, width = (hi - r0 + 1) // 2, 2 * (q1 - q0)
@@ -229,90 +212,52 @@ def _price_run(grid: CandidateGrid, spec: ContrastSpec, lo: int, hi: int,
         work = np.empty(_work_entries(2 * pairs, width))
     size = 2 * pairs * width
     block = work[:size].reshape(pairs, 2, width)
-    log_d = work[size:size + (pairs + 1) * width].reshape(pairs + 1, width)
-    size += log_d.size
-    np.subtract(grid.values[2 * q0:2 * q1], grid.slot_times[t0:t0 + pairs + 1, None], out=log_d)
-    np.maximum(log_d, 0.0, out=log_d)
-    log_d += spec.b
-    np.log(log_d, out=log_d)
-    log_d = np.ndarray((pairs, 2, width), log_d.dtype, log_d, 0, (log_d.strides[0], *log_d.strides))
-    ca, lg_ca = _count_run(grid, spec.a, q0 - t0, pairs, width // 2)
-    marks = None
+    d = work[size:size + (pairs + 1) * width].reshape(pairs + 1, width)
+    size += d.size
+    np.subtract(grid.values[2 * q0:2 * q1], grid.slot_times[t0:t0 + pairs + 1, None], out=d)
+    np.maximum(d, 0.0, out=d)
+    pair_d = np.ndarray((pairs, 2, width), d.dtype, d, 0, (d.strides[0], *d.strides))
+    s = None
     if spec.requires_marks:
-        car, lg_car = _count_run(grid, spec.a_rho, q0 - t0, pairs, width // 2)
-        term = work[size:size + pairs * width].reshape(pairs, width)
+        s = work[size:size + pairs * width].reshape(pairs, width)
         prefix = grid.mark_prefix
-        np.subtract(np.repeat(prefix[q0:q1], 2), prefix[t0:t0 + pairs, None], out=term)
-        np.maximum(term, 0.0, out=term)
-        term += spec.b_rho
-        np.log(term, out=term)
-        term *= car[:, 0]
-        marks = (term[:, None], lg_car, prior_constant(spec.a_rho, spec.b_rho))
-    marginal_cost(ca, log_d, lg_ca, prior_constant(spec.a, spec.b), marks, out=block)
+        np.subtract(np.repeat(prefix[q0:q1], 2), prefix[t0:t0 + pairs, None], out=s)
+        np.maximum(s, 0.0, out=s)
+    first = q0 - t0
+    if spec.kind not in MARGINAL_KINDS:
+        (c,) = _count_run(grid, None, first, pairs, width // 2)
+        block[...] = segment_cost(spec, c, pair_d, None if s is None else s[:, None])
+    else:
+        d += spec.b
+        np.log(d, out=d)  # pair_d now reads log(d + b)
+        ca, lg_ca = _count_run(grid, spec.a, first, pairs, width // 2)
+        marks = None
+        if s is not None:
+            car, lg_car = _count_run(grid, spec.a_rho, first, pairs, width // 2)
+            s += spec.b_rho
+            np.log(s, out=s)
+            s *= car[:, 0]
+            marks = (s[:, None], lg_car, prior_constant(spec.a_rho, spec.b_rho))
+        marginal_cost(ca, pair_d, lg_ca, prior_constant(spec.a, spec.b), marks, out=block)
     return block.reshape(2 * pairs, width)[lo - r0:hi - r0]
 
 
-def _price_rows(grid: CandidateGrid, spec: ContrastSpec, rows: np.ndarray,
-                q0: int, q1: int) -> np.ndarray:
-    """The prices of ``rows`` on the columns 2 q0 .. 2 q1 - 1, gathered:
-    a length per distinct (row time, column) pair and a mark sum per
-    distinct (row event, column) pair."""
-    width = q1 - q0
-    events = rows // 2
-    first = q0 - events
-    row_times, time_row = _distinct((rows + 1) // 2)
-    if spec.requires_marks:
-        row_events, event_row = _distinct(events)
-    if spec.kind in MARGINAL_KINDS:
-        # negative left of the diagonal, read as 0 as in _price_run
-        lengths = grid.values[2 * q0:2 * q1] - grid.slot_times[row_times][:, None]
-        np.maximum(lengths, 0.0, out=lengths)
-        ca, lg_ca = _count_rows(grid, spec.a, first, width)
-        marks = None
-        if spec.requires_marks:
-            car, lg_car = _count_rows(grid, spec.a_rho, first, width)
-            prefix = grid.mark_prefix
-            sums = np.repeat(prefix[q0:q1], 2) - prefix[row_events][:, None]
-            np.maximum(sums, 0.0, out=sums)
-            term = np.log(sums + spec.b_rho)[event_row]
-            term *= car
-            marks = (term, lg_car, prior_constant(spec.a_rho, spec.b_rho))
-        return marginal_cost(ca, np.log(lengths + spec.b)[time_row], lg_ca,
-                             prior_constant(spec.a, spec.b), marks)
-    # the likelihood kinds price the even and the odd columns as two
-    # (rows, width) halves, at the times of slots q and q + 1
-    out = np.empty((rows.size, 2 * width))
-    lengths = grid.slot_times[q0:q1 + 1] - grid.slot_times[row_times][:, None]
-    counts = (first[:, None] + np.arange(width)).astype(np.float64)
-    row_sums = None
-    if spec.requires_marks:
-        row_sums = (grid.mark_prefix[q0:q1] - grid.mark_prefix[row_events][:, None])[event_row]
-    d = lengths[time_row]
-    out[:, 0::2] = segment_cost(spec, counts, d[:, :-1], row_sums)
-    out[:, 1::2] = segment_cost(spec, counts, d[:, 1:], row_sums)
-    return out
-
-
-def build_cost_matrix(grid: CandidateGrid, spec: ContrastSpec, rows, cols,
+def build_cost_matrix(grid: CandidateGrid, spec: ContrastSpec, rows: range, cols,
                       work: np.ndarray | None = None) -> np.ndarray:
     """Prices of the segments (tp_i, tp_j] for i in ``rows`` and j in ``cols``.
 
-    ``rows`` is a 1-d grid index array, in any order and with repeats, or
-    a ``range`` of consecutive rows; ``cols`` is a contiguous ascending
-    run of grid indices. Entries with j <= i are +inf. Each part of a
-    price is the one ``segment_cost`` computes, read off the grid's slots
-    and count tables, and goes through the same formula, so a row priced
-    again equals the same row priced in a block, bit for bit. A range is
-    priced, for the marginal kinds, from strided views of the tables
-    instead of gathers, in ``work`` when given, a float array of at least
-    ``_work_entries(len(rows), len(cols))`` entries; the prices are
-    then a view of it, overwritten by the next call that uses it.
+    ``rows`` is a ``range`` of consecutive grid indices and ``cols`` a
+    contiguous ascending run of them. Entries with j <= i are +inf. Each
+    part of a price is the one ``segment_cost`` computes, read off
+    strided views of the grid's slots and count tables, and goes through
+    the same formula, so a row priced again equals the same row priced
+    in a block, bit for bit. The prices are a view of ``work`` when
+    given, a float array of at least ``_work_entries(len(rows),
+    len(cols))`` entries, overwritten by the next call that uses it.
     """
     require_marks(spec, grid.mark_prefix is not None)
-    run = rows if isinstance(rows, range) else None
-    rows = np.arange(run.start, run.stop) if run is not None else np.asarray(rows)
-    if rows.size == 0 or cols.size == 0:
-        return np.empty((rows.size, cols.size))
+    if len(rows) == 0 or cols.size == 0:
+        return np.empty((len(rows), cols.size))
     # Columns 2q and 2q + 1 lie right of the same q events and sit at the
     # times of slots q and q + 1. The block is widened to whole column
     # pairs q0 .. q1 - 1, where row r counts q0 - r // 2 + k events at
@@ -320,22 +265,19 @@ def build_cost_matrix(grid: CandidateGrid, spec: ContrastSpec, rows, cols,
     c0 = int(cols[0])
     q0, q1 = c0 // 2, (c0 + cols.size + 1) // 2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if run is not None and spec.kind in MARGINAL_KINDS:
-            out = _price_run(grid, spec, run.start, run.stop, q0, q1, work)
-        else:
-            out = _price_rows(grid, spec, rows, q0, q1)
+        out = _price_run(grid, spec, rows.start, rows.stop, q0, q1, work)
     f = out[:, c0 - 2 * q0:c0 - 2 * q0 + cols.size]
     # +inf where it can occur: each row is +inf up to its own column, and
     # for the marginal kinds one column further when its empty gap is
     # +inf, under forbid_empty or at zero length (segment_cost sets the
     # likelihood kinds' +inf prices). Right of row i only the gap
     # (tp_i, tp_{i+1}] can be empty, and only for even i.
-    last = rows
+    last = np.arange(rows.start, rows.stop)
     if spec.kind in MARGINAL_KINDS:
-        inf_gap = rows % 2 == 0
+        inf_gap = last % 2 == 0
         if not spec.forbid_empty:
-            inf_gap &= grid.values[rows + 1] == grid.values[rows]
-        last = rows + inf_gap
+            inf_gap &= grid.values[last + 1] == grid.values[last]
+        last = last + inf_gap
     left = min(max(int(last.max()) - c0 + 1, 0), cols.size)
     f[:, :left][cols[:left] <= last[:, None]] = np.inf
     return f
@@ -366,8 +308,7 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
     idx = np.arange(A + 2)
     block, width = _block_rows(A + 1), min(_CHUNK, A + 1)
     rows_kept = _kept_rows(A + 1)
-    marginal = spec.kind in MARGINAL_KINDS
-    size = _work_entries(block, width) if marginal else block * width
+    size = _work_entries(block, width)
     if rows_kept == A + 1:
         # every row is kept, and the reconstruction prices none again: the
         # kept rows and the work area are one allocation, which malloc
@@ -375,7 +316,7 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
         # of the solve, malloc gave the heap top back to the system and
         # faulted it in again, about 60 page faults per solve at n = 71.
         area = np.empty((A + 1) ** 2 + size)
-        keep, area = area[:(A + 1) ** 2].reshape(A + 1, A + 1), area[(A + 1) ** 2:]
+        keep, work = area[:(A + 1) ** 2].reshape(A + 1, A + 1), area[(A + 1) ** 2:]
     else:
         # the work area is dropped before the reconstruction prices rows.
         # The kept rows take the whole _KEPT_BYTES, whatever their width:
@@ -383,9 +324,8 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
         # threshold above which malloc maps a block afresh, the peak
         # resident memory of ten CV solves at n = 788 rose by 2 MB.
         keep = np.empty(_KEPT_BYTES // 8)[:rows_kept * (A + 1)].reshape(rows_kept, A + 1)
-        area = np.empty(size)
-    work = area if marginal else None
-    w = area[-block * width:].reshape(block, width)
+        work = np.empty(size)
+    w = work[-block * width:].reshape(block, width)
     for lo in reversed(range(0, A + 1, block)):
         hi = min(lo + block, A + 1)
         kept = lo < keep.shape[0]
@@ -412,11 +352,6 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
             if lo == 0:
                 low = np.min(m[0] + S[kmax - 1, c0:c1])
                 S[kmax, 0] = low if first else min(S[kmax, 0], low)
-            # the likelihood kinds' chunk is dropped before the next one is
-            # priced: with two alive, malloc gave the heap top back to the
-            # system and faulted it in again, about 970 page faults per
-            # solve at n = 772 against 80 without
-            del m
     return S, keep
 
 
@@ -457,19 +392,25 @@ SolveResult.segmentation = property(_segmentation)
 def _cost_rows(grid: CandidateGrid, spec: ContrastSpec, keep: np.ndarray,
                rows: np.ndarray) -> np.ndarray:
     """Prices of (tp_i, tp_j] for i in ``rows`` and every j <= 2n: kept rows
-    are read, the others priced again in column chunks."""
+    are read, the others priced again a row pair at a time, in column
+    chunks, into one work area."""
     far = rows >= keep.shape[0]
     if not far.any():
         return keep[rows]
-    m = np.empty((rows.size, keep.shape[1]))
+    size = keep.shape[1]
+    m = np.full((rows.size, size), np.inf)  # +inf stays left of the diagonal
     m[~far] = keep[rows[~far]]
-    # the K of a step often share a candidate row: each is priced once
-    again, at = np.unique(rows[far], return_inverse=True)
-    lo = int(again[0])  # every column up to lo is left of the diagonal
-    m[far, :lo + 1] = np.inf
-    for c0 in range(lo + 1, keep.shape[1], _CHUNK):
-        cols = np.arange(c0, min(c0 + _CHUNK, keep.shape[1]))
-        m[far, c0:c0 + cols.size] = build_cost_matrix(grid, spec, again, cols)[at]
+    idx = np.arange(size)
+    work = np.empty(_work_entries(2, min(_CHUNK, size)))
+    # the K of a step often share a candidate row, and the kept rows are
+    # whole pairs: each pair holding a far row is priced once
+    pair = rows // 2
+    for e in set(pair[far].tolist()):
+        at, lo = np.flatnonzero(pair == e), 2 * e
+        for c0 in range(lo + 1, size, _CHUNK):
+            cols = idx[c0:c0 + _CHUNK]
+            f = build_cost_matrix(grid, spec, range(lo, min(lo + 2, size)), cols, work)
+            m[at, c0:c0 + cols.size] = f[rows[at] - lo]
     return m
 
 
@@ -513,12 +454,12 @@ def solve_bytes(n: int, kmax: int) -> int:
     """Upper estimate of the memory ``solve`` allocates for n events.
 
     The suffix table, the kept cost rows, the rows a reconstruction step
-    gathers, and one priced chunk's working set: a block's during the
-    sweep, or a reconstruction step's.
+    gathers, and the working set of one of the sweep's priced chunks,
+    which bounds that of a reconstruction step's row pair.
     """
     side = 2 * n + 2
     tables = 8 * (kmax + 1) * side + _KEPT_BYTES + _BYTES_PER_ROW_ENTRY * kmax * side
-    return tables + _BYTES_PER_BLOCK_ENTRY * max(_block_rows(side - 1), kmax) * min(_CHUNK, side)
+    return tables + _BYTES_PER_BLOCK_ENTRY * _block_rows(side - 1) * min(_CHUNK, side)
 
 
 def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:

@@ -65,10 +65,12 @@ def l2_distance(estimate: PiecewiseIntensity, reference: PiecewiseIntensity,
     The result is divided by ``normalization`` (conventionally the mean
     intensity) to make scales comparable.
     """
-    if not normalization > 0.0:
-        raise ValueError("normalization must be positive")
+    if not 0.0 < normalization < np.inf:
+        raise ValueError("normalization must be positive and finite")
     pts = np.union1d(estimate.breakpoints, reference.breakpoints)
     g = estimate.cumulative(pts) - reference.cumulative(pts)
     u = g[:-1]
     v = g[1:]
-    return float(np.sum((u * u + u * v + v * v) * np.diff(pts)) / 3.0 / normalization)
+    # a subnormal normalization may overflow the quotient to +inf
+    with np.errstate(over="ignore"):
+        return float(np.sum((u * u + u * v + v * v) * np.diff(pts)) / 3.0 / normalization)

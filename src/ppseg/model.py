@@ -172,8 +172,8 @@ class CandidateGrid:
         # number of interior candidate positions, indices 1 .. size
         self.size = 2 * n
         self.mark_prefix = events.mark_prefix
-        # tables over the segment count, one per prior shift, that the
-        # solver's block pricer builds on first use
+        # tables over the segment count, unshifted and one per prior
+        # shift, that the solver's block pricer builds on first use
         self.count_tables: dict = {}
 
     @property

@@ -346,10 +346,10 @@ def refit(data, spec: ContrastSpec, kmax: int, k: int, curve: CvCurve | None = N
     if not 1 <= k <= kmax:
         raise ValueError(f"K = {k} must lie between 1 and kmax = {kmax}")
     grid = build_grid(data)
+    if k - 1 > grid.size:
+        raise ValueError(f"K = {k} exceeds the candidate grid of this series")
     results = solve(grid, spec, kmax)
     final = results[k - 1]
-    if not final.feasible:
-        raise ValueError(f"K = {k} exceeds the candidate grid of this series")
     if final.indices is None:
         raise ValueError(f"no admissible segmentation with K = {k}")
     # a finite optimum holds no empty zero-length segment: every kind prices one +inf

@@ -31,7 +31,7 @@ from ppseg.contrasts import (
     poisson_gamma_cost,
     posterior_mean_rate,
 )
-from ppseg.dp import _count_rows
+from ppseg.dp import _count_tables
 from ppseg.special import gammaln, gammaln_counts
 
 from helpers import marked_loglik, naive_cost, poisson_loglik, spec_variants
@@ -131,7 +131,7 @@ def test_gammaln_keeps_scipy_bits_at_branch_edges():
 @pytest.mark.parametrize("shift", [1.0, 2.01, 0.1, 10.0])
 def test_gammaln_keeps_scipy_bits_on_the_count_tables(monkeypatch, shift):
     # the memo at 2n + 1 counts for n = 300, then grown for n = 3000, and
-    # the grid's windows over the counts -n .. 2n of a series of 300 events
+    # the grid's tables over the counts -n .. 2n of a series of 300 events
     scipy_special = pytest.importorskip("scipy.special")
     monkeypatch.setattr(special, "_count_memo", {})
     for n in (300, 3000):
@@ -139,7 +139,7 @@ def test_gammaln_keeps_scipy_bits_on_the_count_tables(monkeypatch, shift):
         assert np.array_equal(gammaln_counts(shift, 2 * n + 1).view(np.int64),
                               want.view(np.int64))
     grid = build_grid(EventSeries(np.linspace(0.001, 0.999, 300)))
-    ca, lg = _count_rows(grid, shift, np.arange(-300, 301), 301)
+    ca, lg = _count_tables(grid, shift)
     assert np.array_equal(lg.view(np.int64), scipy_special.gammaln(ca).view(np.int64))
 
 

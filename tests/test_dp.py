@@ -59,7 +59,7 @@ UNIT_PG = ContrastSpec("poisson_gamma", a=1.0, b=1.0)
 def test_cost_matrix_single_event_worked_example():
     # one event at 0.5 under the unit Gamma prior; cost[i, j] prices (tp_i, tp_j]
     idx = np.arange(4)
-    cost = build_cost_matrix(build_grid(EventSeries(np.array([0.5]))), UNIT_PG, idx[:3], idx)
+    cost = build_cost_matrix(build_grid(EventSeries(np.array([0.5]))), UNIT_PG, range(3), idx)
     assert cost.shape == (3, 4)
     # (0, 0.5^-]: no event over length one half
     assert cost[0, 1] == pytest.approx(0.4054651081081644, rel=1e-13)  # log 1.5
@@ -333,7 +333,7 @@ def test_dp_tables_invariants():
     spec = ContrastSpec("marked_pgeg", a=1.0, b=0.5)
     A = grid.size
     idx = np.arange(A + 2)
-    cost = build_cost_matrix(grid, spec, idx[:-1], idx)  # cost[i, j] prices (tp_i, tp_j]
+    cost = build_cost_matrix(grid, spec, range(A + 1), idx)  # cost[i, j] prices (tp_i, tp_j]
     suffix, keep = _sweep(grid, spec, 4)
     assert np.array_equal(keep, cost[:, :A + 1])
     assert np.array_equal(suffix[1], cost[:, A + 1])
@@ -376,11 +376,11 @@ def test_blocked_tables_equal_the_dense_construction(n):
                     assert np.all(np.isposinf(suffix[12, 1:])), spec
 
 
-@pytest.mark.parametrize("kind", ["poisson_gamma", "marked_pgeg"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_rows_priced_again_equal_the_block_built_rows(kind):
-    # one row at a time, all 601 rows at once and the sweep's 32-row
-    # blocks read different windows of the count tables and take their
-    # logs on arrays of different sizes
+    # one row at a time, all 601 rows at once (both a row pair at a time)
+    # and the sweep's 32-row blocks read different windows of the count
+    # tables and take their logs on arrays of different sizes
     rng = np.random.default_rng(9)
     n = 300
     times = np.sort(rng.uniform(0.01, 0.99, n))
@@ -427,11 +427,18 @@ def test_chunked_pricing_equals_one_chunk(monkeypatch, width):
                     assert np.array_equal(again, keep[rows]), spec
 
 def _assert_block_is_dense(grid, spec, rows, cols):
-    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
     got = build_cost_matrix(grid, spec, rows, cols)
-    want = dense_cost_matrix(grid, spec)[rows + 1][:, cols]
+    want = dense_cost_matrix(grid, spec)[rows.start + 1:rows.stop + 1][:, cols]
     assert got.shape == want.shape
-    assert np.array_equal(got, want), (spec, rows.tolist(), cols[:1].tolist())
+    assert np.array_equal(got, want), (spec, rows, cols[:1].tolist())
+
+
+def _assert_rows_are_dense(grid, spec, rows):
+    # rows in any order and with repeats, as the reconstruction passes them
+    rows = np.asarray(rows, dtype=np.intp)
+    got = _cost_rows(grid, spec, np.empty((0, grid.size + 1)), rows)
+    assert np.array_equal(got, dense_cost_matrix(grid, spec)[rows + 1, :-1]), (spec, rows)
 
 
 def _pricer_cases():
@@ -446,35 +453,37 @@ def _pricer_cases():
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("forbid_empty", [False, True])
 def test_pricer_blocks_equal_the_dense_matrix(kind, forbid_empty):
-    # rows in any order and with repeats, as _cost_rows passes them;
     # column runs starting on both parities; blocks whose first row is
-    # the "at" half of a before/at pair; n = 1 and tied times
+    # the "at" half of a before/at pair; n = 1 and tied times; and rows
+    # in any order and with repeats, priced again as row pairs
     spec = ContrastSpec(kind, a=0.5, b=2.0, a_rho=3.0, b_rho=0.5, forbid_empty=forbid_empty)
     for series in _pricer_cases():
         grid = build_grid(series)
         last = grid.last_index
         idx = np.arange(last + 1)
-        _assert_block_is_dense(grid, spec, idx[:-1], idx)
+        _assert_block_is_dense(grid, spec, range(last), idx)
         for lo in {0, 1, 2, 3, last // 2, last - 2, last - 1} & set(range(last)):
-            rows = idx[lo:min(lo + 5, last)]
+            rows = range(lo, min(lo + 5, last))
             for c0 in {lo, lo + 1, lo + 2, 0, 1}:
                 _assert_block_is_dense(grid, spec, rows, idx[c0:])
                 _assert_block_is_dense(grid, spec, rows, idx[c0:c0 + 3])
-        rows = [min(r, last - 1) for r in (last - 1, 0, 3, 3, last // 2, 1, 2, last - 1)]
-        for c0 in (1, 2, last // 2):
-            _assert_block_is_dense(grid, spec, rows, idx[c0:])
+        _assert_rows_are_dense(grid, spec, [min(r, last - 1) for r in
+                                            (last - 1, 0, 3, 3, last // 2, 1, 2, last - 1)])
 
 
 @given(data=_tied_marked_series(), spec=st.sampled_from(TIE_SPECS), forbid_empty=st.booleans(),
        rows=st.lists(st.integers(0, 28), min_size=1, max_size=8),
        start=st.integers(0, 29), width=st.integers(0, 30))
 def test_pricer_contract_on_drawn_blocks(data, spec, forbid_empty, rows, start, width):
+    # the run from the first drawn row to the largest, and the drawn rows
+    # priced again
     grid = build_grid(EventSeries(np.array(data[0]), np.array(data[1])))
     spec = replace(spec, forbid_empty=forbid_empty)
     rows = [min(r, grid.size) for r in rows]
     start = min(start, grid.last_index)
     cols = np.arange(start, min(start + width, grid.last_index + 1))
-    _assert_block_is_dense(grid, spec, rows, cols)
+    _assert_block_is_dense(grid, spec, range(rows[0], max(rows) + 1), cols)
+    _assert_rows_are_dense(grid, spec, rows)
 
 
 @st.composite
@@ -499,12 +508,12 @@ def _priced_runs(draw):
          spec=ContrastSpec("marked_pgeg", a=1.0, b=0.5), forbid_empty=False, chunk=32)
 @example(run=([0.2, 0.5, 0.5, 0.7], None, 2, 9, 3, 7),
          spec=ContrastSpec("poisson_gamma", a=0.5, b=2.0), forbid_empty=True, chunk=32)
-def test_view_priced_runs_equal_the_gathered_rows(run, spec, forbid_empty, chunk):
+def test_view_priced_runs_equal_the_dense_matrix(run, spec, forbid_empty, chunk):
     # a run of rows from an even or an odd row, up to an odd-length last
     # block ending at row 2n, priced from views into a work area full of
-    # nan equals the same rows gathered, bit for bit; so do the sweep's
-    # tables with blocks and chunks of a drawn width below and above the
-    # grid's 2n + 1 columns
+    # nan equals the same rows of the dense matrix, bit for bit; so do the
+    # sweep's tables with blocks and chunks of a drawn width below and
+    # above the grid's 2n + 1 columns
     times, marks, lo, hi, start, width = run
     if spec.requires_marks and marks is None:
         marks = [1.0] * len(times)
@@ -513,8 +522,8 @@ def test_view_priced_runs_equal_the_gathered_rows(run, spec, forbid_empty, chunk
     cols = np.arange(start, start + width)
     work = np.full(dp._work_entries(hi - lo, width), np.nan)
     viewed = build_cost_matrix(grid, spec, range(lo, hi), cols, work)
-    gathered = build_cost_matrix(grid, spec, np.arange(lo, hi), cols)
-    assert np.array_equal(viewed.view(np.int64), gathered.view(np.int64))
+    dense = dense_cost_matrix(grid, spec)[lo + 1:hi + 1][:, cols]
+    assert np.array_equal(viewed.view(np.int64), dense.view(np.int64))
     whole, keep = _sweep(grid, spec, 12)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dp, "_CHUNK", chunk)
@@ -831,3 +840,23 @@ def test_one_solve_builds_each_count_table_once(monkeypatch, kind, tables):
         solve(other, replace(spec, forbid_empty=False), 2)
         assert evaluated == grown, m
         evaluated.clear()
+
+
+@pytest.mark.parametrize("kind", ["poisson", "marked_poisson"])
+def test_likelihood_solves_evaluate_no_lgamma(monkeypatch, kind):
+    # the likelihood kinds read the unshifted count table alone, in the
+    # sweep and in the rows the reconstruction prices again past the 416
+    # kept ones, so they take no slot in the lgamma memo
+    def refuse(shift, size):
+        raise AssertionError(f"lgamma over {size} counts at shift {shift}")
+
+    monkeypatch.setattr(special, "_count_memo", {})
+    monkeypatch.setattr(dp, "gammaln_counts", refuse)
+    rng = np.random.default_rng(23)
+    n = 300
+    series = EventSeries(np.sort(rng.uniform(0.01, 0.99, n)), rng.exponential(1.0, n))
+    grid = build_grid(series)
+    results = solve(grid, ContrastSpec(kind), 12)
+    assert any(p >= _kept_rows(grid.size + 1) for p in results[-1].indices)
+    assert list(grid.count_tables) == [None]
+    assert special._count_memo == {}

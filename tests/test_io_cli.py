@@ -529,9 +529,10 @@ def test_cli_error_paths(tmp_path, capsys):
 
     single = tmp_path / "single.csv"
     single.write_text("time\n0.5\n")
-    assert _run(["segment", str(single), "--window", "0", "1", "--k", "5",
-                 "-o", "-"]) == 2
-    assert "exceeds the candidate grid" in capsys.readouterr().err
+    for k in ("5", "100000000"):
+        assert _run(["segment", str(single), "--window", "0", "1", "--k", k,
+                     "-o", "-"]) == 2
+        assert "exceeds the candidate grid" in capsys.readouterr().err
 
     assert _run(["segment", str(events), "--window", "0", "1", "--k", "3", "--kmax", "2",
                  "--replicates", "7", "--fraction", "0.5", "--seed", "9", "-o", "-"]) == 2

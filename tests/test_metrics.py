@@ -66,8 +66,16 @@ def test_l2_constant_offset_hand_value():
 
 def test_l2_requires_positive_normalization():
     est = PiecewiseIntensity(np.array([0.0, 1.0]), np.array([2.0]))
-    with pytest.raises(ValueError, match="normalization must be positive"):
-        l2_distance(est, est, 0.0)
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="normalization must be positive and finite"):
+            l2_distance(est, est, bad)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_l2_with_a_subnormal_normalization_overflows_quietly():
+    est = PiecewiseIntensity(np.array([0.0, 1.0]), np.array([2.0]))
+    ref = PiecewiseIntensity(np.array([0.0, 1.0]), np.array([3.0]))
+    assert l2_distance(est, ref, 1e-320) == np.inf
 
 
 def _dense_l2(est, ref, normalization, m=200_001):
