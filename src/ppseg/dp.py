@@ -6,15 +6,16 @@ vectors reduces to a discrete shortest-path problem. ``solve`` fills
 one dynamic-programming suffix table in a single bottom-up sweep over
 blocks of rows of the segment prices, sized by entries: each block is
 priced where the sweep uses it, on its upper triangle only and in
-column chunks of a fixed width, and then dropped. Only the rows of the
-first grid positions that fit a fixed byte budget are kept for the
-reconstruction, which prices any other row it needs again, bit for
-bit. The sweep fills S[1 .. Kmax - 1] and, from row 0 of the top
-block, row 0 of S[Kmax], the one entry of it anything reads. That
-takes O((2n)^2 Kmax) time and O(n Kmax) memory beyond two constants,
-the kept rows and one work area that holds a priced chunk; no
-(2n + 2)^2 matrix is ever held. It returns, for every segment count K
-up to Kmax, the optimum's change-point indices and its contrast.
+column chunks of a fixed width, and then dropped. A grid whose cost
+rows all fit a fixed byte budget keeps every one of them for the
+reconstruction; a larger grid keeps none, and the reconstruction prices
+each row it needs again, bit for bit. The sweep fills S[1 .. Kmax - 1]
+and, from row 0 of the top block, row 0 of S[Kmax], the one entry of it
+anything reads. That takes O((2n)^2 Kmax) time and O(n Kmax) memory
+beyond two constants, the kept rows and one work area that holds a
+priced chunk; no (2n + 2)^2 matrix is ever held. It returns, for every
+segment count K up to Kmax, the optimum's change-point indices and its
+contrast.
 ``brute_force`` enumerates every candidate subset and is the
 independent oracle for small instances.
 
@@ -94,11 +95,13 @@ TIES_WARNING = "event times contain ties"
 _BLOCK = 32
 _BLOCK_ENTRIES = 16384
 
-# Bytes of cost rows kept for the reconstruction: the rows of the first
-# grid positions, in whole blocks, up to 2 MiB, which is 512 rows of 512
-# entries. A grid of up to 511 positions (n <= 255) keeps every row and
-# never prices one again; at n = 985 the first 128 rows are kept. Rows
-# further right are priced again when a reconstruction step needs them.
+# Bytes of cost rows kept for the reconstruction: 2 MiB, which is 512 rows
+# of 512 entries. A grid of up to 511 positions (n <= 255) keeps every row
+# and never prices one again; a larger grid keeps none, and each
+# reconstruction step prices the rows it needs again. The rows it needs
+# sit at the change-points of the optima, all over the grid, so the rows
+# of the first positions alone would answer few of them: at n = 985,
+# 128 kept rows answered 136 of 726, 121 of them row 0.
 _KEPT_BYTES = 2 * 2**20
 
 # Columns per priced chunk of a block. The sweep prices a block in chunks
@@ -106,8 +109,8 @@ _KEPT_BYTES = 2 * 2**20
 # with n once 2n + 1 exceeds it. A block has at most _CHUNK rows: the
 # leftmost chunk then holds every column inside the block, whose suffix
 # entries the block itself finishes before the next layer reads them.
-# Wider chunks outgrow what glibc's malloc keeps between them once the
-# kept rows are small: at 4,096 columns a solve at n = 2933 took 61,000
+# Wider chunks outgrow what glibc's malloc keeps between them once few
+# or no rows are kept: at 4,096 columns a solve at n = 2933 took 61,000
 # page faults, against 900 at 2,048. Every chunk is priced into one work
 # area, which the sweep allocates once per solve and which also holds
 # its min-plus work array (see ``_work_entries``): block-sized
@@ -129,8 +132,9 @@ _CHUNK = 2048
 _BYTES_PER_BLOCK_ENTRY = 48
 
 # Peak bytes per entry of the up to Kmax - 1 full cost rows a
-# reconstruction step gathers: the rows, their sum with the suffix
-# table, and the mask of the entries equal to the optimum.
+# reconstruction step reads off the kept rows or prices again: the rows,
+# their sum with the suffix table, and the mask of the entries equal to
+# the optimum.
 _BYTES_PER_ROW_ENTRY = 32
 
 
@@ -138,13 +142,6 @@ def _block_rows(width: int) -> int:
     """Rows per sweep block on a grid whose cost rows are ``width`` long."""
     chunk = min(_CHUNK, width)
     return max(_BLOCK, min(_BLOCK_ENTRIES // chunk, _CHUNK) // 2 * 2)
-
-
-def _kept_rows(size: int) -> int:
-    """How many of a grid's ``size`` cost rows, each ``size`` entries
-    long, fit _KEPT_BYTES in whole blocks."""
-    block = _block_rows(size)
-    return min(size, _KEPT_BYTES // (8 * size) // block * block)
 
 
 def _count_tables(grid: CandidateGrid, shift: float | None = None):
@@ -294,11 +291,12 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
     minima, and the last column, the segment to 1, gives S[1]. Only the
     leftmost chunk reads entries of S[r - 1] inside the block, and it
     does so after they are finished. ``keep[i, j]`` holds the price of
-    (tp_i, tp_j] for the first ``_kept_rows`` positions i and every
-    j <= 2n. Row 2n has no segment left to split, so S stays +inf there
-    from r = 2 on. Of S[kmax] only row 0, the optimum over the whole
-    series, is read; the top block sums it, and the rest stays +inf. At
-    kmax = 1 only (tp_0, 1] is priced and no row is kept.
+    (tp_i, tp_j] for every i, j <= 2n when these rows fit _KEPT_BYTES;
+    otherwise ``keep`` has no row. Row 2n has no segment left to split,
+    so S stays +inf there from r = 2 on. Of S[kmax] only row 0, the
+    optimum over the whole series, is read; the top block sums it, and
+    the rest stays +inf. At kmax = 1 only (tp_0, 1] is priced and no row
+    is kept.
     """
     A = grid.size
     S = np.full((kmax + 1, A + 1), np.inf)
@@ -307,28 +305,16 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
         return S, np.empty((0, A + 1))
     idx = np.arange(A + 2)
     block, width = _block_rows(A + 1), min(_CHUNK, A + 1)
-    rows_kept = _kept_rows(A + 1)
-    size = _work_entries(block, width)
-    if rows_kept == A + 1:
-        # every row is kept, and the reconstruction prices none again: the
-        # kept rows and the work area are one allocation, which malloc
-        # hands out again to the next solve. As two, both freed at the end
-        # of the solve, malloc gave the heap top back to the system and
-        # faulted it in again, about 60 page faults per solve at n = 71.
-        area = np.empty((A + 1) ** 2 + size)
-        keep, work = area[:(A + 1) ** 2].reshape(A + 1, A + 1), area[(A + 1) ** 2:]
-    else:
-        # the work area is dropped before the reconstruction prices rows.
-        # The kept rows take the whole _KEPT_BYTES, whatever their width:
-        # with a size that changed from one solve to the next, around the
-        # threshold above which malloc maps a block afresh, the peak
-        # resident memory of ten CV solves at n = 788 rose by 2 MB.
-        keep = np.empty(_KEPT_BYTES // 8)[:rows_kept * (A + 1)].reshape(rows_kept, A + 1)
-        work = np.empty(size)
+    kept = (A + 1) ** 2 if 8 * (A + 1) ** 2 <= _KEPT_BYTES else 0  # every row or none
+    # the kept rows and the work area are one allocation, which malloc
+    # hands out again to the next solve. As two, both freed at the end of
+    # the solve, malloc gave the heap top back to the system and faulted
+    # it in again, about 60 page faults per solve at n = 71.
+    area = np.empty(kept + _work_entries(block, width))
+    keep, work = area[:kept].reshape(-1, A + 1), area[kept:]
     w = work[-block * width:].reshape(block, width)
     for lo in reversed(range(0, A + 1, block)):
         hi = min(lo + block, A + 1)
-        kept = lo < keep.shape[0]
         if kept:
             keep[lo:hi, :lo + 1] = np.inf
         for c0 in reversed(range(lo + 1, A + 2, _CHUNK)):
@@ -352,7 +338,9 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
             if lo == 0:
                 low = np.min(m[0] + S[kmax - 1, c0:c1])
                 S[kmax, 0] = low if first else min(S[kmax, 0], low)
-    return S, keep
+    # a view of no row would keep the work area alive through the
+    # reconstruction
+    return S, keep if kept else np.empty((0, A + 1))
 
 
 @dataclass(eq=False)
@@ -389,23 +377,17 @@ def _segmentation(self: SolveResult) -> Segmentation | None:
 SolveResult.segmentation = property(_segmentation)
 
 
-def _cost_rows(grid: CandidateGrid, spec: ContrastSpec, keep: np.ndarray,
-               rows: np.ndarray) -> np.ndarray:
-    """Prices of (tp_i, tp_j] for i in ``rows`` and every j <= 2n: kept rows
-    are read, the others priced again a row pair at a time, in column
-    chunks, into one work area."""
-    far = rows >= keep.shape[0]
-    if not far.any():
-        return keep[rows]
-    size = keep.shape[1]
+def _cost_rows(grid: CandidateGrid, spec: ContrastSpec, rows: np.ndarray) -> np.ndarray:
+    """Prices of (tp_i, tp_j] for i in ``rows`` and every j <= 2n, priced
+    again a row pair at a time, in column chunks, into one work area."""
+    size = grid.size + 1
     m = np.full((rows.size, size), np.inf)  # +inf stays left of the diagonal
-    m[~far] = keep[rows[~far]]
     idx = np.arange(size)
     work = np.empty(_work_entries(2, min(_CHUNK, size)))
-    # the K of a step often share a candidate row, and the kept rows are
-    # whole pairs: each pair holding a far row is priced once
+    # the K of a step often share a candidate row: each pair holding one of
+    # the rows is priced once
     pair = rows // 2
-    for e in set(pair[far].tolist()):
+    for e in set(pair.tolist()):
         at, lo = np.flatnonzero(pair == e), 2 * e
         for c0 in range(lo + 1, size, _CHUNK):
             cols = idx[c0:c0 + _CHUNK]
@@ -430,14 +412,13 @@ def _reconstruct(grid: CandidateGrid, spec: ContrastSpec, keep: np.ndarray,
     best = suffix[layer + 1, 0][:, None]
     pieces = np.empty((len(kd), steps))
     cuts = np.empty((len(kd), steps), dtype=np.intp)
-    every_row_kept = keep.shape[0] == keep.shape[1]
     at = np.arange(len(kd))
     prev = np.zeros(len(kd), dtype=np.intp)  # each K's last change-point, first 0
     na = len(kd)
     for s in range(steps):
         while kd[na - 1] <= s + 1:
             na -= 1
-        m = keep[prev[:na]] if every_row_kept else _cost_rows(grid, spec, keep, prev[:na])
+        m = keep[prev[:na]] if len(keep) else _cost_rows(grid, spec, prev[:na])
         total = suffix[layer[:na]]
         total += m
         for i in range(s - 1, -1, -1):
@@ -481,9 +462,9 @@ def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:
             f"solve at n = {grid.n} events needs about {need / 2**30:.1f} GiB for its "
             f"suffix table and cost rows, more than the {have / 2**30:.1f} GiB of physical memory"
         )
-    suffix, keep = _sweep(grid, spec, kmax)
-    base_warn = (TIES_WARNING,) if grid.events.has_ties else ()
     feasible = range(1, min(kmax, grid.size + 1) + 1)
+    suffix, keep = _sweep(grid, spec, len(feasible))  # no layer past the last feasible K
+    base_warn = (TIES_WARNING,) if grid.events.has_ties else ()
     finite = [k for k in feasible if suffix[k, 0] < np.inf]
     cuts = _reconstruct(grid, spec, keep, suffix, finite)
     results: list[SolveResult] = []

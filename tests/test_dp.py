@@ -35,7 +35,6 @@ from ppseg.contrasts import KINDS
 from ppseg.dp import (
     TIES_WARNING,
     _cost_rows,
-    _kept_rows,
     _reconstruct,
     _sweep,
     build_cost_matrix,
@@ -192,9 +191,8 @@ def test_all_k_reconstruction_equals_one_k_at_a_time(data, spec, forbid_empty, k
 
 
 def test_all_k_reconstruction_across_the_row_block():
-    # 2n + 1 = 601 cost rows, of which 416 fit the kept bytes: the optima
-    # cut past them, so the reconstruction prices some of its candidate
-    # rows again
+    # 2n + 1 = 601 cost rows, too many to fit the kept bytes: none is
+    # kept, so the reconstruction prices every candidate row again
     rng = np.random.default_rng(4)
     times = np.sort(np.concatenate([rng.uniform(0.01, 0.5, 100), rng.uniform(0.7, 0.99, 200)]))
     times[41] = times[40]
@@ -208,7 +206,7 @@ def test_all_k_reconstruction_across_the_row_block():
             assert len(ks) == 12
             cuts = _reconstruct(grid, spec, keep, suffix, ks)
             assert cuts == {k: tuple(reconstruct_one(cost, suffix, k)) for k in ks}, spec
-            assert max(c[-2] for c in cuts.values() if len(c) >= 2) >= len(keep), spec
+            assert keep.shape == (0, grid.size + 1), spec
 
 
 def test_segmentation_is_built_on_first_read_from_the_indices():
@@ -353,7 +351,7 @@ def test_blocked_tables_equal_the_dense_construction(n):
     # the 2n + 1 cost rows fall just below or just above a multiple of
     # the 32-row block, where the top block holds row 2n alone, and for
     # n = 255, 256 just below or above the grid whose rows all fit the
-    # kept bytes (511 of 511 rows, then 480 of 513)
+    # kept bytes (all 511 rows kept, then none of 513)
     rng = np.random.default_rng(n)
     times = np.sort(rng.uniform(0.01, 0.99, n))
     marks = rng.exponential(1.0, n)
@@ -367,7 +365,7 @@ def test_blocked_tables_equal_the_dense_construction(n):
                     spec = replace(base, forbid_empty=forbid_empty)
                     suffix, keep = _sweep(grid, spec, 12)
                     dense = dense_cost_matrix(grid, spec)
-                    assert keep.shape == (2 * n + 1 if n <= 255 else 480, 2 * n + 1)
+                    assert keep.shape == (2 * n + 1 if n <= 255 else 0, 2 * n + 1)
                     assert np.array_equal(keep, dense[1:keep.shape[0] + 1, :-1]), spec
                     # S[1 .. 11] on every row, and the top row S[12] at row 0 only
                     want = dense_suffix_table(dense, 12)
@@ -378,22 +376,23 @@ def test_blocked_tables_equal_the_dense_construction(n):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_rows_priced_again_equal_the_block_built_rows(kind):
-    # one row at a time, all 601 rows at once (both a row pair at a time)
+    # one row at a time, all 511 rows at once (both a row pair at a time)
     # and the sweep's 32-row blocks read different windows of the count
-    # tables and take their logs on arrays of different sizes
+    # tables and take their logs on arrays of different sizes; at n = 255
+    # the sweep keeps every row, so each row priced again meets its
+    # block-built one
     rng = np.random.default_rng(9)
-    n = 300
+    n = 255
     times = np.sort(rng.uniform(0.01, 0.99, n))
     grid = build_grid(EventSeries(times, rng.exponential(1.0, n)))
     spec = ContrastSpec(kind, a=0.5, b=2.0, a_rho=3.0, b_rho=0.5)
     rows = np.arange(grid.size + 1)
     _, keep = _sweep(grid, spec, 2)
-    none_kept = keep[:0]  # every row is priced again
-    one_by_one = np.vstack([_cost_rows(grid, spec, none_kept, rows[i:i + 1]) for i in rows])
-    together = _cost_rows(grid, spec, none_kept, rows)
+    one_by_one = np.vstack([_cost_rows(grid, spec, rows[i:i + 1]) for i in rows])
+    together = _cost_rows(grid, spec, rows)
     assert np.array_equal(one_by_one, together)
-    assert len(keep) == _kept_rows(grid.size + 1) == 416
-    assert np.array_equal(together[:len(keep)], keep)
+    assert len(keep) == grid.size + 1 == 511
+    assert np.array_equal(together, keep)
     assert np.array_equal(together, dense_cost_matrix(grid, spec)[1:, :-1])
 
 
@@ -420,10 +419,10 @@ def test_chunked_pricing_equals_one_chunk(monkeypatch, width):
                     with monkeypatch.context() as patch:
                         patch.setattr(dp, "_CHUNK", width)
                         chunked, chunked_keep = _sweep(grid, spec, kmax)
-                        again = _cost_rows(grid, spec, keep[:0], rows)
+                        again = _cost_rows(grid, spec, rows)
                     assert np.array_equal(chunked, whole), (spec, kmax)
                     assert np.array_equal(chunked_keep, keep), (spec, kmax)
-                    assert np.array_equal(again, _cost_rows(grid, spec, keep[:0], rows)), spec
+                    assert np.array_equal(again, _cost_rows(grid, spec, rows)), spec
                     assert np.array_equal(again, keep[rows]), spec
 
 def _assert_block_is_dense(grid, spec, rows, cols):
@@ -437,7 +436,7 @@ def _assert_block_is_dense(grid, spec, rows, cols):
 def _assert_rows_are_dense(grid, spec, rows):
     # rows in any order and with repeats, as the reconstruction passes them
     rows = np.asarray(rows, dtype=np.intp)
-    got = _cost_rows(grid, spec, np.empty((0, grid.size + 1)), rows)
+    got = _cost_rows(grid, spec, rows)
     assert np.array_equal(got, dense_cost_matrix(grid, spec)[rows + 1, :-1]), (spec, rows)
 
 
@@ -603,6 +602,28 @@ def test_no_admissible_segmentation_without_ties():
             ref = brute_force(series, spec, res.k)
             assert ref.contrast == np.inf and ref.indices is None
 
+
+def test_solve_sweeps_no_layer_past_the_grid(monkeypatch):
+    # three events give a 7-position grid and so at most K = 7: at kmax 40
+    # the sweep stops at layer 7, K = 1 to 7 equal a solve at kmax 7, and
+    # K = 8 to 40 are infeasible
+    sweep, swept = dp._sweep, []
+
+    def counting(grid, spec, kmax):
+        swept.append(kmax)
+        return sweep(grid, spec, kmax)
+
+    monkeypatch.setattr(dp, "_sweep", counting)
+    series = EventSeries(np.array([0.2, 0.5, 0.8]))
+    for spec in (UNIT_PG, replace(UNIT_PG, forbid_empty=True)):
+        many, few = solve(series, spec, 40), solve(series, spec, 7)
+        assert swept == [7, 7]
+        swept.clear()
+        fields = [(r.k, r.feasible, r.indices, r.contrast, r.warnings) for r in many]
+        assert fields[:7] == [(r.k, r.feasible, r.indices, r.contrast, r.warnings) for r in few]
+        assert fields[7:] == [(k, False, None, None, ()) for k in range(8, 41)]
+
+
 def test_forbidding_empty_segments_keeps_solver_exact():
     # every segment of a restricted optimum holds an event, K above n is
     # inadmissible, and the solver still equals the exhaustive search
@@ -708,10 +729,10 @@ def test_solve_refuses_series_beyond_physical_memory(monkeypatch):
 
 @pytest.mark.parametrize("marked", [False, True])
 def test_memory_estimate_bounds_the_traced_peak(monkeypatch, marked):
-    # at n = 300, 416 of the 601 cost rows fit the kept bytes; at
-    # n = 1000, 128 of 2001 rows do and the blocks are priced in chunks of
-    # 256 columns, so the estimate counts a chunk's work arrays, not a
-    # whole block's, and the traced peak must stay below it
+    # at n = 300 and n = 1000 the grid keeps no cost row; at n = 1000 the
+    # blocks are priced in chunks of 256 columns, so the estimate counts a
+    # chunk's work arrays, not a whole block's, and the traced peak must
+    # stay below it
     rng = np.random.default_rng(2)
     kmax = 12
     for n, chunk in ((300, dp._CHUNK), (1000, 256)):
@@ -732,7 +753,7 @@ def test_memory_estimate_bounds_the_traced_peak(monkeypatch, marked):
 def test_time_reversal_mirrors_the_optimum(seed):
     # t -> 1 - t keeps every K's optimal contrast and mirrors its
     # change-points, "at m" <-> "before n + 1 - m", i.e. index p <-> 2n + 1 - p.
-    # At n = 300 to 600 the optima cut past the kept rows. Segments are
+    # At n = 300 to 600 the grid keeps no cost row. Segments are
     # left-open, so a tie between two optima can resolve differently in the
     # mirror; then the mirrored vector must price within the tolerance.
     rng = np.random.default_rng(seed)
@@ -761,8 +782,8 @@ def test_time_reversal_mirrors_the_optimum(seed):
 def test_mark_scale_shifts_every_contrast_by_n_log_c(seed):
     # Marks x 1024 scale b_rho = mean mark x (a_rho - 1) exactly, so under
     # default_spec each segment's cost moves by its count x log 1024 and
-    # every K keeps its change-points. At n = 430 to 490 the optima cut
-    # past the kept rows, so the reconstruction prices rows again. The
+    # every K keeps its change-points. At n = 430 to 490 the grid keeps no
+    # cost row, so the reconstruction prices every row it reads again. The
     # logs of the scaled sums round differently: contrasts agree within
     # 4 ulps per segment of the summed magnitudes of the formula's terms,
     # and a draw whose optimum ties within that tolerance may move.
@@ -773,8 +794,8 @@ def test_mark_scale_shifts_every_contrast_by_n_log_c(seed):
     grid = build_grid(series)
     shift = series.n * math.log(1024.0)
     eps = np.finfo(float).eps
+    assert len(_sweep(grid, base, 2)[1]) == 0
     same = moved = 0
-    past_kept = False
     for forbid_empty in (False, True):
         spec = replace(base, forbid_empty=forbid_empty)
         scaled_spec = replace(scaled_base, forbid_empty=forbid_empty)
@@ -785,13 +806,11 @@ def test_mark_scale_shifts_every_contrast_by_n_log_c(seed):
                      + gammaln(c + spec.a_rho))
             tol = 4 * res.k * eps * float(np.sum(terms))
             assert abs(big.contrast - shift - res.contrast) <= tol, (forbid_empty, res.k)
-            past_kept |= any(p >= _kept_rows(grid.size + 1) for p in res.indices)
             if big.indices == res.indices:
                 same += 1
             else:
                 assert abs(contrast(grid, spec, big.indices) - res.contrast) <= tol
                 moved += 1
-    assert past_kept
     assert same >= 3 * moved
 
 
@@ -845,8 +864,8 @@ def test_one_solve_builds_each_count_table_once(monkeypatch, kind, tables):
 @pytest.mark.parametrize("kind", ["poisson", "marked_poisson"])
 def test_likelihood_solves_evaluate_no_lgamma(monkeypatch, kind):
     # the likelihood kinds read the unshifted count table alone, in the
-    # sweep and in the rows the reconstruction prices again past the 416
-    # kept ones, so they take no slot in the lgamma memo
+    # sweep and in the rows the reconstruction prices again, as the grid
+    # keeps none, so they take no slot in the lgamma memo
     def refuse(shift, size):
         raise AssertionError(f"lgamma over {size} counts at shift {shift}")
 
@@ -856,7 +875,7 @@ def test_likelihood_solves_evaluate_no_lgamma(monkeypatch, kind):
     n = 300
     series = EventSeries(np.sort(rng.uniform(0.01, 0.99, n)), rng.exponential(1.0, n))
     grid = build_grid(series)
-    results = solve(grid, ContrastSpec(kind), 12)
-    assert any(p >= _kept_rows(grid.size + 1) for p in results[-1].indices)
+    assert len(_sweep(grid, ContrastSpec(kind), 2)[1]) == 0
+    solve(grid, ContrastSpec(kind), 12)
     assert list(grid.count_tables) == [None]
     assert special._count_memo == {}

@@ -38,7 +38,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SIMULATE_PLAIN = ["simulate", "--design", "100,8", "--seed", "1"]
 SIMULATE_MARKED = ["simulate", "--design", "100,8", "--marks", "0.1,0.005", "--seed", "1"]
 # about 1,000 events, unmarked and marked: the only pinned series whose
-# solves price rows past the kept ones and refit on many cost blocks
+# solves keep no cost row, so their reconstructions price rows again,
+# and refit on many cost blocks
 SIMULATE_N1000 = ["simulate", "--design", "1000,3", "--seed", "1"]
 SIMULATE_N1000_MARKED = ["simulate", "--design", "1000,3", "--marks", "0.1,0.005",
                          "--seed", "1"]
