@@ -5,15 +5,15 @@ Optimal change-points of a concave per-segment cost always sit on the
 vectors reduces to a discrete shortest-path problem. ``solve`` fills
 one dynamic-programming suffix table in a single bottom-up sweep over
 blocks of rows of the segment prices, sized by entries: each block is
-priced where the sweep uses it, on its upper triangle only and in
-column chunks of a fixed width, and then dropped. A grid whose cost
-rows all fit a fixed byte budget keeps every one of them for the
-reconstruction; a larger grid keeps none, and the reconstruction prices
-each row it needs again, bit for bit. The sweep fills S[1 .. Kmax - 1]
-and, from row 0 of the top block, row 0 of S[Kmax], the one entry of it
-anything reads. That takes O((2n)^2 Kmax) time and O(n Kmax) memory
-beyond two constants, the kept rows and one work area that holds a
-priced chunk; no (2n + 2)^2 matrix is ever held. It returns, for every
+priced where the sweep uses it, on its upper triangle only and across
+its whole rows, and then dropped. A grid whose cost rows all fit a
+fixed byte budget keeps every one of them for the reconstruction; a
+larger grid keeps none, and the reconstruction prices each row it needs
+again, bit for bit. The sweep fills S[1 .. Kmax - 1] and, from row 0 of
+the top block, row 0 of S[Kmax], the one entry of it anything reads.
+That takes O((2n)^2 Kmax) time and O(n Kmax) memory beyond a constant:
+the suffix table, the kept rows and one work area that holds a priced
+block; no (2n + 2)^2 matrix is ever held. It returns, for every
 segment count K up to Kmax, the optimum's change-point indices and its
 contrast.
 ``brute_force`` enumerates every candidate subset and is the
@@ -85,13 +85,13 @@ from .special import gammaln_counts
 TIES_WARNING = "event times contain ties"
 
 # Rows per block of the bottom-up sweep: _BLOCK_ENTRIES entries of a
-# priced chunk divided by its width, rounded down to even, and at least
+# priced block divided by its width, rounded down to even, and at least
 # _BLOCK. Every numpy call of the sweep pays a fixed overhead, which at
 # n = 75 cost more than its arithmetic: a grid of about 150 positions
 # takes one or two blocks, where 32-row blocks took five. From 512
-# columns on, blocks keep 32 rows, which bound the work area. The height
-# is even, so every block starts at an even row and is priced from views
-# of whole row pairs (see ``build_cost_matrix``).
+# columns on, blocks keep 32 rows. The height is even, so every block
+# starts at an even row and is priced from views of whole row pairs (see
+# ``build_cost_matrix``).
 _BLOCK = 32
 _BLOCK_ENTRIES = 16384
 
@@ -104,31 +104,14 @@ _BLOCK_ENTRIES = 16384
 # 128 kept rows answered 136 of 726, 121 of them row 0.
 _KEPT_BYTES = 2 * 2**20
 
-# Columns per priced chunk of a block. The sweep prices a block in chunks
-# of up to _CHUNK columns, right to left, so its work area stops growing
-# with n once 2n + 1 exceeds it. A block has at most _CHUNK rows: the
-# leftmost chunk then holds every column inside the block, whose suffix
-# entries the block itself finishes before the next layer reads them.
-# Wider chunks outgrow what glibc's malloc keeps between them once few
-# or no rows are kept: at 4,096 columns a solve at n = 2933 took 61,000
-# page faults, against 900 at 2,048. Every chunk is priced into one work
-# area, which the sweep allocates once per solve and which also holds
-# its min-plus work array (see ``_work_entries``): block-sized
-# temporaries freed after every block let malloc give the heap top back
-# to the system and fault it in again. The area lives as long as the
-# solve and no longer: ``run_bench`` starts a fresh worker thread per
-# call, so a buffer kept per thread is never reused and only adds to the
-# peak memory.
-_CHUNK = 2048
-
-# Peak bytes per entry of one priced chunk (a block's rows by up to _CHUNK
+# Peak bytes per entry of one priced block (its rows by the grid's 2n + 1
 # columns) that ``solve`` allocates besides its tables: the work area,
 # which also holds the min-plus work array, and for the likelihood kinds
 # the temporaries of ``segment_cost``. A reconstruction step prices one
 # row pair at a time, in a work area of its own and far less. The
 # tracemalloc peak of the sweep beyond the suffix table and the kept
-# rows, at Kmax 12 and n = 40 to 2933, is 10 to 28 bytes per chunk entry
-# for the marginal kinds and 11 to 44 for the likelihood kinds.
+# rows, at Kmax 12 and n = 40 to 10,358, is 18 to 29 bytes per block
+# entry for the marginal kinds and 27 to 44 for the likelihood kinds.
 _BYTES_PER_BLOCK_ENTRY = 48
 
 # Peak bytes per entry of the up to Kmax - 1 full cost rows a
@@ -140,8 +123,7 @@ _BYTES_PER_ROW_ENTRY = 32
 
 def _block_rows(width: int) -> int:
     """Rows per sweep block on a grid whose cost rows are ``width`` long."""
-    chunk = min(_CHUNK, width)
-    return max(_BLOCK, min(_BLOCK_ENTRIES // chunk, _CHUNK) // 2 * 2)
+    return max(_BLOCK, _BLOCK_ENTRIES // width // 2 * 2)
 
 
 def _count_tables(grid: CandidateGrid, shift: float | None = None):
@@ -285,18 +267,14 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
 
     S[r, i] is the optimal cost of splitting (tp_i, 1] into r segments.
     Row i reads S[r - 1] only right of i, so each block of rows is
-    priced, finishes every r < kmax and is dropped before the block
-    above it starts. A block is priced in chunks of columns, right to
-    left; each chunk lowers the block's entries of S[r] to its row
-    minima, and the last column, the segment to 1, gives S[1]. Only the
-    leftmost chunk reads entries of S[r - 1] inside the block, and it
-    does so after they are finished. ``keep[i, j]`` holds the price of
-    (tp_i, tp_j] for every i, j <= 2n when these rows fit _KEPT_BYTES;
-    otherwise ``keep`` has no row. Row 2n has no segment left to split,
-    so S stays +inf there from r = 2 on. Of S[kmax] only row 0, the
-    optimum over the whole series, is read; the top block sums it, and
-    the rest stays +inf. At kmax = 1 only (tp_0, 1] is priced and no row
-    is kept.
+    priced across its whole rows, finishes every r < kmax and is dropped
+    before the block above it starts; the last column, the segment to 1,
+    gives S[1]. ``keep[i, j]`` holds the price of (tp_i, tp_j] for every
+    i, j <= 2n when these rows fit _KEPT_BYTES; otherwise ``keep`` has no
+    row. Row 2n has no segment left to split, so S stays +inf there from
+    r = 2 on. Of S[kmax] only row 0, the optimum over the whole series,
+    is read; the top block sums it, and the rest stays +inf. At kmax = 1
+    only (tp_0, 1] is priced and no row is kept.
     """
     A = grid.size
     S = np.full((kmax + 1, A + 1), np.inf)
@@ -304,40 +282,34 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
         S[1, 0] = build_cost_matrix(grid, spec, range(1), np.array([grid.last_index]))[0, 0]
         return S, np.empty((0, A + 1))
     idx = np.arange(A + 2)
-    block, width = _block_rows(A + 1), min(_CHUNK, A + 1)
+    block = _block_rows(A + 1)
     kept = (A + 1) ** 2 if 8 * (A + 1) ** 2 <= _KEPT_BYTES else 0  # every row or none
-    # the kept rows and the work area are one allocation, which malloc
-    # hands out again to the next solve. As two, both freed at the end of
-    # the solve, malloc gave the heap top back to the system and faulted
-    # it in again, about 60 page faults per solve at n = 71.
-    area = np.empty(kept + _work_entries(block, width))
+    # one allocation per solve holds the kept rows and the work area that
+    # every block is priced into, min-plus work array included.
+    # Temporaries freed after every block, or two allocations freed at the
+    # end, let malloc give the heap top back to the system and fault it in
+    # again, about 60 page faults per solve at n = 71. The area lives no
+    # longer than the solve: ``run_bench`` starts a fresh worker thread per
+    # call, so a buffer kept per thread would never be reused.
+    area = np.empty(kept + _work_entries(block, A + 1))
     keep, work = area[:kept].reshape(-1, A + 1), area[kept:]
-    w = work[-block * width:].reshape(block, width)
+    w = work[-block * (A + 1):].reshape(block, A + 1)
     for lo in reversed(range(0, A + 1, block)):
         hi = min(lo + block, A + 1)
+        m = build_cost_matrix(grid, spec, range(lo, hi), idx[lo + 1:], work)
+        S[1, lo:hi] = m[:, -1]
+        m = m[:, :-1]  # m[i - lo, j - lo - 1] prices (tp_i, tp_j]
         if kept:
             keep[lo:hi, :lo + 1] = np.inf
-        for c0 in reversed(range(lo + 1, A + 2, _CHUNK)):
-            c1 = min(c0 + _CHUNK, A + 2)
-            m = build_cost_matrix(grid, spec, range(lo, hi), idx[c0:c1], work)
-            first = c1 == A + 2  # the chunk priced first sets the minima
-            if first:
-                S[1, lo:hi] = m[:, -1]
-                m, c1 = m[:, :-1], A + 1  # m[i - lo, l - c0] prices (tp_i, tp_l]
-                if c1 == c0:
-                    continue  # a chunk of the last column alone has none to reduce
-            if kept:
-                keep[lo:hi, c0:c1] = m
-            wb = w[:hi - lo, :c1 - c0]
-            for r in range(2, kmax):
-                np.add(m, S[r - 1, c0:c1], out=wb)
-                if first:
-                    np.minimum.reduce(wb, axis=1, out=S[r, lo:hi])
-                else:
-                    np.minimum(S[r, lo:hi], wb.min(axis=1), out=S[r, lo:hi])
-            if lo == 0:
-                low = np.min(m[0] + S[kmax - 1, c0:c1])
-                S[kmax, 0] = low if first else min(S[kmax, 0], low)
+            keep[lo:hi, lo + 1:] = m
+        if lo == A:
+            continue  # a block of row 2n alone has no segment left to split
+        wb = w[:hi - lo, :A - lo]
+        for r in range(2, kmax):
+            np.add(m, S[r - 1, lo + 1:], out=wb)
+            np.minimum.reduce(wb, axis=1, out=S[r, lo:hi])
+        if lo == 0:
+            S[kmax, 0] = np.min(m[0] + S[kmax - 1, 1:])
     # a view of no row would keep the work area alive through the
     # reconstruction
     return S, keep if kept else np.empty((0, A + 1))
@@ -379,20 +351,18 @@ SolveResult.segmentation = property(_segmentation)
 
 def _cost_rows(grid: CandidateGrid, spec: ContrastSpec, rows: np.ndarray) -> np.ndarray:
     """Prices of (tp_i, tp_j] for i in ``rows`` and every j <= 2n, priced
-    again a row pair at a time, in column chunks, into one work area."""
+    again a row pair at a time, into one work area."""
     size = grid.size + 1
     m = np.full((rows.size, size), np.inf)  # +inf stays left of the diagonal
     idx = np.arange(size)
-    work = np.empty(_work_entries(2, min(_CHUNK, size)))
+    work = np.empty(_work_entries(2, size))
     # the K of a step often share a candidate row: each pair holding one of
     # the rows is priced once
     pair = rows // 2
     for e in set(pair.tolist()):
         at, lo = np.flatnonzero(pair == e), 2 * e
-        for c0 in range(lo + 1, size, _CHUNK):
-            cols = idx[c0:c0 + _CHUNK]
-            f = build_cost_matrix(grid, spec, range(lo, min(lo + 2, size)), cols, work)
-            m[at, c0:c0 + cols.size] = f[rows[at] - lo]
+        f = build_cost_matrix(grid, spec, range(lo, min(lo + 2, size)), idx[lo + 1:], work)
+        m[at, lo + 1:] = f[rows[at] - lo]
     return m
 
 
@@ -435,12 +405,13 @@ def solve_bytes(n: int, kmax: int) -> int:
     """Upper estimate of the memory ``solve`` allocates for n events.
 
     The suffix table, the kept cost rows, the rows a reconstruction step
-    gathers, and the working set of one of the sweep's priced chunks,
-    which bounds that of a reconstruction step's row pair.
+    gathers, and the working set of one of the sweep's priced blocks,
+    which bounds that of a reconstruction step's row pair. Blocks span
+    whole rows, so this last term grows linearly with n.
     """
     side = 2 * n + 2
     tables = 8 * (kmax + 1) * side + _KEPT_BYTES + _BYTES_PER_ROW_ENTRY * kmax * side
-    return tables + _BYTES_PER_BLOCK_ENTRY * _block_rows(side - 1) * min(_CHUNK, side)
+    return tables + _BYTES_PER_BLOCK_ENTRY * _block_rows(side - 1) * side
 
 
 def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:

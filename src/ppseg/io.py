@@ -93,7 +93,7 @@ def read_events_file(path) -> tuple[np.ndarray, np.ndarray | None]:
     t = columns[0]
     if t.size and not np.all(np.isfinite(t)):
         raise ValueError(f"{path}: event times must be finite")
-    if np.any(np.diff(t) < 0.0):
+    if np.any(t[1:] < t[:-1]):
         raise ValueError(f"{path}: event times must be sorted ascending")
     if len(columns) == 1:
         return t, None

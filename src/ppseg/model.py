@@ -35,7 +35,7 @@ def _validated_times(times) -> np.ndarray:
     if t.size:
         if not np.all(np.isfinite(t)):
             raise ValueError("event times must be finite")
-        if np.any(np.diff(t) < 0.0):
+        if np.any(t[1:] < t[:-1]):
             raise ValueError("event times must be sorted ascending")
         if t[0] <= 0.0 or t[-1] >= 1.0:
             raise ValueError(

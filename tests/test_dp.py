@@ -394,14 +394,8 @@ def test_rows_priced_again_equal_the_block_built_rows(kind):
     assert len(keep) == grid.size + 1 == 511
     assert np.array_equal(together, keep)
     assert np.array_equal(together, dense_cost_matrix(grid, spec)[1:, :-1])
-
-
-
-@pytest.mark.parametrize("width", [32, 34, 100])
-def test_chunked_pricing_equals_one_chunk(monkeypatch, width):
-    # 2n + 1 = 201 columns in chunks of 32 or more columns, the least the
-    # sweep allows; at width 34 the block at row 64 and at width 100 the
-    # top block end on a chunk of the last column alone
+    # rows in any order and with repeats equal the kept rows on tied and
+    # untied data, with and without forbid_empty, at Kmax 2 and 12
     rng = np.random.default_rng(31)
     n = 100
     times = np.sort(rng.uniform(0.01, 0.99, n))
@@ -411,19 +405,12 @@ def test_chunked_pricing_equals_one_chunk(monkeypatch, width):
     rows = np.array([200, 0, 7, 7, 64, 199, 1, 136])
     for t in (times, tied):
         grid = build_grid(EventSeries(t, marks))
-        for kind in KINDS:
-            for forbid_empty in (False, True):
-                spec = replace(default_spec(grid.events, kind), forbid_empty=forbid_empty)
-                for kmax in (2, 12):
-                    whole, keep = _sweep(grid, spec, kmax)
-                    with monkeypatch.context() as patch:
-                        patch.setattr(dp, "_CHUNK", width)
-                        chunked, chunked_keep = _sweep(grid, spec, kmax)
-                        again = _cost_rows(grid, spec, rows)
-                    assert np.array_equal(chunked, whole), (spec, kmax)
-                    assert np.array_equal(chunked_keep, keep), (spec, kmax)
-                    assert np.array_equal(again, _cost_rows(grid, spec, rows)), spec
-                    assert np.array_equal(again, keep[rows]), spec
+        for forbid_empty in (False, True):
+            spec = replace(default_spec(grid.events, kind), forbid_empty=forbid_empty)
+            for kmax in (2, 12):
+                _, keep = _sweep(grid, spec, kmax)
+                assert np.array_equal(_cost_rows(grid, spec, rows), keep[rows]), (spec, kmax)
+
 
 def _assert_block_is_dense(grid, spec, rows, cols):
     cols = np.asarray(cols, dtype=np.intp)
@@ -501,18 +488,16 @@ def _priced_runs(draw):
     return times, marks, lo, hi, start, width
 
 
-@given(run=_priced_runs(), spec=st.sampled_from(TIE_SPECS), forbid_empty=st.booleans(),
-       chunk=st.integers(32, 90))
+@given(run=_priced_runs(), spec=st.sampled_from(TIE_SPECS), forbid_empty=st.booleans())
 @example(run=([0.1, 0.3, 0.3, 0.6, 0.9], [1.0, 2.0, 0.5, 3.0, 1.0], 3, 11, 4, 8),
-         spec=ContrastSpec("marked_pgeg", a=1.0, b=0.5), forbid_empty=False, chunk=32)
+         spec=ContrastSpec("marked_pgeg", a=1.0, b=0.5), forbid_empty=False)
 @example(run=([0.2, 0.5, 0.5, 0.7], None, 2, 9, 3, 7),
-         spec=ContrastSpec("poisson_gamma", a=0.5, b=2.0), forbid_empty=True, chunk=32)
-def test_view_priced_runs_equal_the_dense_matrix(run, spec, forbid_empty, chunk):
+         spec=ContrastSpec("poisson_gamma", a=0.5, b=2.0), forbid_empty=True)
+def test_view_priced_runs_equal_the_dense_matrix(run, spec, forbid_empty):
     # a run of rows from an even or an odd row, up to an odd-length last
     # block ending at row 2n, priced from views into a work area full of
     # nan equals the same rows of the dense matrix, bit for bit; so do the
-    # sweep's tables with blocks and chunks of a drawn width below and
-    # above the grid's 2n + 1 columns
+    # cost rows the sweep keeps
     times, marks, lo, hi, start, width = run
     if spec.requires_marks and marks is None:
         marks = [1.0] * len(times)
@@ -521,14 +506,10 @@ def test_view_priced_runs_equal_the_dense_matrix(run, spec, forbid_empty, chunk)
     cols = np.arange(start, start + width)
     work = np.full(dp._work_entries(hi - lo, width), np.nan)
     viewed = build_cost_matrix(grid, spec, range(lo, hi), cols, work)
-    dense = dense_cost_matrix(grid, spec)[lo + 1:hi + 1][:, cols]
-    assert np.array_equal(viewed.view(np.int64), dense.view(np.int64))
-    whole, keep = _sweep(grid, spec, 12)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dp, "_CHUNK", chunk)
-        chunked, chunked_keep = _sweep(grid, spec, 12)
-    assert np.array_equal(chunked.view(np.int64), whole.view(np.int64))
-    assert np.array_equal(chunked_keep.view(np.int64), keep.view(np.int64))
+    dense = dense_cost_matrix(grid, spec)
+    assert np.array_equal(viewed.view(np.int64), dense[lo + 1:hi + 1][:, cols].view(np.int64))
+    _, keep = _sweep(grid, spec, 12)
+    assert np.array_equal(keep.view(np.int64), dense[1:, :-1].view(np.int64))
 
 
 def test_kmax_one_prices_one_entry(monkeypatch):
@@ -728,15 +709,13 @@ def test_solve_refuses_series_beyond_physical_memory(monkeypatch):
 
 
 @pytest.mark.parametrize("marked", [False, True])
-def test_memory_estimate_bounds_the_traced_peak(monkeypatch, marked):
-    # at n = 300 and n = 1000 the grid keeps no cost row; at n = 1000 the
-    # blocks are priced in chunks of 256 columns, so the estimate counts a
-    # chunk's work arrays, not a whole block's, and the traced peak must
-    # stay below it
+def test_memory_estimate_bounds_the_traced_peak(marked):
+    # at n = 300 and n = 1100 the grid keeps no cost row; at n = 1100 each
+    # block is priced across 2,201 columns, wider than any grid of the
+    # benchmark, and the traced peak must stay below the estimate
     rng = np.random.default_rng(2)
     kmax = 12
-    for n, chunk in ((300, dp._CHUNK), (1000, 256)):
-        monkeypatch.setattr(dp, "_CHUNK", chunk)
+    for n in (300, 1100):
         times = np.sort(rng.uniform(0.01, 0.99, n))
         series = EventSeries(times, rng.exponential(1.0, n) if marked else None)
         for spec in spec_variants(marked):

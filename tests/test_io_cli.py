@@ -576,6 +576,22 @@ def test_cli_refuses_a_window_with_a_non_finite_bound(tmp_path, capsys, window):
     assert "window bounds and width must be finite" in captured.err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text, message", [
+    ("time\n-1e308\n1e308\n", "window bounds and width must be finite"),
+    ("time\n1e308\n-1e308\n", "event times must be sorted ascending"),
+])
+def test_cli_checks_the_order_of_times_without_overflow(tmp_path, capsys, text, message):
+    # consecutive times 2e308 apart: their difference overflows, the
+    # comparison of the times themselves does not
+    events = tmp_path / "events.csv"
+    events.write_text(text)
+    assert _run(["segment", str(events), "-o", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("k", [-3, 10, 40])
 def test_cli_dyadic_window_scales_only_the_original_columns(tmp_path, k):
     # a window (0, 2^k) normalizes every time exactly, so the document

@@ -78,9 +78,13 @@ def test_count_between_with_ties():
             assert _count(grid, p_lo, p_hi) == expected
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_times_must_be_sorted():
     with pytest.raises(ValueError, match="sorted ascending"):
         EventSeries(np.array([0.5, 0.2]))
+    # the order is checked without a difference, which would overflow here
+    with pytest.raises(ValueError, match="sorted ascending"):
+        EventSeries(np.array([1e308, -1e308]))
 
 
 @pytest.mark.parametrize("times", [[0.0, 0.5], [0.5, 1.0], [-0.1], [1.2]])

@@ -4,7 +4,7 @@ Runs twenty-eight ``ppseg`` commands against the ``src/`` of this checkout, in a
 temporary directory, and prints one ``label sha256`` line per output, then
 one ``solver-corpus sha256`` line for the solver-bits corpus: one line per
 ``SolveResult`` of 1,296 library-level solves (n = 1 to 600, and 2,100,
-whose grid is wider than a priced column chunk; all four kinds,
+whose grid of 4,201 columns is wider than any benchmark grid; all four kinds,
 ``forbid_empty`` on and off, Kmax 1, 2 and 12, untied, tied and marked
 series) and the means of two ``cross_validate`` curves, every float
 written as hex:
@@ -108,7 +108,7 @@ COMMANDS = (
 # (n, tied, marked, Kmax values) of the corpus series. Around 63/64 and
 # 127/128 the top row block is full or holds row 2n alone; up to n = 255
 # every cost row is kept, from 256 on the reconstruction prices rows
-# again; n = 2100 has 4,201 grid columns, more than one priced chunk.
+# again; n = 2100 has 4,201 grid columns, each block priced across all.
 CORPUS_SERIES = (
     *((n, tied, marked, (1, 2, 12))
       for n in (1, 2, 3, 4, 7, 16, 31, 63, 64, 127, 128, 255, 256, 300, 400, 500, 600)
