@@ -41,11 +41,13 @@ row event and a column, and reads the counts, c + a and lgamma(c + a)
 off count tables kept on the grid, each count twice, whose lgamma
 values ``special.gammaln_counts`` memoises across grids; the likelihood
 kinds read the counts alone and evaluate no lgamma. Every block, the
-sweep's and the reconstruction's, is a run of consecutive rows widened
-to whole row pairs, and the one pricer reads every part of it through
-strided views of these tables, with no gather, and writes the prices
-into a work area. The parts go through the formula ``segment_cost``
-uses, in the same order, so every price keeps its bits.
+sweep's and the reconstruction's, is a run of consecutive rows priced
+on whole rows: widened to whole row pairs and priced on every column
+from its first even row to 2n + 1, so the one pricer reads every part
+of it through strided views of these tables, with no gather, and writes
+the prices into a work area. The parts go through the formula
+``segment_cost`` uses, in the same order, so every price keeps its
+bits.
 
 Every segment cost lies in (-inf, +inf] (see ``contrasts``), so plain
 IEEE addition accumulates the tables and +inf absorbs. The block pricer
@@ -147,12 +149,12 @@ def _count_tables(grid: CandidateGrid, shift: float | None = None):
     return tables
 
 
-def _count_run(grid: CandidateGrid, shift: float | None, first: int, pairs: int, width: int):
-    """The count tables on the column pairs k < width of the row pairs of
-    a run, as (pairs, 2, 2 width) views: pair e counts first - e + k
-    events at column pair k, on both of its rows, so its window starts
-    one count left of pair e - 1's."""
-    return [np.ndarray((pairs, 2, 2 * width), t.dtype, t, 16 * (grid.n + first), (-16, 0, 8))
+def _count_run(grid: CandidateGrid, shift: float | None, pairs: int, width: int):
+    """The count tables of a run priced from an even row r0 on the
+    ``width`` columns from r0, as (pairs, 2, width) views: row pair e
+    counts k - e events at column pair k, on both of its rows, so its
+    window starts one count left of pair e - 1's."""
+    return [np.ndarray((pairs, 2, width), t.dtype, t, 16 * grid.n, (-16, 0, 8))
             for t in _count_tables(grid, shift)]
 
 
@@ -167,25 +169,36 @@ def _work_entries(rows: int, cols: int) -> int:
     return width * (4 * pairs + 1)
 
 
-def _price_run(grid: CandidateGrid, spec: ContrastSpec, lo: int, hi: int,
-               q0: int, q1: int, work) -> np.ndarray:
-    """The prices of rows lo .. hi - 1 on the columns 2 q0 .. 2 q1 - 1,
-    from views, in ``work``.
+def build_cost_matrix(grid: CandidateGrid, spec: ContrastSpec, rows: range,
+                      work: np.ndarray | None = None) -> np.ndarray:
+    """Prices of the segments (tp_i, tp_j] for i in ``rows``, a ``range``
+    of consecutive grid indices, and every j from rows.start + 1 to
+    2n + 1; entries with j <= i are +inf.
 
-    The run is widened to whole row pairs from r0 = lo - lo % 2: row
-    r0 + 2e + p, p = 0 or 1, lies right of event r0 / 2 + e and sits at
-    the time of slot r0 / 2 + e + p. Its counts are a window of the count
-    tables that slides one count left per pair, its length (or log(d +
-    b)) row e + p of an array over (slot, column) and its mark sum (or
-    mark term) row e of one over (event, column), each read through a
-    stride-0 or overlapping pair axis. The work area holds the priced
-    pairs, the length array and the mark array, one after another. Left
-    of the diagonal, where the prices are set to +inf, lengths and mark
-    sums are negative; they are read as 0, which spares np.log its slow
-    path for negative input.
+    Each part of a price is the one ``segment_cost`` computes, read off
+    strided views of the grid's slots and count tables, and goes through
+    the same formula, so a row priced again equals the same row priced
+    in a block, bit for bit. The prices are a view of ``work`` when
+    given, a float array of at least ``_work_entries(len(rows), 2n +
+    1)`` entries, overwritten by the next call that uses it.
+
+    The run is widened to whole row pairs and priced on the columns from
+    r0 = rows.start - rows.start % 2: row r0 + 2e + p, p = 0 or 1, lies
+    right of event r0 / 2 + e and sits at the time of slot r0 / 2 + e +
+    p, and columns 2q and 2q + 1 lie right of the same q events. Its
+    counts are a window of the count tables that slides one count left
+    per pair, its length (or log(d + b)) row e + p of an array over
+    (slot, column) and its mark sum (or mark term) row e of one over
+    (event, column), each read through a stride-0 or overlapping pair
+    axis. The work area holds the priced pairs, the length array and the
+    mark array, one after another. Left of the diagonal, where the
+    prices are set to +inf, lengths and mark sums are negative; they are
+    read as 0, which spares np.log its slow path for negative input.
     """
+    require_marks(spec, grid.mark_prefix is not None)
+    lo, hi = rows.start, rows.stop
     r0 = lo - lo % 2
-    pairs, width = (hi - r0 + 1) // 2, 2 * (q1 - q0)
+    pairs, width = (hi - r0 + 1) // 2, grid.size + 2 - r0
     t0 = r0 // 2  # the event of row r0 and the slot of its time
     if work is None:
         work = np.empty(_work_entries(2 * pairs, width))
@@ -193,73 +206,46 @@ def _price_run(grid: CandidateGrid, spec: ContrastSpec, lo: int, hi: int,
     block = work[:size].reshape(pairs, 2, width)
     d = work[size:size + (pairs + 1) * width].reshape(pairs + 1, width)
     size += d.size
-    np.subtract(grid.values[2 * q0:2 * q1], grid.slot_times[t0:t0 + pairs + 1, None], out=d)
+    np.subtract(grid.values[r0:], grid.slot_times[t0:t0 + pairs + 1, None], out=d)
     np.maximum(d, 0.0, out=d)
     pair_d = np.ndarray((pairs, 2, width), d.dtype, d, 0, (d.strides[0], *d.strides))
     s = None
     if spec.requires_marks:
         s = work[size:size + pairs * width].reshape(pairs, width)
         prefix = grid.mark_prefix
-        np.subtract(np.repeat(prefix[q0:q1], 2), prefix[t0:t0 + pairs, None], out=s)
+        np.subtract(np.repeat(prefix[t0:], 2), prefix[t0:t0 + pairs, None], out=s)
         np.maximum(s, 0.0, out=s)
-    first = q0 - t0
-    if spec.kind not in MARGINAL_KINDS:
-        (c,) = _count_run(grid, None, first, pairs, width // 2)
-        block[...] = segment_cost(spec, c, pair_d, None if s is None else s[:, None])
-    else:
-        d += spec.b
-        np.log(d, out=d)  # pair_d now reads log(d + b)
-        ca, lg_ca = _count_run(grid, spec.a, first, pairs, width // 2)
-        marks = None
-        if s is not None:
-            car, lg_car = _count_run(grid, spec.a_rho, first, pairs, width // 2)
-            s += spec.b_rho
-            np.log(s, out=s)
-            s *= car[:, 0]
-            marks = (s[:, None], lg_car, prior_constant(spec.a_rho, spec.b_rho))
-        marginal_cost(ca, pair_d, lg_ca, prior_constant(spec.a, spec.b), marks, out=block)
-    return block.reshape(2 * pairs, width)[lo - r0:hi - r0]
-
-
-def build_cost_matrix(grid: CandidateGrid, spec: ContrastSpec, rows: range, cols,
-                      work: np.ndarray | None = None) -> np.ndarray:
-    """Prices of the segments (tp_i, tp_j] for i in ``rows`` and j in ``cols``.
-
-    ``rows`` is a ``range`` of consecutive grid indices and ``cols`` a
-    contiguous ascending run of them. Entries with j <= i are +inf. Each
-    part of a price is the one ``segment_cost`` computes, read off
-    strided views of the grid's slots and count tables, and goes through
-    the same formula, so a row priced again equals the same row priced
-    in a block, bit for bit. The prices are a view of ``work`` when
-    given, a float array of at least ``_work_entries(len(rows),
-    len(cols))`` entries, overwritten by the next call that uses it.
-    """
-    require_marks(spec, grid.mark_prefix is not None)
-    if len(rows) == 0 or cols.size == 0:
-        return np.empty((len(rows), cols.size))
-    # Columns 2q and 2q + 1 lie right of the same q events and sit at the
-    # times of slots q and q + 1. The block is widened to whole column
-    # pairs q0 .. q1 - 1, where row r counts q0 - r // 2 + k events at
-    # pair k.
-    c0 = int(cols[0])
-    q0, q1 = c0 // 2, (c0 + cols.size + 1) // 2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _price_run(grid, spec, rows.start, rows.stop, q0, q1, work)
-    f = out[:, c0 - 2 * q0:c0 - 2 * q0 + cols.size]
+        if spec.kind not in MARGINAL_KINDS:
+            (c,) = _count_run(grid, None, pairs, width)
+            block[...] = segment_cost(spec, c, pair_d, None if s is None else s[:, None])
+        else:
+            d += spec.b
+            np.log(d, out=d)  # pair_d now reads log(d + b)
+            ca, lg_ca = _count_run(grid, spec.a, pairs, width)
+            marks = None
+            if s is not None:
+                car, lg_car = _count_run(grid, spec.a_rho, pairs, width)
+                s += spec.b_rho
+                np.log(s, out=s)
+                s *= car[:, 0]
+                marks = (s[:, None], lg_car, prior_constant(spec.a_rho, spec.b_rho))
+            marginal_cost(ca, pair_d, lg_ca, prior_constant(spec.a, spec.b), marks, out=block)
+    f = block.reshape(2 * pairs, width)[lo - r0:hi - r0]
     # +inf where it can occur: each row is +inf up to its own column, and
     # for the marginal kinds one column further when its empty gap is
     # +inf, under forbid_empty or at zero length (segment_cost sets the
     # likelihood kinds' +inf prices). Right of row i only the gap
     # (tp_i, tp_{i+1}] can be empty, and only for even i.
-    last = np.arange(rows.start, rows.stop)
+    last = np.arange(lo, hi)
     if spec.kind in MARGINAL_KINDS:
         inf_gap = last % 2 == 0
         if not spec.forbid_empty:
             inf_gap &= grid.values[last + 1] == grid.values[last]
         last = last + inf_gap
-    left = min(max(int(last.max()) - c0 + 1, 0), cols.size)
-    f[:, :left][cols[:left] <= last[:, None]] = np.inf
-    return f
+    left = int(last.max()) - r0 + 1
+    f[:, :left][np.arange(r0, r0 + left) <= last[:, None]] = np.inf
+    return f[:, lo + 1 - r0:]
 
 
 def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
@@ -274,14 +260,14 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
     row. Row 2n has no segment left to split, so S stays +inf there from
     r = 2 on. Of S[kmax] only row 0, the optimum over the whole series,
     is read; the top block sums it, and the rest stays +inf. At kmax = 1
-    only (tp_0, 1] is priced and no row is kept.
+    only row 0 is priced, for its last entry (tp_0, 1], and no row is
+    kept.
     """
     A = grid.size
     S = np.full((kmax + 1, A + 1), np.inf)
     if kmax == 1:
-        S[1, 0] = build_cost_matrix(grid, spec, range(1), np.array([grid.last_index]))[0, 0]
+        S[1, 0] = build_cost_matrix(grid, spec, range(1))[0, -1]
         return S, np.empty((0, A + 1))
-    idx = np.arange(A + 2)
     block = _block_rows(A + 1)
     kept = (A + 1) ** 2 if 8 * (A + 1) ** 2 <= _KEPT_BYTES else 0  # every row or none
     # one allocation per solve holds the kept rows and the work area that
@@ -296,7 +282,7 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
     w = work[-block * (A + 1):].reshape(block, A + 1)
     for lo in reversed(range(0, A + 1, block)):
         hi = min(lo + block, A + 1)
-        m = build_cost_matrix(grid, spec, range(lo, hi), idx[lo + 1:], work)
+        m = build_cost_matrix(grid, spec, range(lo, hi), work)
         S[1, lo:hi] = m[:, -1]
         m = m[:, :-1]  # m[i - lo, j - lo - 1] prices (tp_i, tp_j]
         if kept:
@@ -354,15 +340,14 @@ def _cost_rows(grid: CandidateGrid, spec: ContrastSpec, rows: np.ndarray) -> np.
     again a row pair at a time, into one work area."""
     size = grid.size + 1
     m = np.full((rows.size, size), np.inf)  # +inf stays left of the diagonal
-    idx = np.arange(size)
     work = np.empty(_work_entries(2, size))
     # the K of a step often share a candidate row: each pair holding one of
     # the rows is priced once
     pair = rows // 2
     for e in set(pair.tolist()):
         at, lo = np.flatnonzero(pair == e), 2 * e
-        f = build_cost_matrix(grid, spec, range(lo, min(lo + 2, size)), idx[lo + 1:], work)
-        m[at, lo + 1:] = f[rows[at] - lo]
+        f = build_cost_matrix(grid, spec, range(lo, min(lo + 2, size)), work)
+        m[at, lo + 1:] = f[rows[at] - lo, :-1]
     return m
 
 

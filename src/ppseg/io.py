@@ -27,6 +27,7 @@ cross-validation curve.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,11 +141,15 @@ def read_intensity_file(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None
     )
     if columns.shape[1] == 0:
         raise ValueError(f"{path}: intensity file has no segments")
+    if not np.all(np.isfinite(columns)):
+        raise ValueError(f"{path}: intensity table values must be finite")
     starts, ends, rates = columns[:3]
     if np.any(ends <= starts):
         raise ValueError(f"{path}: each segment needs end > start")
     if np.any(starts[1:] != ends[:-1]):
         raise ValueError(f"{path}: segments must tile the domain contiguously")
+    if not math.isfinite(float(ends[-1]) - float(starts[0])):
+        raise ValueError(f"{path}: the domain's width, last end minus first start, overflows")
     breakpoints = np.concatenate((starts[:1], ends))
     mark_rates = columns[3] if len(columns) == 4 else None
     return breakpoints, rates, mark_rates

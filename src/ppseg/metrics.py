@@ -18,7 +18,7 @@ def change_point_set(values) -> np.ndarray:
         raise ValueError("a change-point set needs at least the two boundaries")
     if v[0] != 0.0 or v[-1] != 1.0:
         raise ValueError("change-point sets must start at 0 and end at 1")
-    if np.any(np.diff(v) < 0.0):
+    if np.any(v[1:] < v[:-1]):
         raise ValueError("change-points must be sorted ascending")
     return v
 

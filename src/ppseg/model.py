@@ -270,7 +270,7 @@ class PiecewiseIntensity:
             raise ValueError("need K + 1 breakpoints for K rates")
         if bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must run from 0 to 1")
-        if np.any(np.diff(bp) <= 0.0):
+        if np.any(bp[1:] <= bp[:-1]):
             raise ValueError("breakpoints must be strictly increasing")
         if not np.all(r >= 0.0):
             raise ValueError("rates must be nonnegative")
@@ -319,7 +319,7 @@ def intensity_from_breaks(breakpoints, rates, mark_rates=None) -> PiecewiseInten
     bp = np.asarray(breakpoints, dtype=np.float64)
     r = np.asarray(rates, dtype=np.float64)
     mr = None if mark_rates is None else np.asarray(mark_rates, dtype=np.float64)
-    keep = np.diff(bp) > 0.0
+    keep = bp[1:] > bp[:-1]
     if not np.all(keep):
         r = r[keep]
         if mr is not None:

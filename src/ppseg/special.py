@@ -13,16 +13,18 @@ without loading scipy. Its branches:
 - 1e8 < x: Stirling's leading terms alone;
 - x > 2.556348e305: +inf; nan and +-inf pass through.
 
-Each log is ``math.log``, the C library's log that the compiled routine
-calls. numpy's own vectorized log may round differently (numpy 2.4 on
-an AVX-512 machine did on 87 of 600,000 uniform draws from (0, 1000)),
-so the array path takes every log per element. Its arithmetic is numpy's, which rounds every +, -, *
-and / as C does.
+There is one implementation, on arrays; a scalar is run as a
+one-element array, and its result is cached by value. Each log and sine
+is ``math.log`` or ``math.sin``, the C library's functions that the
+compiled routine calls. numpy's own vectorized log may round differently
+(numpy 2.4 on an AVX-512 machine did on 87 of 600,000 uniform draws from
+(0, 1000)), so every log and sine is taken per element. The rest of the
+arithmetic is numpy's, which rounds every +, -, * and / as C does.
 
-``gammaln`` caches scalars by value. ``gammaln_counts`` memoises
-lgamma(c + shift) over the counts c = 0, 1, ... of the solver's count
-tables, for a few shifts: every cross-validation replicate of a fit
-prices its blocks at the same prior shapes.
+``gammaln_counts`` memoises lgamma(c + shift) over the counts c = 0,
+1, ... of the solver's count tables, for a few shifts: every
+cross-validation replicate of a fit prices its blocks at the same prior
+shapes.
 """
 
 from __future__ import annotations
@@ -58,64 +60,9 @@ def _p1evl(x, coef):
     return ans
 
 
-def _stirling(x, log_x):
-    """Every branch from 13 up to _MAXLGM, for x and its log."""
-    q = (x - 0.5) * log_x - x + _LS2PI
-    p = 1.0 / (x * x)
-    series = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-              + 0.0833333333333333333333) / x
-    return q, q + _polevl(p, _A) / x, q + series
-
-
-def _rational(x, p):
-    """The x < 13 finish, after the loops left fl(x + p) in [2, 3)."""
-    p = p - 2.0
-    x = x + p
-    return x * _polevl(x, _B) / _p1evl(x, _C)
-
-
-@lru_cache(maxsize=256)
-def _lgam(x: float) -> float:
-    if not math.isfinite(x):
-        return x
-    if x < -34.0:
-        q = -x
-        w = _lgam(q)
-        p = math.floor(q)
-        if p == q:
-            return math.inf
-        z = q - p
-        if z > 0.5:
-            p += 1.0
-            z = p - q
-        z = q * math.sin(math.pi * z)
-        if z == 0.0:
-            return math.inf
-        return _LOGPI - math.log(z) - w
-    if x < 13.0:
-        z, p, u = 1.0, 0.0, x
-        while u >= 3.0:
-            p -= 1.0
-            u = x + p
-            z *= u
-        while u < 2.0:
-            if u == 0.0:
-                return math.inf
-            z /= u
-            p += 1.0
-            u = x + p
-        z = abs(z)
-        if u == 2.0:
-            return math.log(z)
-        return math.log(z) + _rational(x, p)
-    if x > _MAXLGM:
-        return math.inf
-    q, mid, large = _stirling(x, math.log(x))
-    return q if x > 1e8 else large if x >= 1000.0 else mid
-
-
-def _logs(x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """The C library's ``f``, through ``math``, at each element of x."""
+    return np.fromiter(map(f, x.tolist()), np.float64, x.size)
 
 
 def _lgam_array(x: np.ndarray) -> np.ndarray:
@@ -136,24 +83,44 @@ def _lgam_array(x: np.ndarray) -> np.ndarray:
                 z = np.where(up, z / u, z)
                 p += up
                 u = xs + p
-            log_z = _logs(np.abs(z))
-            out[small] = np.where(u == 2.0, log_z, log_z + _rational(xs, p))
+            log_z = _libm(math.log, np.abs(z))
+            # the rational function of fl(x + p) - 2, in [0, 1)
+            v = xs + (p - 2.0)
+            out[small] = np.where(u == 2.0, log_z, log_z + v * _polevl(v, _B) / _p1evl(v, _C))
         big = np.flatnonzero((x >= 13.0) & (x <= _MAXLGM))
         if big.size:
             xb = x[big]
-            q, mid, large = _stirling(xb, _logs(xb))
+            q = (xb - 0.5) * _libm(math.log, xb) - xb + _LS2PI
+            p = 1.0 / (xb * xb)
+            mid = q + _polevl(p, _A) / xb
+            large = q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                         + 0.0833333333333333333333) / xb
             out[big] = np.where(xb > 1e8, q, np.where(xb >= 1000.0, large, mid))
+        # the reflection formula; z is 0 at the poles, where it is +inf
+        neg = np.flatnonzero((x < -34.0) & (x > -np.inf))
+        if neg.size:
+            q = -x[neg]
+            p = np.floor(q)
+            z = q - p
+            z = np.where(z > 0.5, (p + 1.0) - q, z)
+            z = q * _libm(math.sin, math.pi * z)
+            pole = z == 0.0
+            log_z = _libm(math.log, np.where(pole, 1.0, z))
+            out[neg] = np.where(pole, np.inf, _LOGPI - log_z - _lgam_array(q))
     out[x > _MAXLGM] = np.inf
-    for i in np.flatnonzero(x < -34.0).tolist():
-        out[i] = _lgam(float(x[i]))
     return out
+
+
+@lru_cache(maxsize=256)
+def _gammaln_scalar(x: float) -> np.float64:
+    return _lgam_array(np.array([x]))[0]
 
 
 def gammaln(x):
     """log |Gamma(x)|, with scipy.special.gammaln's bits, for a scalar
     or an array of any shape."""
     if isinstance(x, float) or np.ndim(x) == 0:  # np.float64 is a float
-        return np.float64(_lgam(float(x)))
+        return _gammaln_scalar(float(x))
     a = np.asarray(x, dtype=np.float64)
     # each distinct value once: the 7,700 pieces of one curve of the
     # marked benchmark study hold 500 to 1,000 distinct values. No two

@@ -56,9 +56,11 @@ UNIT_PG = ContrastSpec("poisson_gamma", a=1.0, b=1.0)
 
 
 def test_cost_matrix_single_event_worked_example():
-    # one event at 0.5 under the unit Gamma prior; cost[i, j] prices (tp_i, tp_j]
+    # one event at 0.5 under the unit Gamma prior; cost[i, j] prices (tp_i, tp_j],
+    # with column 0, left of every row, put back at +inf
     idx = np.arange(4)
-    cost = build_cost_matrix(build_grid(EventSeries(np.array([0.5]))), UNIT_PG, range(3), idx)
+    cost = build_cost_matrix(build_grid(EventSeries(np.array([0.5]))), UNIT_PG, range(3))
+    cost = np.hstack((np.full((3, 1), np.inf), cost))
     assert cost.shape == (3, 4)
     # (0, 0.5^-]: no event over length one half
     assert cost[0, 1] == pytest.approx(0.4054651081081644, rel=1e-13)  # log 1.5
@@ -330,8 +332,8 @@ def test_dp_tables_invariants():
     grid = build_grid(random_series(rng, n_max=5, marked=True, allow_ties=False))
     spec = ContrastSpec("marked_pgeg", a=1.0, b=0.5)
     A = grid.size
-    idx = np.arange(A + 2)
-    cost = build_cost_matrix(grid, spec, range(A + 1), idx)  # cost[i, j] prices (tp_i, tp_j]
+    cost = build_cost_matrix(grid, spec, range(A + 1))
+    cost = np.hstack((np.full((A + 1, 1), np.inf), cost))  # cost[i, j] prices (tp_i, tp_j]
     suffix, keep = _sweep(grid, spec, 4)
     assert np.array_equal(keep, cost[:, :A + 1])
     assert np.array_equal(suffix[1], cost[:, A + 1])
@@ -412,12 +414,12 @@ def test_rows_priced_again_equal_the_block_built_rows(kind):
                 assert np.array_equal(_cost_rows(grid, spec, rows), keep[rows]), (spec, kmax)
 
 
-def _assert_block_is_dense(grid, spec, rows, cols):
-    cols = np.asarray(cols, dtype=np.intp)
-    got = build_cost_matrix(grid, spec, rows, cols)
-    want = dense_cost_matrix(grid, spec)[rows.start + 1:rows.stop + 1][:, cols]
+def _assert_block_is_dense(grid, spec, rows, work=None):
+    # the rows of a run on every column right of its first row
+    got = build_cost_matrix(grid, spec, rows, work)
+    want = dense_cost_matrix(grid, spec)[rows.start + 1:rows.stop + 1, rows.start + 1:]
     assert got.shape == want.shape
-    assert np.array_equal(got, want), (spec, rows, cols[:1].tolist())
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (spec, rows)
 
 
 def _assert_rows_are_dense(grid, spec, rows):
@@ -439,43 +441,38 @@ def _pricer_cases():
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("forbid_empty", [False, True])
 def test_pricer_blocks_equal_the_dense_matrix(kind, forbid_empty):
-    # column runs starting on both parities; blocks whose first row is
-    # the "at" half of a before/at pair; n = 1 and tied times; and rows
-    # in any order and with repeats, priced again as row pairs
+    # runs from both parities, so blocks whose first row is the "at"
+    # half of a before/at pair, up to and including row 2n alone; n = 1
+    # and tied times; and rows in any order and with repeats, priced
+    # again as row pairs
     spec = ContrastSpec(kind, a=0.5, b=2.0, a_rho=3.0, b_rho=0.5, forbid_empty=forbid_empty)
     for series in _pricer_cases():
         grid = build_grid(series)
         last = grid.last_index
-        idx = np.arange(last + 1)
-        _assert_block_is_dense(grid, spec, range(last), idx)
+        _assert_block_is_dense(grid, spec, range(last))
         for lo in {0, 1, 2, 3, last // 2, last - 2, last - 1} & set(range(last)):
-            rows = range(lo, min(lo + 5, last))
-            for c0 in {lo, lo + 1, lo + 2, 0, 1}:
-                _assert_block_is_dense(grid, spec, rows, idx[c0:])
-                _assert_block_is_dense(grid, spec, rows, idx[c0:c0 + 3])
+            _assert_block_is_dense(grid, spec, range(lo, min(lo + 5, last)))
+            _assert_block_is_dense(grid, spec, range(lo, last))
         _assert_rows_are_dense(grid, spec, [min(r, last - 1) for r in
                                             (last - 1, 0, 3, 3, last // 2, 1, 2, last - 1)])
 
 
 @given(data=_tied_marked_series(), spec=st.sampled_from(TIE_SPECS), forbid_empty=st.booleans(),
-       rows=st.lists(st.integers(0, 28), min_size=1, max_size=8),
-       start=st.integers(0, 29), width=st.integers(0, 30))
-def test_pricer_contract_on_drawn_blocks(data, spec, forbid_empty, rows, start, width):
+       rows=st.lists(st.integers(0, 28), min_size=1, max_size=8))
+def test_pricer_contract_on_drawn_blocks(data, spec, forbid_empty, rows):
     # the run from the first drawn row to the largest, and the drawn rows
     # priced again
     grid = build_grid(EventSeries(np.array(data[0]), np.array(data[1])))
     spec = replace(spec, forbid_empty=forbid_empty)
     rows = [min(r, grid.size) for r in rows]
-    start = min(start, grid.last_index)
-    cols = np.arange(start, min(start + width, grid.last_index + 1))
-    _assert_block_is_dense(grid, spec, range(rows[0], max(rows) + 1), cols)
+    _assert_block_is_dense(grid, spec, range(rows[0], max(rows) + 1))
     _assert_rows_are_dense(grid, spec, rows)
 
 
 @st.composite
 def _priced_runs(draw):
     # up to 40 events, drawn often enough from three values to tie, with
-    # or without marks, and a run of rows with a column run of any start
+    # or without marks, and a run of rows
     times = sorted(draw(st.lists(st.sampled_from([0.2, 0.5, 0.7]) | st.floats(0.01, 0.99),
                                  min_size=1, max_size=40)))
     marks = draw(st.none() | st.lists(st.floats(0.01, 10.0), min_size=len(times),
@@ -483,42 +480,40 @@ def _priced_runs(draw):
     size = 2 * len(times) + 1  # rows 0 .. 2n
     lo = draw(st.integers(0, size - 1))
     hi = draw(st.integers(lo + 1, size))
-    start = draw(st.integers(0, size))
-    width = draw(st.integers(1, size + 1 - start))
-    return times, marks, lo, hi, start, width
+    return times, marks, lo, hi
 
 
 @given(run=_priced_runs(), spec=st.sampled_from(TIE_SPECS), forbid_empty=st.booleans())
-@example(run=([0.1, 0.3, 0.3, 0.6, 0.9], [1.0, 2.0, 0.5, 3.0, 1.0], 3, 11, 4, 8),
+@example(run=([0.1, 0.3, 0.3, 0.6, 0.9], [1.0, 2.0, 0.5, 3.0, 1.0], 3, 11),
          spec=ContrastSpec("marked_pgeg", a=1.0, b=0.5), forbid_empty=False)
-@example(run=([0.2, 0.5, 0.5, 0.7], None, 2, 9, 3, 7),
+@example(run=([0.2, 0.5, 0.5, 0.7], None, 2, 9),
          spec=ContrastSpec("poisson_gamma", a=0.5, b=2.0), forbid_empty=True)
 def test_view_priced_runs_equal_the_dense_matrix(run, spec, forbid_empty):
     # a run of rows from an even or an odd row, up to an odd-length last
     # block ending at row 2n, priced from views into a work area full of
     # nan equals the same rows of the dense matrix, bit for bit; so do the
     # cost rows the sweep keeps
-    times, marks, lo, hi, start, width = run
+    times, marks, lo, hi = run
     if spec.requires_marks and marks is None:
         marks = [1.0] * len(times)
     grid = build_grid(EventSeries(np.array(times), None if marks is None else np.array(marks)))
     spec = replace(spec, forbid_empty=forbid_empty)
-    cols = np.arange(start, start + width)
-    work = np.full(dp._work_entries(hi - lo, width), np.nan)
-    viewed = build_cost_matrix(grid, spec, range(lo, hi), cols, work)
-    dense = dense_cost_matrix(grid, spec)
-    assert np.array_equal(viewed.view(np.int64), dense[lo + 1:hi + 1][:, cols].view(np.int64))
+    work = np.full(dp._work_entries(hi - lo, grid.size + 1), np.nan)
+    _assert_block_is_dense(grid, spec, range(lo, hi), work)
     _, keep = _sweep(grid, spec, 12)
-    assert np.array_equal(keep.view(np.int64), dense[1:, :-1].view(np.int64))
+    want = dense_cost_matrix(grid, spec)[1:, :-1]
+    assert np.array_equal(keep.view(np.int64), want.view(np.int64))
 
 
-def test_kmax_one_prices_one_entry(monkeypatch):
-    # S[1] is read at row 0 only: the whole series as one segment
+def test_kmax_one_prices_one_row(monkeypatch):
+    # S[1] is read at row 0 only: the whole series as one segment, the
+    # last of the 2n + 1 entries of row 0
     priced = []
 
-    def counting(grid, spec, rows, cols, work=None):
-        priced.append(len(rows) * cols.size)
-        return build_cost_matrix(grid, spec, rows, cols, work)
+    def counting(grid, spec, rows, work=None):
+        prices = build_cost_matrix(grid, spec, rows, work)
+        priced.append(prices.size)
+        return prices
 
     monkeypatch.setattr(dp, "build_cost_matrix", counting)
     rng = np.random.default_rng(17)
@@ -530,13 +525,13 @@ def test_kmax_one_prices_one_entry(monkeypatch):
                 spec = replace(base, forbid_empty=forbid_empty)
                 priced.clear()
                 (res,) = solve(series, spec, 1)
-                assert priced == [1]
+                assert priced == [2 * series.n + 1]
                 _assert_same_result(res, brute_force(series, spec, 1))
                 assert res.contrast == solve(series, spec, 3)[0].contrast
     series = EventSeries(np.sort(rng.uniform(0.01, 0.99, 1500)))
     priced.clear()
     assert solve(series, UNIT_PG, 1)[0].indices == ()
-    assert priced == [1]
+    assert priced == [3001]
 
 
 def test_infeasible_segment_counts_are_flagged():
@@ -809,9 +804,9 @@ def test_one_solve_builds_each_count_table_once(monkeypatch, kind, tables):
         tabled.append(size)
         return special.gammaln_counts(shift, size)
 
-    def counting_pricer(grid, spec, rows, cols, work=None):
+    def counting_pricer(grid, spec, rows, work=None):
         priced.append(len(rows))
-        return build_cost_matrix(grid, spec, rows, cols, work)
+        return build_cost_matrix(grid, spec, rows, work)
 
     monkeypatch.setattr(special, "_count_memo", {})
     monkeypatch.setattr(special, "gammaln", counting_gammaln)

@@ -592,6 +592,53 @@ def test_cli_checks_the_order_of_times_without_overflow(tmp_path, capsys, text, 
     assert message in captured.err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_evaluate_checks_the_order_of_change_points_without_overflow(tmp_path, capsys):
+    # normalized change-points 1e308 then -1e308: their difference
+    # overflows, the comparison of the points themselves does not
+    events, result = tmp_path / "events.csv", tmp_path / "result.txt"
+    assert _run(["simulate", "--design", "40,2", "--seed", "1", "-o", str(events)]) == 0
+    assert _run(["segment", str(events), "--window", "0", "1", "--k", "3",
+                 "-o", str(result)]) == 0
+    lines = result.read_text().splitlines()
+    at = lines.index("[change_points]") + 2
+    for i, value in enumerate(("1e308", "-1e308")):
+        fields = lines[at + i].split()
+        fields[2] = value
+        lines[at + i] = " ".join(fields)
+    result.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert _run(["evaluate", str(result), "--truth", "design:40,2", "-o", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "change-points must be sorted ascending" in captured.err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rows, message", [
+    ("-1e308,0,1\n0,1e308,2\n", "the domain's width, last end minus first start, overflows"),
+    ("0,inf,1\n", "intensity table values must be finite"),
+    ("0,nan,1\n", "intensity table values must be finite"),
+    ("0,1,inf\n", "intensity table values must be finite"),
+    ("0,1,nan\n", "intensity table values must be finite"),
+], ids=["wide", "inf-end", "nan-end", "inf-rate", "nan-rate"])
+def test_cli_refuses_intensity_tables_with_non_finite_values_or_width(tmp_path, capsys,
+                                                                       rows, message):
+    # the first table's domain, -1e308 to 1e308, is 2e308 wide
+    table, events, result = tmp_path / "truth.csv", tmp_path / "events.csv", tmp_path / "r.txt"
+    table.write_text("start,end,rate\n" + rows)
+    assert _run(["simulate", "--design", "40,2", "--seed", "1", "-o", str(events)]) == 0
+    assert _run(["segment", str(events), "--window", "0", "1", "--k", "2",
+                 "-o", str(result)]) == 0
+    capsys.readouterr()
+    for argv in (["simulate", "--intensity-file", str(table)],
+                 ["evaluate", str(result), "--truth", str(table)]):
+        assert _run([*argv, "-o", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {table}: {message}" in captured.err
+
+
 @pytest.mark.parametrize("k", [-3, 10, 40])
 def test_cli_dyadic_window_scales_only_the_original_columns(tmp_path, k):
     # a window (0, 2^k) normalizes every time exactly, so the document

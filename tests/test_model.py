@@ -319,3 +319,14 @@ def test_intensity_from_breaks_drops_zero_length_segments():
     untouched = intensity_from_breaks([0.0, 0.5, 1.0], [1.0, 2.0])
     assert untouched.breakpoints.tolist() == [0.0, 0.5, 1.0]
     assert untouched.mark_rates is None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_breakpoint_order_is_checked_without_overflow():
+    # consecutive breakpoints 2e308 apart: their difference overflows, the
+    # comparison of the breakpoints themselves does not
+    bp, rates = [0.0, 1e308, -1e308, 1.0], [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PiecewiseIntensity(np.array(bp), np.array(rates))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        intensity_from_breaks(bp, rates)
