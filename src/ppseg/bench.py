@@ -47,7 +47,7 @@ from .io import render_table
 from .metrics import hausdorff, l2_distance, true_change_values
 from .model import intensity_from_breaks, require_integer
 from .selection import CvConfig, fit
-from .simulate import alternating_intensity, simulate_events, simulate_marked
+from .simulate import alternating_intensity, derive_rates, simulate_events, simulate_marked
 
 PRESETS = ("k-selection", "hausdorff-l2", "marked-table", "robust-a", "robust-f")
 
@@ -137,6 +137,7 @@ def _build_cells(cfg: BenchConfig) -> list[_Cell]:
 def _cell_truth(c: _Cell):
     """The cell's true intensity (distances are scored against its breakpoints) and K."""
     if c.rho_odd is None and c.ratio == 1.0:
+        derive_rates(c.mean_intensity, 1.0)  # refuses a bad mean as the other cells do
         intensity = intensity_from_breaks([0.0, 1.0], [c.mean_intensity])
     else:
         intensity = alternating_intensity(c.mean_intensity, c.ratio, c.rho_odd, c.rho_even)

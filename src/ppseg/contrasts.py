@@ -246,10 +246,10 @@ def posterior_mean_rate(count, length, a, b):
 
 
 def mle_rate(count, length):
-    """count / length with the empty-segment convention 0 / 0 = 0."""
+    """count / length, 0 / 0 = 0 for an empty segment and +inf past the float range."""
     c = np.asarray(count, dtype=np.float64)
     d = np.asarray(length, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = c / d
     out = np.where((c == 0.0) & (d == 0.0), 0.0, out)
     return _scalar_or_array(out)

@@ -38,9 +38,10 @@ A block is priced from event-level tables, not entry by entry, which
 same time, so it takes each length once per pair of a row time and a
 column (about half of the entries) and each mark sum once per pair of a
 row event and a column, and reads the counts, c + a and lgamma(c + a)
-off count tables kept on the grid, each count twice, whose lgamma
-values ``special.gammaln_counts`` memoises across grids; the likelihood
-kinds read the counts alone and evaluate no lgamma. Every block, the
+off count tables that hold each count twice, cached by the power of
+two above n, not by n, and the prior shift, so the learning sets of a
+fit, whose n differ, share them; the likelihood kinds read the counts
+alone and evaluate no lgamma. Every block, the
 sweep's and the reconstruction's, is a run of consecutive rows priced
 on whole rows: widened to whole row pairs and priced on every column
 from its first even row to 2n + 1, so the one pricer reads every part
@@ -62,6 +63,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import InitVar, dataclass, field
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -82,7 +84,7 @@ from .model import (
     require_integer,
     segmentation_from_indices,
 )
-from .special import gammaln_counts
+from .special import gammaln
 
 TIES_WARNING = "event times contain ties"
 
@@ -128,34 +130,31 @@ def _block_rows(width: int) -> int:
     return max(_BLOCK, _BLOCK_ENTRIES // width // 2 * 2)
 
 
-def _count_tables(grid: CandidateGrid, shift: float | None = None):
-    """Tables over the counts c = -n .. 2n, a negative count, left of the
-    diagonal, read as 0: 1-d tables that hold each count twice, entries
-    2k and 2k + 1 at count k - n, as the grid's columns 2q and 2q + 1 lie
-    right of the same q events. Without a ``shift`` the counts alone;
-    with one, c + shift, the counts plus the shift, and lgamma(c +
-    shift), from the memo of the 2n + 1 distinct counts. Each is built
-    once per grid and kept on it."""
-    tables = grid.count_tables.get(shift)
-    if tables is None:
-        n = grid.n
-        if shift is None:
-            tables = (np.repeat(np.maximum(np.arange(-n, 2 * n + 1), 0).astype(np.float64), 2),)
-        else:
-            lg = gammaln_counts(shift, 2 * n + 1)
-            lgs = np.concatenate((np.full(n, lg[0]), lg))
-            tables = (_count_tables(grid)[0] + shift, np.repeat(lgs, 2))
-        grid.count_tables[shift] = tables
+@lru_cache(maxsize=8)
+def _count_tables(cap: int, shift: float | None):
+    """Read-only tables over the counts of every grid of n < ``cap``
+    events: cap entries of count 0, which the negative counts left of the
+    diagonal read, then the counts 0 .. cap - 1, each twice, as columns
+    2q and 2q + 1 lie right of the same q events. Without a ``shift`` the
+    counts alone; with one, c + shift and lgamma(c + shift)."""
+    if shift is None:
+        tables = (np.repeat(np.maximum(np.arange(-cap, cap), 0.0), 2),)
+    else:
+        c = _count_tables(cap, None)[0]
+        tables = (c + shift, gammaln(np.arange(cap) + shift)[c.astype(np.intp)])
+    for t in tables:
+        t.flags.writeable = False
     return tables
 
 
 def _count_run(grid: CandidateGrid, shift: float | None, pairs: int, width: int):
     """The count tables of a run priced from an even row r0 on the
-    ``width`` columns from r0, as (pairs, 2, width) views: row pair e
-    counts k - e events at column pair k, on both of its rows, so its
-    window starts one count left of pair e - 1's."""
-    return [np.ndarray((pairs, 2, width), t.dtype, t, 16 * grid.n, (-16, 0, 8))
-            for t in _count_tables(grid, shift)]
+    ``width`` columns from r0, as (pairs, 2, width) views: entry 2 cap -
+    2e + col holds count col // 2 - e of row pair e, and pairs <= n + 1
+    <= cap and width <= 2n + 2 <= 2 cap keep every read inside."""
+    cap = 1 << grid.n.bit_length()
+    return [np.ndarray((pairs, 2, width), t.dtype, t, 16 * cap, (-16, 0, 8))
+            for t in _count_tables(cap, shift)]
 
 
 def _work_entries(rows: int, cols: int) -> int:
@@ -176,7 +175,7 @@ def build_cost_matrix(grid: CandidateGrid, spec: ContrastSpec, rows: range,
     2n + 1; entries with j <= i are +inf.
 
     Each part of a price is the one ``segment_cost`` computes, read off
-    strided views of the grid's slots and count tables, and goes through
+    strided views of the grid's slots and the count tables, and goes through
     the same formula, so a row priced again equals the same row priced
     in a block, bit for bit. The prices are a view of ``work`` when
     given, a float array of at least ``_work_entries(len(rows), 2n +

@@ -148,8 +148,12 @@ def read_intensity_file(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None
         raise ValueError(f"{path}: each segment needs end > start")
     if np.any(starts[1:] != ends[:-1]):
         raise ValueError(f"{path}: segments must tile the domain contiguously")
-    if not math.isfinite(float(ends[-1]) - float(starts[0])):
+    width = float(ends[-1]) - float(starts[0])
+    if not math.isfinite(width):
         raise ValueError(f"{path}: the domain's width, last end minus first start, overflows")
+    with np.errstate(over="ignore"):  # the rates on (0, 1) are these times the width
+        if not np.all(np.isfinite(rates * width)):
+            raise ValueError(f"{path}: a rate times the domain's width overflows")
     breakpoints = np.concatenate((starts[:1], ends))
     mark_rates = columns[3] if len(columns) == 4 else None
     return breakpoints, rates, mark_rates

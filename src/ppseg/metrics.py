@@ -8,7 +8,7 @@ from .model import PiecewiseIntensity
 
 
 def change_point_set(values) -> np.ndarray:
-    """Validate a change-point set: sorted, spanning exactly [0, 1].
+    """Validate a change-point set: finite, sorted, spanning exactly [0, 1].
 
     The interval boundaries count as change-points here, so even a
     single-segment model contributes the two endpoints.
@@ -16,6 +16,8 @@ def change_point_set(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size < 2:
         raise ValueError("a change-point set needs at least the two boundaries")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("change-points must be finite")
     if v[0] != 0.0 or v[-1] != 1.0:
         raise ValueError("change-point sets must start at 0 and end at 1")
     if np.any(v[1:] < v[:-1]):

@@ -139,6 +139,8 @@ class EventSeries:
         """Normalize raw times living in ``window`` onto (0, 1)."""
         w0, w1 = _validated_window(window)
         raw = np.asarray(raw_times, dtype=np.float64)
+        if np.any(np.isfinite(raw) & ((raw <= w0) | (raw >= w1))):  # raw - w0 may overflow
+            raise ValueError(f"event times must lie strictly inside the window ({w0!r}, {w1!r})")
         return cls((raw - w0) / (w1 - w0), marks, window=(w0, w1))
 
 
@@ -172,9 +174,6 @@ class CandidateGrid:
         # number of interior candidate positions, indices 1 .. size
         self.size = 2 * n
         self.mark_prefix = events.mark_prefix
-        # tables over the segment count, unshifted and one per prior
-        # shift, that the solver's block pricer builds on first use
-        self.count_tables: dict = {}
 
     @property
     def last_index(self) -> int:
@@ -270,10 +269,10 @@ class PiecewiseIntensity:
             raise ValueError("need K + 1 breakpoints for K rates")
         if bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must run from 0 to 1")
-        if np.any(bp[1:] <= bp[:-1]):
+        if not np.all(bp[1:] > bp[:-1]):  # a nan breakpoint fails this too
             raise ValueError("breakpoints must be strictly increasing")
-        if not np.all(r >= 0.0):
-            raise ValueError("rates must be nonnegative")
+        if not np.all((r >= 0.0) & (r < np.inf)):
+            raise ValueError("rates must be nonnegative and finite")
         self.breakpoints = bp
         self.rates = r
         if self.mark_rates is not None:
@@ -319,7 +318,7 @@ def intensity_from_breaks(breakpoints, rates, mark_rates=None) -> PiecewiseInten
     bp = np.asarray(breakpoints, dtype=np.float64)
     r = np.asarray(rates, dtype=np.float64)
     mr = None if mark_rates is None else np.asarray(mark_rates, dtype=np.float64)
-    keep = bp[1:] > bp[:-1]
+    keep = bp[1:] != bp[:-1]  # a nan or decreasing breakpoint is left to be refused
     if not np.all(keep):
         r = r[keep]
         if mr is not None:

@@ -23,12 +23,6 @@ from .model import EventSeries, PiecewiseIntensity
 ALTERNATING_BREAKPOINTS = np.array([0.0, 7.0, 8.0, 14.0, 16.0, 20.0, 24.0]) / 24.0
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def derive_rates(mean_rate: float, ratio: float) -> tuple[float, float]:
     """Low and high alternating levels with time average ``mean_rate``.
 
@@ -83,7 +77,7 @@ def _segment_draws(intensity: PiecewiseIntensity, rng: np.random.Generator):
 
 def simulate_events(intensity: PiecewiseIntensity, seed=None) -> EventSeries:
     """One realization of the process; `seed` may be an int or Generator."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     parts = [t for _, t in _segment_draws(intensity, rng)]
     times = np.sort(np.concatenate(parts)) if parts else np.empty(0)
     return EventSeries(times)
@@ -93,7 +87,7 @@ def simulate_marked(intensity: PiecewiseIntensity, seed=None) -> EventSeries:
     """One realization with exponential marks drawn per segment."""
     if intensity.mark_rates is None:
         raise ValueError("intensity carries no mark rates")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     time_parts = []
     mark_parts = []
     for k, t in _segment_draws(intensity, rng):

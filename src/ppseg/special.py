@@ -19,12 +19,8 @@ is ``math.log`` or ``math.sin``, the C library's functions that the
 compiled routine calls. numpy's own vectorized log may round differently
 (numpy 2.4 on an AVX-512 machine did on 87 of 600,000 uniform draws from
 (0, 1000)), so every log and sine is taken per element. The rest of the
-arithmetic is numpy's, which rounds every +, -, * and / as C does.
-
-``gammaln_counts`` memoises lgamma(c + shift) over the counts c = 0,
-1, ... of the solver's count tables, for a few shifts: every
-cross-validation replicate of a fit prices its blocks at the same prior
-shapes.
+arithmetic is numpy's, which rounds every +, -, * and / as C does, and
+each polynomial is ``np.polyval``, Horner's rule in Cephes' order.
 """
 
 from __future__ import annotations
@@ -38,26 +34,11 @@ _A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943
       -2.77777777730099687205e-3, 8.33333333333331927722e-2)
 _B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
       -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
-# the leading coefficient 1 is implied
-_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+_C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
       -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
 _LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
 _LOGPI = 1.14472988584940017414
 _MAXLGM = 2.556348e305
-
-
-def _polevl(x, coef):
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x, coef):
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
 
 
 def _libm(f, x: np.ndarray) -> np.ndarray:
@@ -84,15 +65,15 @@ def _lgam_array(x: np.ndarray) -> np.ndarray:
                 p += up
                 u = xs + p
             log_z = _libm(math.log, np.abs(z))
-            # the rational function of fl(x + p) - 2, in [0, 1)
-            v = xs + (p - 2.0)
-            out[small] = np.where(u == 2.0, log_z, log_z + v * _polevl(v, _B) / _p1evl(v, _C))
+            v = xs + (p - 2.0)  # the rational function's argument fl(x + p) - 2, in [0, 1)
+            rational = v * np.polyval(_B, v) / np.polyval(_C, v)
+            out[small] = np.where(u == 2.0, log_z, log_z + rational)
         big = np.flatnonzero((x >= 13.0) & (x <= _MAXLGM))
         if big.size:
             xb = x[big]
             q = (xb - 0.5) * _libm(math.log, xb) - xb + _LS2PI
             p = 1.0 / (xb * xb)
-            mid = q + _polevl(p, _A) / xb
+            mid = q + np.polyval(_A, p) / xb
             large = q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
                          + 0.0833333333333333333333) / xb
             out[big] = np.where(xb > 1e8, q, np.where(xb >= 1000.0, large, mid))
@@ -128,28 +109,3 @@ def gammaln(x):
     values, at = np.unique(a.ravel(), return_inverse=True, equal_nan=False)
     return _lgam_array(values)[at].reshape(a.shape)
 
-
-# shifts whose count memo is kept, the most recently grown last
-_MEMO_SHIFTS = 8
-_count_memo: dict[float, np.ndarray] = {}
-
-
-def gammaln_counts(shift: float, size: int) -> np.ndarray:
-    """lgamma(c + shift) for the counts c = 0 .. size - 1, read-only.
-
-    Each shift's memo grows to at least twice its length when it is too
-    short, evaluating lgamma at the new counts only. A grown array is
-    published whole, so a concurrent reader sees the old one or the new
-    one, never a part.
-    """
-    table = _count_memo.get(shift)
-    have = 0 if table is None else table.size
-    if have < size:
-        fresh = gammaln(np.arange(have, max(size, 2 * have), dtype=np.float64) + shift)
-        table = fresh if table is None else np.concatenate((table, fresh))
-        table.flags.writeable = False
-        _count_memo.pop(shift, None)
-        for old in list(_count_memo)[:max(0, len(_count_memo) - _MEMO_SHIFTS + 1)]:
-            _count_memo.pop(old, None)
-        _count_memo[shift] = table
-    return table[:size]

@@ -23,7 +23,6 @@ from ppseg import (
     segment_cost,
     segmentation_from_indices,
 )
-from ppseg import special
 from ppseg.contrasts import (
     KINDS,
     MARKED_KINDS,
@@ -32,7 +31,7 @@ from ppseg.contrasts import (
     posterior_mean_rate,
 )
 from ppseg.dp import _count_tables
-from ppseg.special import gammaln, gammaln_counts
+from ppseg.special import gammaln
 
 from helpers import marked_loglik, naive_cost, poisson_loglik, spec_variants
 
@@ -129,43 +128,46 @@ def test_gammaln_keeps_scipy_bits_at_branch_edges():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("shift", [1.0, 2.01, 0.1, 10.0])
-def test_gammaln_keeps_scipy_bits_on_the_count_tables(monkeypatch, shift):
-    # the memo at 2n + 1 counts for n = 300, then grown for n = 3000, and
-    # the grid's tables over the counts -n .. 2n of a series of 300 events
+def test_gammaln_keeps_scipy_bits_on_the_count_tables(shift):
+    # the tables of grids of 300 and 3,000 events, capacities 512 and
+    # 4,096: lgamma(c + shift) on every entry, padding included
     scipy_special = pytest.importorskip("scipy.special")
-    monkeypatch.setattr(special, "_count_memo", {})
-    for n in (300, 3000):
-        want = scipy_special.gammaln(np.arange(2 * n + 1) + shift)
-        assert np.array_equal(gammaln_counts(shift, 2 * n + 1).view(np.int64),
-                              want.view(np.int64))
-    grid = build_grid(EventSeries(np.linspace(0.001, 0.999, 300)))
-    ca, lg = _count_tables(grid, shift)
-    assert np.array_equal(lg.view(np.int64), scipy_special.gammaln(ca).view(np.int64))
+    _count_tables.cache_clear()
+    for n, cap in ((300, 512), (3000, 4096)):
+        assert 1 << n.bit_length() == cap
+        ca, lg = _count_tables(cap, shift)
+        assert ca.size == lg.size == 4 * cap
+        assert np.array_equal(lg.view(np.int64), scipy_special.gammaln(ca).view(np.int64))
 
 
-def test_count_memo_is_whole_under_threads(monkeypatch):
-    # run_bench's threads share the memo: while some grow a shift's array,
-    # others must read either the old array or the new one, never a part.
-    # Twelve shifts overflow the memo's eight, so arrays are evicted and
-    # grown again throughout.
-    monkeypatch.setattr(special, "_count_memo", {})
+def test_count_memo_is_whole_under_threads():
+    # run_bench's threads share the count-table cache. Twelve shifts at
+    # three capacities overflow its eight entries, so tables are evicted
+    # and built again throughout, and each reader must get whole tables.
+    _count_tables.cache_clear()
     shifts = [1.0 + 0.25 * i for i in range(12)]
-    want = [gammaln(np.arange(2000) + shift) for shift in shifts]
+    caps = (64, 512, 2048)
+    want = {(cap, shift): gammaln(np.arange(cap) + shift) for cap in caps for shift in shifts}
 
     def reader(seed):
         rng = np.random.default_rng(seed)
-        for i, size in zip(rng.integers(0, 12, 150).tolist(), rng.integers(1, 2000, 150).tolist()):
-            table = gammaln_counts(shifts[i], size)
-            assert np.array_equal(table.view(np.int64), want[i][:size].view(np.int64))
+        for i, j in zip(rng.integers(0, 12, 150).tolist(), rng.integers(0, 3, 150).tolist()):
+            cap, shift = caps[j], shifts[i]
+            ca, lg = _count_tables(cap, shift)
+            assert ca.size == lg.size == 4 * cap
+            assert np.array_equal(ca[2 * cap::2], np.arange(cap) + shift)
+            assert np.array_equal(lg[2 * cap::2].view(np.int64), want[cap, shift].view(np.int64))
+            assert np.all(lg[:2 * cap] == want[cap, shift][0])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
+        with ThreadPoolExecutor(max_workers=8) as pool:
             for future in [pool.submit(reader, seed) for seed in range(8)]:
                 future.result(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+    assert _count_tables.cache_info().currsize == 8
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -30,7 +30,7 @@ from ppseg import (
     upsilon_cardinality,
     upsilon_star_cardinality,
 )
-from ppseg import dp, special
+from ppseg import dp
 from ppseg.contrasts import KINDS
 from ppseg.dp import (
     TIES_WARNING,
@@ -791,26 +791,22 @@ def test_mark_scale_shifts_every_contrast_by_n_log_c(seed):
 @pytest.mark.parametrize("kind, tables", [("poisson_gamma", 1), ("marked_pgeg", 2)])
 def test_one_solve_builds_each_count_table_once(monkeypatch, kind, tables):
     # the sweep prices 19 blocks of the 601 rows, yet c + a and
-    # lgamma(c + a) come from one table per prior shift, kept on the grid
-    # for its next solve; lgamma itself is evaluated once per shift, over
-    # the 2n + 1 distinct counts, and memoised for other grids
-    evaluated, tabled, priced = [], [], []
+    # lgamma(c + a) come from one table per prior shift, cached for the
+    # grid's capacity 512, the power of two above n: lgamma is evaluated
+    # once per shift, over 512 counts, for this grid and every other grid
+    # of that capacity
+    evaluated, priced = [], []
 
     def counting_gammaln(x):
         evaluated.append(x.size)
         return gammaln(x)
 
-    def counting_counts(shift, size):
-        tabled.append(size)
-        return special.gammaln_counts(shift, size)
-
     def counting_pricer(grid, spec, rows, work=None):
         priced.append(len(rows))
         return build_cost_matrix(grid, spec, rows, work)
 
-    monkeypatch.setattr(special, "_count_memo", {})
-    monkeypatch.setattr(special, "gammaln", counting_gammaln)
-    monkeypatch.setattr(dp, "gammaln_counts", counting_counts)
+    dp._count_tables.cache_clear()
+    monkeypatch.setattr(dp, "gammaln", counting_gammaln)
     monkeypatch.setattr(dp, "build_cost_matrix", counting_pricer)
     rng = np.random.default_rng(21)
     n = 300
@@ -819,19 +815,16 @@ def test_one_solve_builds_each_count_table_once(monkeypatch, kind, tables):
     spec = replace(default_spec(series, kind), forbid_empty=True)
     solve(grid, spec, 12)
     assert len(priced) >= 19
-    assert tabled == [2 * n + 1] * tables
-    assert evaluated == [2 * n + 1] * tables
-    tabled.clear()
+    assert evaluated == [512] * tables
     evaluated.clear()
     solve(grid, spec, 12)
-    assert tabled == evaluated == []
-    # a smaller grid at the same shifts reads the memo, and a larger one
-    # evaluates lgamma at the new counts alone, growing the memo at least
-    # twofold: from 601 counts to 1,202 for 801, then to 2,404 for 2,001
-    for m, grown in ((100, []), (400, [601] * tables), (1000, [1202] * tables)):
+    assert evaluated == []
+    # grids of 256 and 511 events share the capacity and evaluate
+    # nothing; 100 and 512 events take capacities 128 and 1,024
+    for m, built in ((256, []), (511, []), (100, [128] * tables), (512, [1024] * tables)):
         other = EventSeries(np.sort(rng.uniform(0.01, 0.99, m)), rng.exponential(1.0, m))
         solve(other, replace(spec, forbid_empty=False), 2)
-        assert evaluated == grown, m
+        assert evaluated == built, m
         evaluated.clear()
 
 
@@ -839,17 +832,18 @@ def test_one_solve_builds_each_count_table_once(monkeypatch, kind, tables):
 def test_likelihood_solves_evaluate_no_lgamma(monkeypatch, kind):
     # the likelihood kinds read the unshifted count table alone, in the
     # sweep and in the rows the reconstruction prices again, as the grid
-    # keeps none, so they take no slot in the lgamma memo
-    def refuse(shift, size):
-        raise AssertionError(f"lgamma over {size} counts at shift {shift}")
+    # keeps none, so the cache holds that one table after the solve
+    def refuse(x):
+        raise AssertionError(f"lgamma over {x.size} counts")
 
-    monkeypatch.setattr(special, "_count_memo", {})
-    monkeypatch.setattr(dp, "gammaln_counts", refuse)
+    dp._count_tables.cache_clear()
+    monkeypatch.setattr(dp, "gammaln", refuse)
     rng = np.random.default_rng(23)
     n = 300
     series = EventSeries(np.sort(rng.uniform(0.01, 0.99, n)), rng.exponential(1.0, n))
     grid = build_grid(series)
     assert len(_sweep(grid, ContrastSpec(kind), 2)[1]) == 0
     solve(grid, ContrastSpec(kind), 12)
-    assert list(grid.count_tables) == [None]
-    assert special._count_memo == {}
+    dp._count_tables(512, None)  # a hit: the one table is the unshifted one of capacity 512
+    info = dp._count_tables.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)

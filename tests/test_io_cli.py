@@ -1,5 +1,6 @@
 """File formats and the command-line pipeline, end to end."""
 
+import math
 import os
 import re
 import tempfile
@@ -592,26 +593,41 @@ def test_cli_checks_the_order_of_times_without_overflow(tmp_path, capsys, text, 
     assert message in captured.err
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_cli_evaluate_checks_the_order_of_change_points_without_overflow(tmp_path, capsys):
-    # normalized change-points 1e308 then -1e308: their difference
-    # overflows, the comparison of the points themselves does not
+def _evaluate_with_change_points(tmp_path, capsys, values):
+    """Exit code and stderr of ``evaluate`` on a ``segment --k 3`` document
+    whose first normalized change-points are replaced by ``values``."""
     events, result = tmp_path / "events.csv", tmp_path / "result.txt"
     assert _run(["simulate", "--design", "40,2", "--seed", "1", "-o", str(events)]) == 0
     assert _run(["segment", str(events), "--window", "0", "1", "--k", "3",
                  "-o", str(result)]) == 0
     lines = result.read_text().splitlines()
     at = lines.index("[change_points]") + 2
-    for i, value in enumerate(("1e308", "-1e308")):
+    for i, value in enumerate(values):
         fields = lines[at + i].split()
         fields[2] = value
         lines[at + i] = " ".join(fields)
     result.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert _run(["evaluate", str(result), "--truth", "design:40,2", "-o", "-"]) == 2
+    code = _run(["evaluate", str(result), "--truth", "design:40,2", "-o", "-"])
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "change-points must be sorted ascending" in captured.err
+    return code, captured.err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_evaluate_checks_the_order_of_change_points_without_overflow(tmp_path, capsys):
+    # normalized change-points 1e308 then -1e308: their difference
+    # overflows, the comparison of the points themselves does not
+    code, err = _evaluate_with_change_points(tmp_path, capsys, ("1e308", "-1e308"))
+    assert code == 2 and "change-points must be sorted ascending" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_evaluate_refuses_a_nan_change_point(tmp_path, capsys):
+    # every comparison with nan is false, so an order check passes a nan
+    # change-point, and the l2 distance would drop both segments next to it
+    code, err = _evaluate_with_change_points(tmp_path, capsys, ("nan",))
+    assert code == 2 and "change-points must be finite" in err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -621,7 +637,8 @@ def test_cli_evaluate_checks_the_order_of_change_points_without_overflow(tmp_pat
     ("0,nan,1\n", "intensity table values must be finite"),
     ("0,1,inf\n", "intensity table values must be finite"),
     ("0,1,nan\n", "intensity table values must be finite"),
-], ids=["wide", "inf-end", "nan-end", "inf-rate", "nan-rate"])
+    ("0,1e300,1e300\n", "a rate times the domain's width overflows"),
+], ids=["wide", "inf-end", "nan-end", "inf-rate", "nan-rate", "rate-times-width"])
 def test_cli_refuses_intensity_tables_with_non_finite_values_or_width(tmp_path, capsys,
                                                                        rows, message):
     # the first table's domain, -1e308 to 1e308, is 2e308 wide
@@ -733,3 +750,43 @@ def test_cli_segment_and_evaluate_exit_cleanly_on_edge_inputs(text):
                     parse_result(fh.read())
                 metrics = os.path.join(work, "metrics.csv")
                 assert _run(["evaluate", doc, "--truth", "design:1,1", "-o", metrics]) == 0
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(times=st.lists(_FINITE, min_size=1, max_size=5), in_order=st.booleans(),
+       window=st.sampled_from([None, "cover"]) | st.tuples(_FINITE, _FINITE))
+# times 2e308 apart, without a window and with one just inside the float range
+@example(times=[-1e308, 1e308], in_order=True, window=None)
+@example(times=[-1e308, 1e308], in_order=True, window=(-1.7e308, 1.7e308))
+@example(times=[1e308, -1e308], in_order=False, window=None)
+# a first segment of subnormal normalized length, whose poisson rate is inf
+@example(times=[1.0, 1.995840309534719e+292], in_order=True, window="cover")
+def test_cli_segment_exits_cleanly_on_raw_times_over_the_whole_float_range(times, in_order,
+                                                                          window):
+    # raw times anywhere in the finite float range, subnormals included,
+    # sorted or not, under the inferred window, the tightest window around
+    # them ("cover") or a drawn one: every run writes a readable document
+    # (exit 0) or stops with a ValueError (exit 2). A segment of subnormal
+    # length can fit a rate beyond the float range, written as inf, which
+    # ``evaluate`` refuses.
+    if in_order:
+        times = sorted(times)
+    if window == "cover":
+        window = (math.nextafter(min(times), -math.inf), math.nextafter(max(times), math.inf))
+    with tempfile.TemporaryDirectory() as work:
+        events, doc = os.path.join(work, "events.csv"), os.path.join(work, "doc.txt")
+        with open(events, "w", encoding="utf-8") as fh:
+            fh.write("time\n" + "".join(f"{t!r}\n" for t in times))
+        flags = [] if window is None else ["--window", *(repr(float(w)) for w in window)]
+        for run in (["--replicates", "3", "--kmax", "4"], ["--k", "3", "--contrast", "poisson"]):
+            code = _run(["segment", events, *flags, *run, "-o", doc])
+            assert code in (0, 2), run
+            if code == 0:
+                with open(doc, encoding="utf-8") as fh:
+                    rates = parse_result(fh.read()).rates
+                finite = bool(np.all(np.isfinite(rates)))
+                assert _run(["evaluate", doc, "--truth", "design:1,1",
+                             "-o", os.devnull]) == (0 if finite else 2)

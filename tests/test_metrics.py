@@ -53,6 +53,9 @@ def test_change_point_set_validation():
         change_point_set([0.1, 1.0])
     with pytest.raises(ValueError, match="sorted"):
         change_point_set([0.0, 0.7, 0.3, 1.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            change_point_set([0.0, bad, 0.5, 1.0])
 
 
 def test_l2_constant_offset_hand_value():

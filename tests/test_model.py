@@ -330,3 +330,17 @@ def test_breakpoint_order_is_checked_without_overflow():
         PiecewiseIntensity(np.array(bp), np.array(rates))
     with pytest.raises(ValueError, match="strictly increasing"):
         intensity_from_breaks(bp, rates)
+
+
+def test_nan_breakpoints_and_infinite_rates_are_refused():
+    # every comparison with nan is false: a check for bp[1:] <= bp[:-1]
+    # passes a nan breakpoint, and keeping only the segments whose ends
+    # increase would drop both segments next to it
+    for bp in ([0.0, np.nan, 1.0], [0.0, 0.25, np.nan, 0.75, 1.0]):
+        rates = np.ones(len(bp) - 1)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PiecewiseIntensity(np.array(bp), rates)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            intensity_from_breaks(bp, rates)
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        PiecewiseIntensity(np.array([0.0, 0.5, 1.0]), np.array([1.0, np.inf]))
