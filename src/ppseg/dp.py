@@ -3,19 +3,22 @@
 Optimal change-points of a concave per-segment cost always sit on the
 2n-point candidate grid, so minimizing over continuous change-point
 vectors reduces to a discrete shortest-path problem. ``solve`` fills
-one dynamic-programming suffix table in a single bottom-up sweep over
-blocks of rows of the segment prices, sized by entries: each block is
-priced where the sweep uses it, on its upper triangle only and across
-its whole rows, and then dropped. A grid whose cost rows all fit a
-fixed byte budget keeps every one of them for the reconstruction; a
-larger grid keeps none, and the reconstruction prices each row it needs
-again, bit for bit. The sweep fills S[1 .. Kmax - 1] and, from row 0 of
-the top block, row 0 of S[Kmax], the one entry of it anything reads.
-That takes O((2n)^2 Kmax) time and O(n Kmax) memory beyond a constant:
-the suffix table, the kept rows and one work area that holds a priced
-block; no (2n + 2)^2 matrix is ever held. It returns, for every
-segment count K up to Kmax, the optimum's change-point indices and its
-contrast.
+one dynamic-programming suffix table from a bottom-up sweep over
+blocks of rows of the segment prices, sized by entries, each priced on
+its upper triangle only and across its whole rows. A grid whose cost
+rows all fit a fixed byte budget keeps every one of them for the
+reconstruction, and then fills the table layer by layer over all rows
+at once, on its upper triangle folded into a rectangle, so that no add
+falls left of the diagonal and every reduction runs over long rows. A
+larger grid keeps none: the sweep fills every layer of a 32-row block
+where it is priced, then drops it, and the reconstruction prices each
+row it needs again, bit for bit. Either way the table holds
+S[1 .. Kmax - 1] and, from row 0's prices, row 0 of S[Kmax], the one
+entry of it anything reads. That takes O((2n)^2 Kmax) time and
+O(n Kmax) memory beyond a constant: the suffix table, the kept rows and
+one work area that holds a priced block or the fold's sums; no
+(2n + 2)^2 matrix is ever held. It returns, for every segment count K
+up to Kmax, the optimum's change-point indices and its contrast.
 ``brute_force`` enumerates every candidate subset and is the
 independent oracle for small instances.
 
@@ -90,22 +93,25 @@ TIES_WARNING = "event times contain ties"
 
 # Rows per block of the bottom-up sweep: _BLOCK_ENTRIES entries of a
 # priced block divided by its width, rounded down to even, and at least
-# _BLOCK. Every numpy call of the sweep pays a fixed overhead, which at
+# _BLOCK. On a grid that keeps its rows (below 512 columns) a block is
+# only priced, and every pricing call pays a fixed overhead, which at
 # n = 75 cost more than its arithmetic: a grid of about 150 positions
-# takes one or two blocks, where 32-row blocks took five. From 512
-# columns on, blocks keep 32 rows. The height is even, so every block
-# starts at an even row and is priced from views of whole row pairs (see
-# ``build_cost_matrix``).
+# takes one or two blocks, where 32-row blocks took five; its min-plus
+# layers run over the folded triangle (``_fold_layers``). From 512
+# columns on, blocks keep 32 rows and run the min-plus layers too. The
+# height is even, so every block starts at an even row and is priced
+# from views of whole row pairs (see ``build_cost_matrix``).
 _BLOCK = 32
 _BLOCK_ENTRIES = 16384
 
 # Bytes of cost rows kept for the reconstruction: 2 MiB, which is 512 rows
-# of 512 entries. A grid of up to 511 positions (n <= 255) keeps every row
-# and never prices one again; a larger grid keeps none, and each
-# reconstruction step prices the rows it needs again. The rows it needs
-# sit at the change-points of the optima, all over the grid, so the rows
-# of the first positions alone would answer few of them: at n = 985,
-# 128 kept rows answered 136 of 726, 121 of them row 0.
+# of 512 entries. A grid of up to 511 positions (n <= 255) keeps every row,
+# sweeps its layers over them, folded, and never prices one again; a
+# larger grid keeps none, and each reconstruction step prices the rows it
+# needs again. The rows it needs sit at the change-points of the optima,
+# all over the grid, so the rows of the first positions alone would
+# answer few of them: at n = 985, 128 kept rows answered 136 of 726, 121
+# of them row 0.
 _KEPT_BYTES = 2 * 2**20
 
 # Peak bytes per entry of one priced block (its rows by the grid's 2n + 1
@@ -128,6 +134,12 @@ _BYTES_PER_ROW_ENTRY = 32
 def _block_rows(width: int) -> int:
     """Rows per sweep block on a grid whose cost rows are ``width`` long."""
     return max(_BLOCK, _BLOCK_ENTRIES // width // 2 * 2)
+
+
+def _kept_entries(A: int) -> int:
+    """Entries of the cost rows a grid of A + 1 positions keeps: every
+    row, when they fit _KEPT_BYTES, or none."""
+    return (A + 1) ** 2 if 8 * (A + 1) ** 2 <= _KEPT_BYTES else 0
 
 
 @lru_cache(maxsize=8)
@@ -247,20 +259,66 @@ def build_cost_matrix(grid: CandidateGrid, spec: ContrastSpec, rows: range,
     return f[:, lo + 1 - r0:]
 
 
+def _fold_layers(keep: np.ndarray, S: np.ndarray, work: np.ndarray) -> None:
+    """S[2 .. len(S) - 2] from S[1] and the kept rows, one layer at a time
+    over every row at once, on the upper triangle folded into a rectangle.
+
+    With A = 2n, row i < n of the fold holds the A - i prices (tp_i, tp_j],
+    j = i + 1 .. A, then the i + 1 of row A - 1 - i reversed, so every
+    fold row has A + 1 entries and row 2n, which splits nothing, is left
+    out. The fold is a strided view of ``keep``: row i's prices run on
+    into the i + 1 entries left of the diagonal of row i + 1, which hold
+    row A - 1 - i reversed while the layers run and +inf again after.
+    The S operand of fold row i is a window of V, S[r - 1, 1:] followed
+    by S[r - 1] reversed, and one reduceat takes each row's two minima.
+    Every S entry is the minimum of the same sums as in a block. The
+    fold's sum with V, and V, fill the first A (A + 5) / 2 entries of
+    ``work``.
+    """
+    A = len(keep) - 1
+    n, width, item = A // 2, A + 1, keep.itemsize
+    total = work[:n * width].reshape(n, width)
+    v = work[n * width:n * width + 2 * A]
+    fold = np.ndarray((n, width), keep.dtype, keep, item, ((A + 2) * item, item))
+    # fold[i, k] is left of the diagonal where k >= A - i, that is where
+    # left[i + k]; there it takes keep[A - 1 - i, 2A - i - k], staged
+    # through ``total``: a copy between two views that span ``keep`` would
+    # go through a temporary outside the work area
+    left = np.arange(A + n) >= A
+    left = np.ndarray((n, width), left.dtype, left, 0, (1, 1))
+    np.copyto(total, np.ndarray((n, width), keep.dtype, keep, (A * A + 2 * A - 1) * item,
+                                (-(A + 2) * item, -item)))
+    np.copyto(fold, total, where=left)
+    h = np.ndarray((n, width), v.dtype, v, 0, (item, item))  # h[i, k] = v[i + k]
+    # fold row i holds row i on [i (A + 1), (i + 1) A) and row A - 1 - i
+    # from there to the next fold row
+    idx = np.column_stack((np.arange(n) * width, np.arange(1, n + 1) * A)).ravel()
+    for r in range(2, len(S) - 1):
+        v[:A] = S[r - 1, 1:]
+        v[A:] = S[r - 1, A:0:-1]
+        np.add(fold, h, out=total)
+        np.minimum.reduceat(total.ravel(), idx, out=v[:A])
+        S[r, :n] = v[:A:2]
+        S[r, n:A] = v[A - 1::-2]
+    np.copyto(fold, np.inf, where=left)
+
+
 def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
     """Suffix table and kept cost rows, in one bottom-up pass over row blocks.
 
     S[r, i] is the optimal cost of splitting (tp_i, 1] into r segments.
-    Row i reads S[r - 1] only right of i, so each block of rows is
-    priced across its whole rows, finishes every r < kmax and is dropped
-    before the block above it starts; the last column, the segment to 1,
-    gives S[1]. ``keep[i, j]`` holds the price of (tp_i, tp_j] for every
-    i, j <= 2n when these rows fit _KEPT_BYTES; otherwise ``keep`` has no
-    row. Row 2n has no segment left to split, so S stays +inf there from
-    r = 2 on. Of S[kmax] only row 0, the optimum over the whole series,
-    is read; the top block sums it, and the rest stays +inf. At kmax = 1
-    only row 0 is priced, for its last entry (tp_0, 1], and no row is
-    kept.
+    Each block of rows is priced across its whole rows; its last column,
+    the segment to 1, gives S[1]. ``keep[i, j]`` holds the price of
+    (tp_i, tp_j] for every i, j <= 2n when these rows fit _KEPT_BYTES;
+    then the blocks only fill ``keep``, and S[2 .. kmax - 1] are swept
+    layer by layer over the folded upper triangle (``_fold_layers``).
+    Otherwise ``keep`` has no row, and row i reads S[r - 1] only right of
+    i, so each block finishes every r < kmax and is dropped before the
+    block above it starts. Row 2n has no segment left to split, so S
+    stays +inf there from r = 2 on. Of S[kmax] only row 0, the optimum
+    over the whole series, is read; it is summed from row 0's prices, and
+    the rest stays +inf. At kmax = 1 only row 0 is priced, for its last
+    entry (tp_0, 1], and no row is kept.
     """
     A = grid.size
     S = np.full((kmax + 1, A + 1), np.inf)
@@ -268,15 +326,17 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
         S[1, 0] = build_cost_matrix(grid, spec, range(1))[0, -1]
         return S, np.empty((0, A + 1))
     block = _block_rows(A + 1)
-    kept = (A + 1) ** 2 if 8 * (A + 1) ** 2 <= _KEPT_BYTES else 0  # every row or none
+    kept = _kept_entries(A)
     # one allocation per solve holds the kept rows and the work area that
-    # every block is priced into, min-plus work array included.
+    # every block is priced into, min-plus work array or the fold's sums
+    # included.
     # Temporaries freed after every block, or two allocations freed at the
     # end, let malloc give the heap top back to the system and fault it in
     # again, about 60 page faults per solve at n = 71. The area lives no
     # longer than the solve: ``run_bench`` starts a fresh worker thread per
     # call, so a buffer kept per thread would never be reused.
-    area = np.empty(kept + _work_entries(block, A + 1))
+    size = _work_entries(block, A + 1)
+    area = np.empty(kept + (max(size, A * (A + 5) // 2) if kept else size))
     keep, work = area[:kept].reshape(-1, A + 1), area[kept:]
     w = work[-block * (A + 1):].reshape(block, A + 1)
     for lo in reversed(range(0, A + 1, block)):
@@ -287,6 +347,7 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
         if kept:
             keep[lo:hi, :lo + 1] = np.inf
             keep[lo:hi, lo + 1:] = m
+            continue
         if lo == A:
             continue  # a block of row 2n alone has no segment left to split
         wb = w[:hi - lo, :A - lo]
@@ -295,9 +356,13 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
             np.minimum.reduce(wb, axis=1, out=S[r, lo:hi])
         if lo == 0:
             S[kmax, 0] = np.min(m[0] + S[kmax - 1, 1:])
-    # a view of no row would keep the work area alive through the
-    # reconstruction
-    return S, keep if kept else np.empty((0, A + 1))
+    if not kept:
+        # a view of no row would keep the work area alive through the
+        # reconstruction
+        return S, np.empty((0, A + 1))
+    _fold_layers(keep, S, work)
+    S[kmax, 0] = np.min(keep[0, 1:] + S[kmax - 1, 1:])
+    return S, keep
 
 
 @dataclass(eq=False)
@@ -391,11 +456,15 @@ def solve_bytes(n: int, kmax: int) -> int:
     The suffix table, the kept cost rows, the rows a reconstruction step
     gathers, and the working set of one of the sweep's priced blocks,
     which bounds that of a reconstruction step's row pair. Blocks span
-    whole rows, so this last term grows linearly with n.
+    whole rows, so this term grows linearly with n. A grid that keeps
+    its rows also holds, for its layer sweep, the folded triangle's sum
+    with a layer and that layer's window: A (A + 5) / 2 floats, A = 2n,
+    about 1 MiB at n = 255.
     """
-    side = 2 * n + 2
+    side, A = 2 * n + 2, 2 * n
     tables = 8 * (kmax + 1) * side + _KEPT_BYTES + _BYTES_PER_ROW_ENTRY * kmax * side
-    return tables + _BYTES_PER_BLOCK_ENTRY * _block_rows(side - 1) * side
+    fold = 4 * A * (A + 5) if _kept_entries(A) else 0
+    return tables + fold + _BYTES_PER_BLOCK_ENTRY * _block_rows(side - 1) * side
 
 
 def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:

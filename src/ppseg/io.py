@@ -114,7 +114,8 @@ def default_window(times) -> tuple[float, float]:
     """Observation window inferred from data: min/max padded by 1%.
 
     Events may not sit on the window boundary, hence the padding; a
-    degenerate time range cannot be padded and needs an explicit window.
+    degenerate time range cannot be padded, and a padded one past the
+    float range cannot be held, so both need an explicit window.
     """
     t = np.asarray(times, dtype=np.float64)
     if t.size == 0:
@@ -123,7 +124,11 @@ def default_window(times) -> tuple[float, float]:
     pad = 0.01 * (hi - lo)
     if pad == 0.0:
         raise ValueError("cannot infer a window from a degenerate time range; pass one explicitly")
-    return lo - pad, hi + pad
+    window = lo - pad, hi + pad
+    if not (np.isfinite(window[0]) and np.isfinite(window[1])):
+        raise ValueError("window inferred from the time range, padded by 1% at each end, "
+                         "overflows the float range; pass one explicitly")
+    return window
 
 
 def load_series(path, window: tuple[float, float] | None = None):

@@ -339,7 +339,8 @@ def refit(data, spec: ContrastSpec, kmax: int, k: int, curve: CvCurve | None = N
     Solves K = 1..kmax for ``contrast_by_k`` and estimates the rates with
     ``segment_rates``. ``curve`` is the curve that chose k, or None when
     k is fixed. Raises ValueError when k lies outside 1..kmax, exceeds
-    the candidate grid or admits no segmentation.
+    the candidate grid or admits no segmentation, or when a segment's
+    rate estimate overflows the float range.
     """
     require_integer("k", k)
     require_integer("kmax", kmax)
@@ -356,6 +357,14 @@ def refit(data, spec: ContrastSpec, kmax: int, k: int, curve: CvCurve | None = N
     counts, lengths, sums = segment_stats(grid, final.indices)
     values = grid.values[np.array(final.indices, dtype=np.intp)]
     rates, mark_rates = segment_rates(spec, counts, lengths, sums)
+    # a segment of subnormal normalized length can fit a rate past the
+    # float range, which ``evaluate`` refuses to read back
+    over = np.flatnonzero(~np.isfinite(rates))
+    if over.size:
+        i = int(over[0])
+        raise ValueError(f"the rate of segment {i + 1} of {k} overflows the float range: "
+                         f"{int(counts[i])} events over a normalized length of "
+                         f"{float(lengths[i])!r}")
     contrast_by_k = {res.k: float(res.contrast) for res in results if res.feasible}
     cv_warnings = () if curve is None else curve.warnings
     return FitResult(

@@ -376,6 +376,34 @@ def test_blocked_tables_equal_the_dense_construction(n):
                     assert np.all(np.isposinf(suffix[12, 1:])), spec
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_folded_layers_equal_the_dense_construction(n):
+    # a kept grid sweeps S[2 .. kmax - 1] over its upper triangle folded
+    # into n rows of 2n + 1 entries: row i, then row 2n - 1 - i reversed,
+    # one to three entries long here, which the reduceat takes as runs of
+    # length 1 to 3, and which the kept rows hold left of their diagonal
+    # until the layers are done; at kmax 2 no layer is folded
+    rng = np.random.default_rng(40 + n)
+    times = np.sort(rng.uniform(0.01, 0.99, n))
+    marks = rng.exponential(1.0, n)
+    tied = np.full(n, times[0])
+    for t in (times, tied)[:1 if n == 1 else 2]:
+        for marked in (False, True):
+            grid = build_grid(EventSeries(t, marks if marked else None))
+            for base in spec_variants(marked):
+                for forbid_empty in (False, True):
+                    spec = replace(base, forbid_empty=forbid_empty)
+                    dense = dense_cost_matrix(grid, spec)
+                    want = dense_suffix_table(dense, 12).view(np.int64)
+                    for kmax in (2, 3, 12):
+                        suffix, keep = _sweep(grid, spec, kmax)
+                        assert np.array_equal(keep.view(np.int64), dense[1:, :-1].view(np.int64))
+                        got = suffix.view(np.int64)
+                        assert np.array_equal(got[:kmax], want[:kmax]), spec
+                        assert got[kmax, 0] == want[kmax, 0], spec
+                        assert np.all(np.isposinf(suffix[kmax, 1:])), spec
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_rows_priced_again_equal_the_block_built_rows(kind):
     # one row at a time, all 511 rows at once (both a row pair at a time)
@@ -705,12 +733,14 @@ def test_solve_refuses_series_beyond_physical_memory(monkeypatch):
 
 @pytest.mark.parametrize("marked", [False, True])
 def test_memory_estimate_bounds_the_traced_peak(marked):
-    # at n = 300 and n = 1100 the grid keeps no cost row; at n = 1100 each
-    # block is priced across 2,201 columns, wider than any grid of the
-    # benchmark, and the traced peak must stay below the estimate
+    # n = 255 is the largest grid that keeps its cost rows and folds its
+    # upper triangle for the layer sweep; at n = 300 and n = 1100 the grid
+    # keeps no cost row; at n = 1100 each block is priced across 2,201
+    # columns, wider than any grid of the benchmark, and the traced peak
+    # must stay below the estimate
     rng = np.random.default_rng(2)
     kmax = 12
-    for n in (300, 1100):
+    for n in (255, 300, 1100):
         times = np.sort(rng.uniform(0.01, 0.99, n))
         series = EventSeries(times, rng.exponential(1.0, n) if marked else None)
         for spec in spec_variants(marked):
