@@ -31,8 +31,9 @@ cross-validation settings default to ``CvConfig``'s: ``fraction``,
 ``kmax`` and the prior shape of every cell but robust-a's.
 
 Every random draw is seeded from a root seed up front, per cell and per
-sample, and a pool of ``threads`` workers runs the samples, so output
-is byte-identical for any ``threads`` setting.
+sample, and the calling thread (at ``threads`` 1) or a pool of
+``threads`` workers runs the samples, so output is byte-identical for
+any ``threads`` setting.
 """
 
 from __future__ import annotations
@@ -181,8 +182,11 @@ def run_bench(cfg: BenchConfig) -> str:
         j, sim_seed, cv_seed = task
         return _run_sample(cfg, cells[j], truths[j][0], sim_seed, cv_seed)
 
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        outcomes = list(pool.map(work, tasks))
+    if cfg.threads == 1:
+        outcomes = list(map(work, tasks))
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            outcomes = list(pool.map(work, tasks))
 
     per_cell: list[list[tuple[int, float, float]]] = [[] for _ in cells]
     for (j, _, _), outcome in zip(tasks, outcomes):

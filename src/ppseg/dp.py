@@ -3,22 +3,23 @@
 Optimal change-points of a concave per-segment cost always sit on the
 2n-point candidate grid, so minimizing over continuous change-point
 vectors reduces to a discrete shortest-path problem. ``solve`` fills
-one dynamic-programming suffix table from a bottom-up sweep over
-blocks of rows of the segment prices, sized by entries, each priced on
-its upper triangle only and across its whole rows. A grid whose cost
-rows all fit a fixed byte budget keeps every one of them for the
-reconstruction, and then fills the table layer by layer over all rows
-at once, on its upper triangle folded into a rectangle, so that no add
-falls left of the diagonal and every reduction runs over long rows. A
-larger grid keeps none: the sweep fills every layer of a 32-row block
-where it is priced, then drops it, and the reconstruction prices each
-row it needs again, bit for bit. Either way the table holds
-S[1 .. Kmax - 1] and, from row 0's prices, row 0 of S[Kmax], the one
-entry of it anything reads. That takes O((2n)^2 Kmax) time and
-O(n Kmax) memory beyond a constant: the suffix table, the kept rows and
-one work area that holds a priced block or the fold's sums; no
-(2n + 2)^2 matrix is ever held. It returns, for every segment count K
-up to Kmax, the optimum's change-point indices and its contrast.
+one dynamic-programming suffix table from the segment prices, priced
+on their upper triangle only and across whole rows. A grid whose cost
+rows all fit a fixed byte budget is priced in one call and keeps every
+row for the reconstruction. It fills the table layer by layer over all
+rows at once, on its upper triangle folded into a rectangle inside the
+priced rows, so that no add falls left of the diagonal and every
+reduction runs over long rows. A larger grid keeps none: a bottom-up
+sweep prices blocks of 32 rows, fills every layer of a block where it
+is priced, then drops it, and the reconstruction prices each row it
+needs again, bit for bit. Either way the table holds S[1 .. Kmax - 1]
+and, from row 0's prices, row 0 of S[Kmax], the one entry of it
+anything reads. That takes O((2n)^2 Kmax) time and O(n Kmax) memory
+beyond a constant: the suffix table and one work area, which holds the
+priced grid and the fold's sums within the byte budget, or a priced
+block and its min-plus work array beyond it; no (2n + 2)^2 matrix is
+held past the budget. It returns, for every segment count K up to
+Kmax, the optimum's change-point indices and its contrast.
 ``brute_force`` enumerates every candidate subset and is the
 independent oracle for small instances.
 
@@ -64,7 +65,6 @@ times produce. ``segment_cost`` sets the likelihood kinds' +inf prices.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from math import comb
@@ -85,43 +85,37 @@ from .model import (
     Segmentation,
     as_grid,
     require_integer,
+    require_memory,
     segmentation_from_indices,
 )
 from .special import gammaln
 
 TIES_WARNING = "event times contain ties"
 
-# Rows per block of the bottom-up sweep: _BLOCK_ENTRIES entries of a
-# priced block divided by its width, rounded down to even, and at least
-# _BLOCK. On a grid that keeps its rows (below 512 columns) a block is
-# only priced, and every pricing call pays a fixed overhead, which at
-# n = 75 cost more than its arithmetic: a grid of about 150 positions
-# takes one or two blocks, where 32-row blocks took five; its min-plus
-# layers run over the folded triangle (``_fold_layers``). From 512
-# columns on, blocks keep 32 rows and run the min-plus layers too. The
-# height is even, so every block starts at an even row and is priced
+# Rows per block of the bottom-up sweep on a grid that keeps no cost row.
+# The height is even, so every block starts at an even row and is priced
 # from views of whole row pairs (see ``build_cost_matrix``).
 _BLOCK = 32
-_BLOCK_ENTRIES = 16384
 
 # Bytes of cost rows kept for the reconstruction: 2 MiB, which is 512 rows
-# of 512 entries. A grid of up to 511 positions (n <= 255) keeps every row,
-# sweeps its layers over them, folded, and never prices one again; a
-# larger grid keeps none, and each reconstruction step prices the rows it
-# needs again. The rows it needs sit at the change-points of the optima,
-# all over the grid, so the rows of the first positions alone would
-# answer few of them: at n = 985, 128 kept rows answered 136 of 726, 121
-# of them row 0.
+# of 512 entries. A grid of up to 511 positions (n <= 255) keeps every row:
+# it is priced in one call, sweeps its layers over the priced rows,
+# folded, and never prices one again; a larger grid keeps none, and each
+# reconstruction step prices the rows it needs again. The rows it needs
+# sit at the change-points of the optima, all over the grid, so the rows
+# of the first positions alone would answer few of them: at n = 985, 128
+# kept rows answered 136 of 726, 121 of them row 0.
 _KEPT_BYTES = 2 * 2**20
 
-# Peak bytes per entry of one priced block (its rows by the grid's 2n + 1
-# columns) that ``solve`` allocates besides its tables: the work area,
-# which also holds the min-plus work array, and for the likelihood kinds
-# the temporaries of ``segment_cost``. A reconstruction step prices one
-# row pair at a time, in a work area of its own and far less. The
-# tracemalloc peak of the sweep beyond the suffix table and the kept
-# rows, at Kmax 12 and n = 40 to 10,358, is 18 to 29 bytes per block
-# entry for the marginal kinds and 27 to 44 for the likelihood kinds.
+# Peak bytes per entry of one priced block (its rows by the grid's 2n + 2
+# columns, the whole grid on a grid that keeps its rows) that ``solve``
+# allocates besides its suffix table: the work area, which also holds the
+# kept rows and the min-plus work array or the fold's sums, and for the
+# likelihood kinds the temporaries of ``segment_cost``. A reconstruction
+# step prices one row pair at a time, in a work area of its own and far
+# less. The tracemalloc peak of a solve at Kmax 12 and n = 80 to 10,358,
+# beyond its suffix table, is 18 to 30 bytes per block entry for the
+# marginal kinds and 34 to 44 for the likelihood kinds.
 _BYTES_PER_BLOCK_ENTRY = 48
 
 # Peak bytes per entry of the up to Kmax - 1 full cost rows a
@@ -129,17 +123,6 @@ _BYTES_PER_BLOCK_ENTRY = 48
 # their sum with the suffix table, and the mask of the entries equal to
 # the optimum.
 _BYTES_PER_ROW_ENTRY = 32
-
-
-def _block_rows(width: int) -> int:
-    """Rows per sweep block on a grid whose cost rows are ``width`` long."""
-    return max(_BLOCK, _BLOCK_ENTRIES // width // 2 * 2)
-
-
-def _kept_entries(A: int) -> int:
-    """Entries of the cost rows a grid of A + 1 positions keeps: every
-    row, when they fit _KEPT_BYTES, or none."""
-    return (A + 1) ** 2 if 8 * (A + 1) ** 2 <= _KEPT_BYTES else 0
 
 
 @lru_cache(maxsize=8)
@@ -259,43 +242,49 @@ def build_cost_matrix(grid: CandidateGrid, spec: ContrastSpec, rows: range,
     return f[:, lo + 1 - r0:]
 
 
-def _fold_layers(keep: np.ndarray, S: np.ndarray, work: np.ndarray) -> None:
-    """S[2 .. len(S) - 2] from S[1] and the kept rows, one layer at a time
-    over every row at once, on the upper triangle folded into a rectangle.
+def _fold_layers(area: np.ndarray, S: np.ndarray) -> None:
+    """S[2 .. len(S) - 2] from S[1] and the grid priced in ``area``, one
+    layer at a time over every row at once, on the upper triangle folded
+    into a rectangle.
 
-    With A = 2n, row i < n of the fold holds the A - i prices (tp_i, tp_j],
-    j = i + 1 .. A, then the i + 1 of row A - 1 - i reversed, so every
-    fold row has A + 1 entries and row 2n, which splits nothing, is left
-    out. The fold is a strided view of ``keep``: row i's prices run on
-    into the i + 1 entries left of the diagonal of row i + 1, which hold
-    row A - 1 - i reversed while the layers run and +inf again after.
-    The S operand of fold row i is a window of V, S[r - 1, 1:] followed
-    by S[r - 1] reversed, and one reduceat takes each row's two minima.
-    Every S entry is the minimum of the same sums as in a block. The
-    fold's sum with V, and V, fill the first A (A + 5) / 2 entries of
-    ``work``.
+    With A = 2n, ``area`` starts with the A + 2 rows of A + 2 prices
+    (tp_i, tp_j], j = 0 .. A + 1, that ``build_cost_matrix`` writes for the
+    rows from 0; row A + 1 only completes a row pair. Row i < n of the fold
+    holds the A + 1 - i prices right of the diagonal of row i, then the
+    i + 2 of row A - 1 - i reversed, so every fold row has A + 3 entries
+    and row 2n, which splits nothing, is left out. The fold is a strided
+    view of ``area``: row i's prices run on into row i + 1 up to its
+    diagonal, which holds row A - 1 - i reversed while the layers run and
+    +inf again after. The S operand of fold row i is a window of V:
+    S[r - 1, 1:], +inf twice for the segments to 1 at either end of a fold
+    row, then S[r - 1, 1:] reversed; +inf moves no minimum, so every S
+    entry is the minimum of the same sums as in a block, and one reduceat
+    takes each row's two. The fold's sum with V, and V, take the pricer's
+    scratch after the priced rows.
     """
-    A = len(keep) - 1
-    n, width, item = A // 2, A + 1, keep.itemsize
-    total = work[:n * width].reshape(n, width)
-    v = work[n * width:n * width + 2 * A]
-    fold = np.ndarray((n, width), keep.dtype, keep, item, ((A + 2) * item, item))
-    # fold[i, k] is left of the diagonal where k >= A - i, that is where
-    # left[i + k]; there it takes keep[A - 1 - i, 2A - i - k], staged
-    # through ``total``: a copy between two views that span ``keep`` would
-    # go through a temporary outside the work area
-    left = np.arange(A + n) >= A
+    A = S.shape[1] - 1
+    n, width, item = A // 2, A + 3, area.itemsize
+    at = (A + 2) ** 2
+    total = area[at:at + n * width].reshape(n, width)
+    v = area[at + n * width:at + n * width + 2 * A + 2]
+    fold = np.ndarray((n, width), area.dtype, area, item, (width * item, item))
+    # fold[i, k] is on or left of the diagonal where k >= A + 1 - i, that
+    # is where left[i + k]; there it takes row A - 1 - i at column
+    # 2A + 2 - i - k, staged through ``total``: a copy between two views
+    # that span ``area`` would go through a temporary outside it
+    left = np.arange(A + n + 2) > A
     left = np.ndarray((n, width), left.dtype, left, 0, (1, 1))
-    np.copyto(total, np.ndarray((n, width), keep.dtype, keep, (A * A + 2 * A - 1) * item,
-                                (-(A + 2) * item, -item)))
+    np.copyto(total, np.ndarray((n, width), area.dtype, area, (A * A + 3 * A) * item,
+                                (-width * item, -item)))
     np.copyto(fold, total, where=left)
+    v[A:A + 2] = np.inf
     h = np.ndarray((n, width), v.dtype, v, 0, (item, item))  # h[i, k] = v[i + k]
-    # fold row i holds row i on [i (A + 1), (i + 1) A) and row A - 1 - i
-    # from there to the next fold row
-    idx = np.column_stack((np.arange(n) * width, np.arange(1, n + 1) * A)).ravel()
+    # fold row i holds row i from i (A + 3) and row A - 1 - i from
+    # i (A + 2) + A + 1 to the next fold row
+    idx = np.column_stack((np.arange(n) * width, np.arange(n) * (A + 2) + A + 1)).ravel()
     for r in range(2, len(S) - 1):
         v[:A] = S[r - 1, 1:]
-        v[A:] = S[r - 1, A:0:-1]
+        v[A + 2:] = S[r - 1, A:0:-1]
         np.add(fold, h, out=total)
         np.minimum.reduceat(total.ravel(), idx, out=v[:A])
         S[r, :n] = v[:A:2]
@@ -304,64 +293,61 @@ def _fold_layers(keep: np.ndarray, S: np.ndarray, work: np.ndarray) -> None:
 
 
 def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
-    """Suffix table and kept cost rows, in one bottom-up pass over row blocks.
+    """Suffix table and kept cost rows.
 
-    S[r, i] is the optimal cost of splitting (tp_i, 1] into r segments.
-    Each block of rows is priced across its whole rows; its last column,
-    the segment to 1, gives S[1]. ``keep[i, j]`` holds the price of
-    (tp_i, tp_j] for every i, j <= 2n when these rows fit _KEPT_BYTES;
-    then the blocks only fill ``keep``, and S[2 .. kmax - 1] are swept
-    layer by layer over the folded upper triangle (``_fold_layers``).
-    Otherwise ``keep`` has no row, and row i reads S[r - 1] only right of
-    i, so each block finishes every r < kmax and is dropped before the
-    block above it starts. Row 2n has no segment left to split, so S
-    stays +inf there from r = 2 on. Of S[kmax] only row 0, the optimum
-    over the whole series, is read; it is summed from row 0's prices, and
-    the rest stays +inf. At kmax = 1 only row 0 is priced, for its last
-    entry (tp_0, 1], and no row is kept.
+    S[r, i] is the optimal cost of splitting (tp_i, 1] into r segments;
+    the last price of row i, the segment to 1, gives S[1, i]. When the
+    cost rows fit _KEPT_BYTES the whole grid is priced in one call,
+    ``keep[i, j]`` is the price of (tp_i, tp_j] for every i, j <= 2n, and
+    S[2 .. kmax - 1] are swept layer by layer over the folded upper
+    triangle (``_fold_layers``). Otherwise ``keep`` has no row, blocks of
+    _BLOCK rows are priced from the top, and row i reads S[r - 1] only
+    right of i, so each block finishes every r < kmax and is dropped
+    before the block above it starts. Row 2n has no segment left to split,
+    so S stays +inf there from r = 2 on. Of S[kmax] only row 0, the
+    optimum over the whole series, is read; it is summed from row 0's
+    prices, and the rest stays +inf. At kmax = 1 only row 0 is priced, for
+    its last entry (tp_0, 1], and no row is kept.
+
+    Either way one area per solve takes every price and sum. Temporaries
+    freed after every block, or two allocations freed at the end, let
+    malloc give the heap top back to the system and fault it in again,
+    about 60 page faults per solve at n = 71.
     """
     A = grid.size
     S = np.full((kmax + 1, A + 1), np.inf)
     if kmax == 1:
         S[1, 0] = build_cost_matrix(grid, spec, range(1))[0, -1]
         return S, np.empty((0, A + 1))
-    block = _block_rows(A + 1)
-    kept = _kept_entries(A)
-    # one allocation per solve holds the kept rows and the work area that
-    # every block is priced into, min-plus work array or the fold's sums
-    # included.
-    # Temporaries freed after every block, or two allocations freed at the
-    # end, let malloc give the heap top back to the system and fault it in
-    # again, about 60 page faults per solve at n = 71. The area lives no
-    # longer than the solve: ``run_bench`` starts a fresh worker thread per
-    # call, so a buffer kept per thread would never be reused.
-    size = _work_entries(block, A + 1)
-    area = np.empty(kept + (max(size, A * (A + 5) // 2) if kept else size))
-    keep, work = area[:kept].reshape(-1, A + 1), area[kept:]
-    w = work[-block * (A + 1):].reshape(block, A + 1)
-    for lo in reversed(range(0, A + 1, block)):
-        hi = min(lo + block, A + 1)
-        m = build_cost_matrix(grid, spec, range(lo, hi), work)
-        S[1, lo:hi] = m[:, -1]
-        m = m[:, :-1]  # m[i - lo, j - lo - 1] prices (tp_i, tp_j]
-        if kept:
-            keep[lo:hi, :lo + 1] = np.inf
-            keep[lo:hi, lo + 1:] = m
-            continue
-        if lo == A:
-            continue  # a block of row 2n alone has no segment left to split
-        wb = w[:hi - lo, :A - lo]
-        for r in range(2, kmax):
-            np.add(m, S[r - 1, lo + 1:], out=wb)
-            np.minimum.reduce(wb, axis=1, out=S[r, lo:hi])
-        if lo == 0:
-            S[kmax, 0] = np.min(m[0] + S[kmax - 1, 1:])
-    if not kept:
+    if 8 * (A + 1) ** 2 <= _KEPT_BYTES:
+        area = np.empty(_work_entries(A + 1, A + 1))
+        build_cost_matrix(grid, spec, range(A + 1), area)
+        # the prices of a run from row 0 start the work area, each row
+        # across all A + 2 columns
+        priced = area[:(A + 1) * (A + 2)].reshape(A + 1, A + 2)
+        S[1] = priced[:, -1]
+        _fold_layers(area, S)
+        keep = priced[:, :-1]
+        row0 = keep[0, 1:]
+    else:
         # a view of no row would keep the work area alive through the
         # reconstruction
-        return S, np.empty((0, A + 1))
-    _fold_layers(keep, S, work)
-    S[kmax, 0] = np.min(keep[0, 1:] + S[kmax - 1, 1:])
+        keep = np.empty((0, A + 1))
+        work = np.empty(_work_entries(_BLOCK, A + 1))
+        w = work[-_BLOCK * (A + 1):].reshape(_BLOCK, A + 1)
+        for lo in reversed(range(0, A + 1, _BLOCK)):
+            hi = min(lo + _BLOCK, A + 1)
+            m = build_cost_matrix(grid, spec, range(lo, hi), work)
+            S[1, lo:hi] = m[:, -1]
+            m = m[:, :-1]  # m[i - lo, j - lo - 1] prices (tp_i, tp_j]
+            if lo == A:
+                continue  # a block of row 2n alone has no segment left to split
+            wb = w[:hi - lo, :A - lo]
+            for r in range(2, kmax):
+                np.add(m, S[r - 1, lo + 1:], out=wb)
+                np.minimum.reduce(wb, axis=1, out=S[r, lo:hi])
+        row0 = m[0]  # m holds the block of row 0 last
+    S[kmax, 0] = np.min(row0 + S[kmax - 1, 1:])
     return S, keep
 
 
@@ -453,18 +439,19 @@ def _reconstruct(grid: CandidateGrid, spec: ContrastSpec, keep: np.ndarray,
 def solve_bytes(n: int, kmax: int) -> int:
     """Upper estimate of the memory ``solve`` allocates for n events.
 
-    The suffix table, the kept cost rows, the rows a reconstruction step
-    gathers, and the working set of one of the sweep's priced blocks,
-    which bounds that of a reconstruction step's row pair. Blocks span
-    whole rows, so this term grows linearly with n. A grid that keeps
-    its rows also holds, for its layer sweep, the folded triangle's sum
-    with a layer and that layer's window: A (A + 5) / 2 floats, A = 2n,
-    about 1 MiB at n = 255.
+    The suffix table, the rows a reconstruction step gathers, and the
+    working set of one of the sweep's priced blocks, which bounds that of
+    a reconstruction step's row pair. On a grid that keeps its cost rows
+    (n <= 255) the block is the whole grid, priced in one call, and its
+    work area holds the kept rows; for the likelihood kinds the
+    temporaries of ``segment_cost`` span it too, about 10 MiB at n = 255.
+    Larger grids price blocks of _BLOCK whole rows, so this term grows
+    linearly with n. Fixed costs of a few KiB, which outweigh the tables
+    only below about 10 events, are left out.
     """
-    side, A = 2 * n + 2, 2 * n
-    tables = 8 * (kmax + 1) * side + _KEPT_BYTES + _BYTES_PER_ROW_ENTRY * kmax * side
-    fold = 4 * A * (A + 5) if _kept_entries(A) else 0
-    return tables + fold + _BYTES_PER_BLOCK_ENTRY * _block_rows(side - 1) * side
+    side = 2 * n + 2
+    rows = side - 1 if 8 * (side - 1) ** 2 <= _KEPT_BYTES else _BLOCK
+    return (8 * (kmax + 1) + _BYTES_PER_ROW_ENTRY * kmax + _BYTES_PER_BLOCK_ENTRY * rows) * side
 
 
 def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:
@@ -479,13 +466,8 @@ def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     grid = as_grid(data)
-    need = solve_bytes(grid.n, kmax)
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise ValueError(
-            f"solve at n = {grid.n} events needs about {need / 2**30:.1f} GiB for its "
-            f"suffix table and cost rows, more than the {have / 2**30:.1f} GiB of physical memory"
-        )
+    require_memory(f"solve at n = {grid.n} events", solve_bytes(grid.n, kmax),
+                   "its suffix table and cost rows")
     feasible = range(1, min(kmax, grid.size + 1) + 1)
     suffix, keep = _sweep(grid, spec, len(feasible))  # no layer past the last feasible K
     base_warn = (TIES_WARNING,) if grid.events.has_ties else ()

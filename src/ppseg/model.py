@@ -20,6 +20,7 @@ the slots (``slot_times`` and ``mark_prefix``).
 from __future__ import annotations
 
 import copy
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,15 @@ def require_integer(name: str, value) -> None:
     """ValueError unless ``value`` is a Python or numpy integer; bools are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_memory(what: str, need: int, held: str) -> None:
+    """ValueError when ``need`` bytes, which ``what`` needs for ``held``,
+    exceed the host's physical memory."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValueError(f"{what} needs about {need / 2**30:.1f} GiB for {held}, more than the "
+                         f"{have / 2**30:.1f} GiB of physical memory")
 
 
 def _validated_window(window) -> tuple[float, float]:

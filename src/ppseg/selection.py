@@ -50,7 +50,8 @@ from .contrasts import (
     segment_rates,
 )
 from .dp import TIES_WARNING, solve
-from .model import EventSeries, build_grid, intensity_from_breaks, require_integer, segment_stats
+from .model import (EventSeries, build_grid, intensity_from_breaks, require_integer,
+                    require_memory, segment_stats)
 
 MIN_DEFINED_FRACTION = 0.5  # share of replicates in which a K must be scored
 
@@ -244,6 +245,8 @@ def cross_validate(data, config: CvConfig | None = None) -> CvCurve:
     if data.n == 0:
         raise ValueError("cross-validation needs at least one event")
     m_total, kmax = cfg.replicates, cfg.kmax
+    require_memory(f"cross-validation with {m_total} replicates up to kmax = {kmax}",
+                   8 * m_total * kmax, "its score table")
     gammas = np.full((m_total, kmax), np.nan)
     streams = np.random.SeedSequence(cfg.seed).spawn(m_total)
     empty_learning = 0

@@ -350,10 +350,11 @@ def test_dp_tables_invariants():
 
 @pytest.mark.parametrize("n", [63, 64, 127, 128, 255, 256])
 def test_blocked_tables_equal_the_dense_construction(n):
-    # the 2n + 1 cost rows fall just below or just above a multiple of
-    # the 32-row block, where the top block holds row 2n alone, and for
-    # n = 255, 256 just below or above the grid whose rows all fit the
-    # kept bytes (all 511 rows kept, then none of 513)
+    # up to n = 255 the grid keeps its 2n + 1 cost rows, priced in one
+    # call; n = 256 keeps none of its 513 and sweeps 32-row blocks, the
+    # top one of row 2n alone; n = 63, 64, 127, 128 fell just below or
+    # above a multiple of such a block when kept grids were priced in
+    # blocks too
     rng = np.random.default_rng(n)
     times = np.sort(rng.uniform(0.01, 0.99, n))
     marks = rng.exponential(1.0, n)
@@ -379,9 +380,9 @@ def test_blocked_tables_equal_the_dense_construction(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_folded_layers_equal_the_dense_construction(n):
     # a kept grid sweeps S[2 .. kmax - 1] over its upper triangle folded
-    # into n rows of 2n + 1 entries: row i, then row 2n - 1 - i reversed,
-    # one to three entries long here, which the reduceat takes as runs of
-    # length 1 to 3, and which the kept rows hold left of their diagonal
+    # into n rows of 2n + 3 entries: row i, then row 2n - 1 - i reversed,
+    # each with its segment to 1, which the reduceat takes as runs of 2 to
+    # 7 entries here, and which the priced rows hold up to their diagonal
     # until the layers are done; at kmax 2 no layer is folded
     rng = np.random.default_rng(40 + n)
     times = np.sort(rng.uniform(0.01, 0.99, n))
@@ -407,10 +408,10 @@ def test_folded_layers_equal_the_dense_construction(n):
 @pytest.mark.parametrize("kind", KINDS)
 def test_rows_priced_again_equal_the_block_built_rows(kind):
     # one row at a time, all 511 rows at once (both a row pair at a time)
-    # and the sweep's 32-row blocks read different windows of the count
-    # tables and take their logs on arrays of different sizes; at n = 255
-    # the sweep keeps every row, so each row priced again meets its
-    # block-built one
+    # and the sweep's one call over every row read different windows of
+    # the count tables and take their logs on arrays of different sizes;
+    # at n = 255 the sweep keeps every row, so each row priced again meets
+    # its block-built one
     rng = np.random.default_rng(9)
     n = 255
     times = np.sort(rng.uniform(0.01, 0.99, n))
@@ -560,6 +561,28 @@ def test_kmax_one_prices_one_row(monkeypatch):
     priced.clear()
     assert solve(series, UNIT_PG, 1)[0].indices == ()
     assert priced == [3001]
+
+
+def test_a_kept_grid_is_priced_in_one_call(monkeypatch):
+    # at Kmax 12 a grid that keeps its cost rows is priced in one call over
+    # rows 0 .. 2n, and its reconstruction prices nothing again; at
+    # n = 256 the sweep prices 17 blocks of 32 rows from the top, the
+    # first of them row 512 alone
+    priced = []
+
+    def counting(grid, spec, rows, work=None):
+        priced.append(rows)
+        return build_cost_matrix(grid, spec, rows, work)
+
+    monkeypatch.setattr(dp, "build_cost_matrix", counting)
+    rng = np.random.default_rng(23)
+    for n in (100, 255):
+        priced.clear()
+        solve(EventSeries(np.sort(rng.uniform(0.01, 0.99, n))), UNIT_PG, 12)
+        assert priced == [range(2 * n + 1)], n
+    priced.clear()
+    _sweep(build_grid(EventSeries(np.sort(rng.uniform(0.01, 0.99, 256)))), UNIT_PG, 12)
+    assert priced == [range(lo, min(lo + 32, 513)) for lo in range(512, -1, -32)]
 
 
 def test_infeasible_segment_counts_are_flagged():
@@ -722,7 +745,7 @@ def test_contrast_prices_grid_segments():
 
 
 def test_solve_refuses_series_beyond_physical_memory(monkeypatch):
-    # the estimate is about 0.2 GiB, more than the 64 MiB this host is
+    # the estimate is about 3.0 GiB, more than the 64 MiB this host is
     # made to report; the guard fires before any table is allocated
     pages = {"SC_PHYS_PAGES": 2**14, "SC_PAGE_SIZE": 2**12}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)

@@ -405,6 +405,22 @@ def test_cli_cv_curve(tmp_path):
     assert all(0 <= c <= 12 for c in counts)
 
 
+def test_cli_cv_curve_refuses_a_score_table_beyond_physical_memory(tmp_path, monkeypatch, capsys):
+    # 500 replicates by kmax 10^8 would take 373 GiB of scores; the host is
+    # made to report 64 MiB, so the refusal holds on any machine
+    pages = {"SC_PHYS_PAGES": 2**14, "SC_PAGE_SIZE": 2**12}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    events = tmp_path / "events.csv"
+    assert _run(["simulate", "--design", "20,2", "--seed", "1", "-o", str(events)]) == 0
+    capsys.readouterr()
+    assert _run(["cv-curve", str(events), "--window", "0", "1",
+                 "--kmax", "100000000", "--replicates", "500"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cross-validation with 500 replicates up to kmax = 100000000 "
+                          "needs about 372.5 GiB for its score table")
+    assert err.count("\n") == 1
+
+
 def test_cli_bench_small_grid(tmp_path):
     out1 = tmp_path / "bench1.csv"
     out2 = tmp_path / "bench2.csv"

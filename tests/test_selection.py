@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -139,12 +141,43 @@ def test_bench_refuses_a_bad_grid_value_before_any_fit(field, monkeypatch):
         bench.run_bench(cfg)
 
 
+def test_bench_runs_one_thread_on_the_calling_thread(monkeypatch):
+    # no pool at threads 1: a worker thread started per call would leave
+    # its malloc arena behind, and peak memory would grow with the calls
+    run_sample, ran_on = bench._run_sample, []
+
+    def recording(*args):
+        ran_on.append(threading.get_ident())
+        return run_sample(*args)
+
+    monkeypatch.setattr(bench, "_run_sample", recording)
+    bench.run_bench(BenchConfig(preset="robust-f", samples=1, cv_replicates=2, kmax=2))
+    assert ran_on == [threading.get_ident()] * 4
+
+
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_config_rejects_non_finite_fraction_and_shape(value):
     with pytest.raises(ValueError, match="fraction"):
         CvConfig(fraction=value)
     with pytest.raises(ValueError, match="prior_shape must be finite"):
         CvConfig(prior_shape=value)
+
+
+def test_cross_validate_refuses_a_score_table_beyond_physical_memory(monkeypatch):
+    # 100 replicates by kmax 100,000 take 76 MiB of scores, more than the
+    # 64 MiB this host is made to report; nothing is allocated first
+    pages = {"SC_PHYS_PAGES": 2**14, "SC_PAGE_SIZE": 2**12}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    data = EventSeries(np.array([0.3, 0.6]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^cross-validation with 100 replicates up to "
+                                             r"kmax = 100000 needs about 0\.1 GiB for its score table"):
+            cross_validate(data, CvConfig(replicates=100, kmax=10**5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_fit_rejects_a_prior_shape_whose_prior_constant_overflows():
