@@ -13,22 +13,22 @@ segmentation is the quantity to minimize:
 - "marked_pgeg": the marginal cost with Gamma priors on both the event
   rate and the exponential mark rate.
 
-Every cost lies in (-inf, +inf]; ``segment_cost`` sets the +inf prices,
-and the solver's block pricer sets the same ones where they can occur.
-A zero-length segment holding events has an unbounded maximized
-likelihood, a degenerate maximum and not an estimate, so the likelihood
-kinds price it at +inf; the marginal costs are finite there. A segment
-with no event and zero length (only tied times give one) is +inf for
-every kind. A positive length or mark sum so small that count / length
-overflows keeps a finite cost through log count - log length. +inf
-absorbs under IEEE addition, so totals need no special arithmetic.
+Every cost lies in (-inf, +inf]. Events on a zero length or mark sum
+have an unbounded maximized likelihood, a degenerate maximum and not an
+estimate, priced +inf by ``likelihood_cost``; the marginal costs are
+finite there. An empty segment of zero length (only tied times give
+one), or any under ``forbid_empty``, is +inf for every kind, set by
+``segment_cost`` and by the solver's block pricer. A positive length or
+mark sum so small that count / length overflows keeps a finite cost
+through log count - log length. +inf absorbs under IEEE addition, so
+totals need no special arithmetic.
 
-Every function accepts scalars or numpy arrays of matching shape. The
-marginal formula is written once, in ``marginal_cost``, over its parts
-(c + a, log(d + b), lgamma(c + a) and the prior constant): scalar
-evaluations and the solver's cost blocks, which build the parts from
-tables, both go through it and get the same bits. lgamma is
-``special.gammaln``, a port of the routine scipy runs, bit for bit.
+Every function accepts scalars or numpy arrays of matching shape. Each
+family's formula is written once, in ``marginal_cost`` over its parts (c
++ a, log(d + b), lgamma(c + a) and the prior constant) and in
+``likelihood_cost``: scalar evaluations and the solver's cost blocks,
+priced in place from tables, both go through them and get the same bits.
+lgamma is ``special.gammaln``, a port of scipy's, bit for bit.
 """
 
 from __future__ import annotations
@@ -81,17 +81,32 @@ def marginal_cost(ca, log_db, lg_ca, prior, marks=None, out=None):
     return out
 
 
-def _log_ratio(c, x):
-    """log(c / x), taken as log c - log x where c / x overflows for x > 0.
+def log_ratio(c, x, out=None):
+    """log(c / x) in ``out`` when given, which may be ``x``; log c - log x
+    only where c / x overflows for x > 0, as its log is still finite. Such
+    an x lies below max(c) 2^-1000, and its log is taken before ``out``
+    overwrites it."""
+    c, x = np.broadcast_arrays(c, x)
+    tiny = (x > 0.0) & (x < np.max(c, initial=0.0) * 2.0**-1000)
+    fallback = np.log(c[tiny]) - np.log(x[tiny])
+    out = np.empty(c.shape) if out is None else out
+    np.log(np.divide(c, x, out=out), out=out)
+    out[tiny] = np.where(np.isposinf(out[tiny]), fallback, out[tiny])
+    return out
 
-    The quotient overflows once x is below about c * 5.6e-309 although
-    its logarithm is finite; every other entry keeps the plain log of
-    the quotient.
-    """
-    out = np.log(c / x)
-    over = np.isposinf(out) & (x > 0.0)
-    if over.any():
-        out = np.where(over, np.log(c) - np.log(x), out)
+
+def likelihood_cost(c, d, log_cs=None, out=None):
+    """c (1 - log(c / d)), or c ((2 - log(c / d)) - log(c / s)) with
+    ``log_cs`` = log(c / s), in this order of operations and in ``out`` when
+    given; 0 for c = 0. Events on a zero length or mark sum make it -inf, as
+    log(c / 0) = +inf, and only they: an unbounded likelihood, priced +inf."""
+    out = log_ratio(c, d, out)
+    np.subtract(1.0 if log_cs is None else 2.0, out, out=out)
+    if log_cs is not None:
+        out -= log_cs
+    out *= c
+    np.copyto(out, 0.0, where=c == 0.0)  # 0 (1 - log 0) is NaN, as is 0 / 0
+    np.copyto(out, np.inf, where=np.isneginf(out))
     return out
 
 
@@ -162,34 +177,26 @@ def require_marks(spec: ContrastSpec, marked: bool) -> None:
 
 
 def segment_cost(spec: ContrastSpec, count, length, mark_sum=None):
-    """Cost of one segment (or an array of segments) under ``spec``.
-
-    Sets every +inf price: no event on zero length for every kind, no
-    event at all under ``forbid_empty``, and for the likelihood kinds
-    events on a zero length or mark sum (an unbounded likelihood).
-    """
+    """Cost of one segment (or an array of segments) under ``spec``: one
+    formula per family, then +inf for an empty segment at zero length or
+    under ``forbid_empty``. Unmarked kinds ignore ``mark_sum``."""
     require_marks(spec, mark_sum is not None)
     c = np.asarray(count, dtype=np.float64)
     d = np.asarray(length, dtype=np.float64)
-    s = None if mark_sum is None else np.asarray(mark_sum, dtype=np.float64)
-    empty, zero_length = c == 0.0, d == 0.0
-    unbounded = False
+    s = np.asarray(mark_sum, dtype=np.float64) if spec.requires_marks else None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if spec.kind == "poisson":
-            out = np.where(empty, 0.0, c * (1.0 - _log_ratio(c, d)))
-            unbounded = zero_length
-        elif spec.kind == "marked_poisson":
-            out = np.where(empty, 0.0, c * (2.0 - _log_ratio(c, d) - _log_ratio(c, s)))
-            unbounded = zero_length | (s == 0.0)
-        elif spec.kind == "poisson_gamma":
-            out = poisson_gamma_cost(c, d, spec.a, spec.b)
-        else:
-            ca, car = c + spec.a, c + spec.a_rho
+        if spec.kind in MARGINAL_KINDS:
+            ca, marks = c + spec.a, None
+            if s is not None:
+                car = c + spec.a_rho
+                marks = (car * np.log(s + spec.b_rho), gammaln(car),
+                         prior_constant(spec.a_rho, spec.b_rho))
             out = marginal_cost(ca, np.log(d + spec.b), gammaln(ca), prior_constant(spec.a, spec.b),
-                                (car * np.log(s + spec.b_rho), gammaln(car),
-                                 prior_constant(spec.a_rho, spec.b_rho)))
+                                marks)
+        else:
+            out = likelihood_cost(c, d, None if s is None else log_ratio(c, s))
     out = np.asarray(out)
-    out[np.where(empty, True if spec.forbid_empty else zero_length, unbounded)] = np.inf
+    out[(c == 0.0) & (spec.forbid_empty | (d == 0.0))] = np.inf
     return _scalar_or_array(out)
 
 

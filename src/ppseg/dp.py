@@ -50,16 +50,15 @@ sweep's and the reconstruction's, is a run of consecutive rows priced
 on whole rows: widened to whole row pairs and priced on every column
 from its first even row to 2n + 1, so the one pricer reads every part
 of it through strided views of these tables, with no gather, and writes
-the prices into a work area. The parts go through the formula
-``segment_cost`` uses, in the same order, so every price keeps its
-bits.
+the prices into a work area. The parts go in place through the
+family's formula ``segment_cost`` uses, so every price keeps its bits.
 
 Every segment cost lies in (-inf, +inf] (see ``contrasts``), so plain
-IEEE addition accumulates the tables and +inf absorbs. The block pricer
-sets +inf only where it can occur: left of the diagonal, and for the
-marginal kinds the one empty segment right of each even row, under
-``forbid_empty`` or where it has zero length, which only tied event
-times produce. ``segment_cost`` sets the likelihood kinds' +inf prices.
+IEEE addition accumulates the tables and +inf absorbs. ``likelihood_cost``
+prices an unbounded likelihood at +inf; the block pricer sets every other
++inf, for every kind, where it can occur: left of the diagonal, and on the
+one empty segment right of each even row, under ``forbid_empty`` or where
+it has zero length, which only tied event times produce.
 """
 
 from __future__ import annotations
@@ -75,10 +74,11 @@ from .contrasts import (
     MARGINAL_KINDS,
     ContrastSpec,
     contrast,
+    likelihood_cost,
+    log_ratio,
     marginal_cost,
     prior_constant,
     require_marks,
-    segment_cost,
 )
 from .model import (
     CandidateGrid,
@@ -110,13 +110,15 @@ _KEPT_BYTES = 2 * 2**20
 # Peak bytes per entry of one priced block (its rows by the grid's 2n + 2
 # columns, the whole grid on a grid that keeps its rows) that ``solve``
 # allocates besides its suffix table: the work area, which also holds the
-# kept rows and the min-plus work array or the fold's sums, and for the
-# likelihood kinds the temporaries of ``segment_cost``. A reconstruction
-# step prices one row pair at a time, in a work area of its own and far
-# less. The tracemalloc peak of a solve at Kmax 12 and n = 80 to 10,358,
-# beyond its suffix table, is 18 to 30 bytes per block entry for the
-# marginal kinds and 34 to 44 for the likelihood kinds.
-_BYTES_PER_BLOCK_ENTRY = 48
+# kept rows and the min-plus work array or the fold's sums, and the
+# formulas' boolean masks. A reconstruction step prices one row pair at a
+# time, in a work area of its own and far less. Traced solves of every
+# kind at Kmax 12 and n = 80 to 2,933 peak at 18 to 30 bytes per block
+# entry beyond their suffix table.
+_BYTES_PER_BLOCK_ENTRY = 32
+
+# Bytes of each of the Kmax results a solve returns, feasible or not (176 traced)
+_BYTES_PER_RESULT = 192
 
 # Peak bytes per entry of the up to Kmax - 1 full cost rows a
 # reconstruction step reads off the kept rows or prices again: the rows,
@@ -212,7 +214,9 @@ def build_cost_matrix(grid: CandidateGrid, spec: ContrastSpec, rows: range,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if spec.kind not in MARGINAL_KINDS:
             (c,) = _count_run(grid, None, pairs, width)
-            block[...] = segment_cost(spec, c, pair_d, None if s is None else s[:, None])
+            # both rows of a pair share the count, so log(c / s) fits the mark rows
+            log_cs = None if s is None else log_ratio(c[:, 0], s, out=s)[:, None]
+            likelihood_cost(c, pair_d, log_cs, out=block)
         else:
             d += spec.b
             np.log(d, out=d)  # pair_d now reads log(d + b)
@@ -226,17 +230,15 @@ def build_cost_matrix(grid: CandidateGrid, spec: ContrastSpec, rows: range,
                 marks = (s[:, None], lg_car, prior_constant(spec.a_rho, spec.b_rho))
             marginal_cost(ca, pair_d, lg_ca, prior_constant(spec.a, spec.b), marks, out=block)
     f = block.reshape(2 * pairs, width)[lo - r0:hi - r0]
-    # +inf where it can occur: each row is +inf up to its own column, and
-    # for the marginal kinds one column further when its empty gap is
-    # +inf, under forbid_empty or at zero length (segment_cost sets the
-    # likelihood kinds' +inf prices). Right of row i only the gap
+    # +inf where it can occur, for every kind: each row is +inf up to its
+    # own column, and one column further when its empty gap is +inf, under
+    # forbid_empty or at zero length. Right of row i only the gap
     # (tp_i, tp_{i+1}] can be empty, and only for even i.
     last = np.arange(lo, hi)
-    if spec.kind in MARGINAL_KINDS:
-        inf_gap = last % 2 == 0
-        if not spec.forbid_empty:
-            inf_gap &= grid.values[last + 1] == grid.values[last]
-        last = last + inf_gap
+    inf_gap = last % 2 == 0
+    if not spec.forbid_empty:
+        inf_gap &= grid.values[last + 1] == grid.values[last]
+    last = last + inf_gap
     left = int(last.max()) - r0 + 1
     f[:, :left][np.arange(r0, r0 + left) <= last[:, None]] = np.inf
     return f[:, lo + 1 - r0:]
@@ -437,17 +439,16 @@ def _reconstruct(grid: CandidateGrid, spec: ContrastSpec, keep: np.ndarray,
 
 
 def solve_bytes(n: int, kmax: int) -> int:
-    """Upper estimate of the memory ``solve`` allocates for n events.
+    """Upper estimate of the memory ``solve`` allocates for n events and kmax layers.
 
     The suffix table, the rows a reconstruction step gathers, and the
     working set of one of the sweep's priced blocks, which bounds that of
     a reconstruction step's row pair. On a grid that keeps its cost rows
     (n <= 255) the block is the whole grid, priced in one call, and its
-    work area holds the kept rows; for the likelihood kinds the
-    temporaries of ``segment_cost`` span it too, about 10 MiB at n = 255.
-    Larger grids price blocks of _BLOCK whole rows, so this term grows
-    linearly with n. Fixed costs of a few KiB, which outweigh the tables
-    only below about 10 events, are left out.
+    work area holds the kept rows. Larger grids price blocks of _BLOCK
+    whole rows, so this term grows linearly with n. The list of results
+    and fixed costs of a few KiB, which outweigh the tables only below
+    about 10 events, are left out.
     """
     side = 2 * n + 2
     rows = side - 1 if 8 * (side - 1) ** 2 <= _KEPT_BYTES else _BLOCK
@@ -459,16 +460,17 @@ def solve(data, spec: ContrastSpec, kmax: int) -> list[SolveResult]:
 
     A segment count K is infeasible when K - 1 exceeds the number of
     interior grid positions; such entries are flagged rather than given
-    a sentinel cost. Series whose tables would not fit in physical
-    memory are refused.
+    a sentinel cost. Series whose tables, or a kmax whose list of
+    results, would not fit in physical memory are refused.
     """
     require_integer("kmax", kmax)
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     grid = as_grid(data)
-    require_memory(f"solve at n = {grid.n} events", solve_bytes(grid.n, kmax),
-                   "its suffix table and cost rows")
     feasible = range(1, min(kmax, grid.size + 1) + 1)
+    require_memory(f"solve at n = {grid.n} events", solve_bytes(grid.n, len(feasible)),
+                   "its suffix table and cost rows")
+    require_memory(f"solve up to kmax = {kmax}", _BYTES_PER_RESULT * kmax, f"its {kmax} results")
     suffix, keep = _sweep(grid, spec, len(feasible))  # no layer past the last feasible K
     base_warn = (TIES_WARNING,) if grid.events.has_ties else ()
     finite = [k for k in feasible if suffix[k, 0] < np.inf]

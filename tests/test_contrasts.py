@@ -26,6 +26,7 @@ from ppseg import (
 from ppseg.contrasts import (
     KINDS,
     MARKED_KINDS,
+    log_ratio,
     mle_rate,
     poisson_gamma_cost,
     posterior_mean_rate,
@@ -247,6 +248,21 @@ def test_overflowing_ratio_takes_the_difference_of_logs():
     )
     # a quotient just short of overflow keeps the plain log
     assert segment_cost(POISSON, 1, 1e-300) == 1.0 - np.log(1.0 / 1e-300)
+
+
+def test_log_ratio_in_place_equals_a_fresh_array():
+    # out may be x itself: the logs of the x whose quotient overflows are
+    # taken before the quotient overwrites them
+    c = np.array([0.0, 1.0, 2.0, 3.0, 1.0, 2.0])
+    x = np.array([0.5, 5e-324, 1e-308, 0.0, 1e-300, 0.25])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        want = log_ratio(c, x)
+        got = log_ratio(c, x, out=x)
+    assert got is x
+    assert np.array_equal(got, want)
+    assert want[1] == pytest.approx(-math.log(5e-324), rel=1e-15)
+    assert want[2] == pytest.approx(math.log(2.0) - math.log(1e-308), rel=1e-15)
+    assert want[0] == -INF and want[3] == INF
 
 
 def test_vectorized_costs_match_scalar_reference():

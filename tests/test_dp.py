@@ -517,6 +517,10 @@ def _priced_runs(draw):
          spec=ContrastSpec("marked_pgeg", a=1.0, b=0.5), forbid_empty=False)
 @example(run=([0.2, 0.5, 0.5, 0.7], None, 2, 9),
          spec=ContrastSpec("poisson_gamma", a=0.5, b=2.0), forbid_empty=True)
+# a subnormal first mark: 1 / 5e-324 overflows, so the pricer takes
+# log c - log s for the segments holding event 0 alone, in its mark rows
+@example(run=([0.2, 0.5, 0.7], [5e-324, 1.0, 2.0], 0, 7),
+         spec=ContrastSpec("marked_poisson"), forbid_empty=False)
 def test_view_priced_runs_equal_the_dense_matrix(run, spec, forbid_empty):
     # a run of rows from an even or an odd row, up to an odd-length last
     # block ending at row 2n, priced from views into a work area full of
@@ -774,6 +778,42 @@ def test_memory_estimate_bounds_the_traced_peak(marked):
             finally:
                 tracemalloc.stop()
             assert peak <= solve_bytes(n, kmax), (n, spec.kind, peak)
+
+
+def test_solve_sizes_its_tables_by_the_feasible_layers(monkeypatch):
+    # 20 events sweep at most 41 layers whatever kmax is; on a host made to
+    # report 64 MiB, kmax = 10^5 solves, as its tables hold 41 layers and its
+    # results about 18 MiB, and the results of kmax = 10^6 are refused, by
+    # name, before any table is allocated
+    pages = {"SC_PHYS_PAGES": 2**14, "SC_PAGE_SIZE": 2**12}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    series = EventSeries(np.linspace(0.1, 0.9, 20))
+    results = solve(series, UNIT_PG, 10**5)
+    assert len(results) == 10**5
+    assert results[40].feasible and not results[41].feasible
+    with pytest.raises(ValueError, match=r"^solve up to kmax = 1000000 needs about 0\.2 GiB "
+                                         r"for its 1000000 results"):
+        solve(series, UNIT_PG, 10**6)
+
+
+def test_likelihood_kinds_peak_near_the_marginal_kinds():
+    # n = 255 is the largest grid priced whole in one call; both families
+    # price it in place in the work area, so on the same series each
+    # likelihood kind's traced solve peak stays within 15% of its marginal
+    # counterpart's
+    rng = np.random.default_rng(2)
+    n = 255
+    series = EventSeries(np.sort(rng.uniform(0.01, 0.99, n)), rng.exponential(1.0, n))
+    peaks = {}
+    for kind in KINDS:
+        tracemalloc.start()
+        try:
+            solve(series, ContrastSpec(kind, a=1.0, b=0.5), 12)
+            peaks[kind] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["poisson"] <= 1.15 * peaks["poisson_gamma"], peaks
+    assert peaks["marked_poisson"] <= 1.15 * peaks["marked_pgeg"], peaks
 
 
 @pytest.mark.parametrize("seed", range(4))
