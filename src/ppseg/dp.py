@@ -294,22 +294,28 @@ def _fold_layers(area: np.ndarray, S: np.ndarray) -> None:
     np.copyto(fold, np.inf, where=left)
 
 
+def _block_rows(A: int) -> int:
+    """Rows per priced block: all A + 1 of the grid where their prices fit _KEPT_BYTES."""
+    return A + 1 if 8 * (A + 1) ** 2 <= _KEPT_BYTES else _BLOCK
+
+
 def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
     """Suffix table and kept cost rows.
 
     S[r, i] is the optimal cost of splitting (tp_i, 1] into r segments;
-    the last price of row i, the segment to 1, gives S[1, i]. When the
-    cost rows fit _KEPT_BYTES the whole grid is priced in one call,
-    ``keep[i, j]`` is the price of (tp_i, tp_j] for every i, j <= 2n, and
-    S[2 .. kmax - 1] are swept layer by layer over the folded upper
-    triangle (``_fold_layers``). Otherwise ``keep`` has no row, blocks of
-    _BLOCK rows are priced from the top, and row i reads S[r - 1] only
-    right of i, so each block finishes every r < kmax and is dropped
-    before the block above it starts. Row 2n has no segment left to split,
-    so S stays +inf there from r = 2 on. Of S[kmax] only row 0, the
-    optimum over the whole series, is read; it is summed from row 0's
-    prices, and the rest stays +inf. At kmax = 1 only row 0 is priced, for
-    its last entry (tp_0, 1], and no row is kept.
+    the last price of row i, the segment to 1, gives S[1, i]. Blocks of
+    ``_block_rows`` rows are priced from the top, and row i reads S[r - 1]
+    only right of i, so each block finishes every r < kmax before the
+    block above it starts. A grid that keeps its cost rows is one block,
+    priced in one call: ``keep[i, j]`` is the price of (tp_i, tp_j] for
+    every i, j <= 2n, and S[2 .. kmax - 1] are swept layer by layer over
+    the folded upper triangle (``_fold_layers``). Otherwise ``keep`` has
+    no row, and each block is swept by min-plus where it is priced, then
+    dropped. Row 2n has no segment left to split, so S stays +inf there
+    from r = 2 on. Of S[kmax] only row 0, the optimum over the whole
+    series, is read; it is summed from row 0's prices, and the rest stays
+    +inf. At kmax = 1 only row 0 is priced, for its last entry (tp_0, 1],
+    and no row is kept.
 
     Either way one area per solve takes every price and sum. Temporaries
     freed after every block, or two allocations freed at the end, let
@@ -318,38 +324,31 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
     """
     A = grid.size
     S = np.full((kmax + 1, A + 1), np.inf)
+    # a view of no row would keep the work area alive through the
+    # reconstruction
+    keep = np.empty((0, A + 1))
     if kmax == 1:
         S[1, 0] = build_cost_matrix(grid, spec, range(1))[0, -1]
-        return S, np.empty((0, A + 1))
-    if 8 * (A + 1) ** 2 <= _KEPT_BYTES:
-        area = np.empty(_work_entries(A + 1, A + 1))
-        build_cost_matrix(grid, spec, range(A + 1), area)
-        # the prices of a run from row 0 start the work area, each row
-        # across all A + 2 columns
-        priced = area[:(A + 1) * (A + 2)].reshape(A + 1, A + 2)
-        S[1] = priced[:, -1]
-        _fold_layers(area, S)
-        keep = priced[:, :-1]
-        row0 = keep[0, 1:]
-    else:
-        # a view of no row would keep the work area alive through the
-        # reconstruction
-        keep = np.empty((0, A + 1))
-        work = np.empty(_work_entries(_BLOCK, A + 1))
-        w = work[-_BLOCK * (A + 1):].reshape(_BLOCK, A + 1)
-        for lo in reversed(range(0, A + 1, _BLOCK)):
-            hi = min(lo + _BLOCK, A + 1)
-            m = build_cost_matrix(grid, spec, range(lo, hi), work)
-            S[1, lo:hi] = m[:, -1]
-            m = m[:, :-1]  # m[i - lo, j - lo - 1] prices (tp_i, tp_j]
-            if lo == A:
-                continue  # a block of row 2n alone has no segment left to split
+        return S, keep
+    rows = _block_rows(A)
+    work = np.empty(_work_entries(rows, A + 1))
+    w = work[-rows * (A + 1):].reshape(rows, A + 1)
+    for lo in reversed(range(0, A + 1, rows)):
+        hi = min(lo + rows, A + 1)
+        m = build_cost_matrix(grid, spec, range(lo, hi), work)
+        S[1, lo:hi] = m[:, -1]
+        m = m[:, :-1]  # m[i - lo, j - lo - 1] prices (tp_i, tp_j]
+        if rows > A:
+            # the prices of a run from row 0 start the work area, each row
+            # across all A + 2 columns
+            keep = work[:(A + 1) * (A + 2)].reshape(A + 1, A + 2)[:, :-1]
+            _fold_layers(work, S)
+        elif lo < A:  # a block of row 2n alone has no segment left to split
             wb = w[:hi - lo, :A - lo]
             for r in range(2, kmax):
                 np.add(m, S[r - 1, lo + 1:], out=wb)
                 np.minimum.reduce(wb, axis=1, out=S[r, lo:hi])
-        row0 = m[0]  # m holds the block of row 0 last
-    S[kmax, 0] = np.min(row0 + S[kmax - 1, 1:])
+    S[kmax, 0] = np.min(m[0] + S[kmax - 1, 1:])  # m holds the block of row 0 last
     return S, keep
 
 
@@ -451,7 +450,7 @@ def solve_bytes(n: int, kmax: int) -> int:
     about 10 events, are left out.
     """
     side = 2 * n + 2
-    rows = side - 1 if 8 * (side - 1) ** 2 <= _KEPT_BYTES else _BLOCK
+    rows = _block_rows(2 * n)
     return (8 * (kmax + 1) + _BYTES_PER_ROW_ENTRY * kmax + _BYTES_PER_BLOCK_ENTRY * rows) * side
 
 

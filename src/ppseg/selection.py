@@ -201,19 +201,19 @@ class CvCurve:
         """Smallest K attaining the minimal average test contrast among
         those scored in at least MIN_DEFINED_FRACTION of the replicates
         whose mean is below +inf."""
-        threshold = MIN_DEFINED_FRACTION * self.replicates
-        best = None
-        best_mean = None
-        for k, mean, count in zip(self.ks, self.means, self.counts):
-            # a nan or +inf mean carries no information about K
-            if count < threshold or count == 0 or not mean < math.inf:
-                continue
-            if best_mean is None or mean < best_mean:
-                best = k
-                best_mean = mean
-        if best is None:
-            raise ValueError("no candidate K was defined in enough replicates")
-        return best
+        need = math.ceil(MIN_DEFINED_FRACTION * self.replicates)
+        # a nan or +inf mean carries no information about K
+        scored = [(mean, k) for k, mean, count in zip(self.ks, self.means, self.counts)
+                  if count >= max(need, 1) and mean < math.inf]
+        if scored:
+            return min(scored)[1]
+        # name the best covered K and the curve's own warnings, such as
+        # replicates dropped for an empty learning set
+        count, k = max(zip(self.counts, self.ks), key=lambda covered: covered[0])
+        raise ValueError("; ".join((
+            "no candidate K was defined in enough replicates: a K needs a mean below +inf "
+            f"and a score in at least {need} of the {self.replicates} replicates, and the "
+            f"best covered, K = {k}, was scored in {count}", *self.warnings)))
 
 
 def _stderr(col: np.ndarray) -> float:

@@ -259,6 +259,26 @@ def test_best_k_skips_an_infinite_mean(tmp_path, capsys):
     assert "no candidate K was defined in enough replicates" in captured.err
 
 
+def test_best_k_refusal_names_its_cause(tmp_path, capsys):
+    curve = CvCurve(ks=(1, 2, 3), means=(math.inf, 0.5, 0.7), stderrs=(math.nan, 0.0, 0.0),
+                    counts=(4, 1, 1), replicates=4, warnings=("a warning",))
+    with pytest.raises(ValueError) as refused:
+        curve.best_k()
+    assert str(refused.value) == (
+        "no candidate K was defined in enough replicates: a K needs a mean below +inf and a "
+        "score in at least 2 of the 4 replicates, and the best covered, K = 1, was scored "
+        "in 4; a warning")
+    # one event: the learning sets of two of three replicates are empty
+    events = tmp_path / "one.txt"
+    events.write_text("time\n0.5\n")
+    argv = ["segment", str(events), "--window", "0", "1", "--replicates", "3", "-o", "-"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "no candidate K was defined in enough replicates" in err
+    assert "at least 2 of the 3 replicates, and the best covered, K = 1, was scored in 1" in err
+    assert "2 replicate(s) dropped: empty learning set" in err
+
+
 def test_grouped_run_sums_equal_per_slice_sums():
     # runs of lengths 0 to 40 in shuffled order, over values spanning many
     # decades and both signs, where the order of the adds shows in the bits

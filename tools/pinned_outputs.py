@@ -1,6 +1,6 @@
 """Hash the outputs that every change to ppseg must leave byte-identical.
 
-Runs twenty-eight ``ppseg`` commands against the ``src/`` of this checkout, in a
+Runs twenty-nine ``ppseg`` commands against the ``src/`` of this checkout, in a
 temporary directory, and prints one ``label sha256`` line per output, then
 one ``solver-corpus sha256`` line for the solver-bits corpus: one line per
 ``SolveResult`` of 1,296 library-level solves (n = 1 to 600, and 2,100,
@@ -44,6 +44,9 @@ SIMULATE_N1000 = ["simulate", "--design", "1000,3", "--seed", "1"]
 SIMULATE_N1000_MARKED = ["simulate", "--design", "1000,3", "--marks", "0.1,0.005",
                          "--seed", "1"]
 K6_MARKED = ["segment", "marked.txt", "--window", "0", "1", "--k", "6"]
+# 323 events: of ten learning sets, three have n <= 255 and keep their cost
+# rows, seven keep none
+SIMULATE_STRADDLE = ["simulate", "--design", "320,3", "--seed", "2"]
 
 # the input files the pinned commands read, made in this order by the
 # checkout under test
@@ -53,6 +56,7 @@ INPUTS = (
     ("k6.txt", K6_MARKED),
     ("n1000.txt", SIMULATE_N1000),
     ("n1000-marked.txt", SIMULATE_N1000_MARKED),
+    ("straddle.txt", SIMULATE_STRADDLE),
 )
 
 # A marked events table on (0, 10) with 13 tied neighbours, written as is.
@@ -91,6 +95,8 @@ COMMANDS = (
     ("segment-tied", ["segment", "tied.txt", *TIED_WINDOW, *CV]),
     ("cv-curve-tied", ["cv-curve", "tied.txt", *TIED_WINDOW, *CV]),
     ("cv-curve-plain-unit", ["cv-curve", "plain.txt", "--window", "0", "1", *CV]),
+    ("cv-curve-straddle-unit",
+     ["cv-curve", "straddle.txt", "--window", "0", "1", "--seed", "0", "--replicates", "10"]),
     *((f"segment-tied-k6-{kind}",
        ["segment", "tied.txt", *TIED_WINDOW, "--k", "6", "--contrast", kind])
       for kind in ("poisson", "marked_pgeg")),
