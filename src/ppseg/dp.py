@@ -7,20 +7,20 @@ one dynamic-programming suffix table from the segment prices, priced
 on their upper triangle only and across whole rows. A grid whose cost
 rows all fit a fixed byte budget is priced in one call and keeps every
 row for the reconstruction. It fills the table layer by layer over all
-rows at once, on its upper triangle folded into a rectangle inside the
-priced rows, so that no add falls left of the diagonal and every
-reduction runs over long rows. A larger grid keeps none: a bottom-up
-sweep prices blocks of 32 rows, fills every layer of a block where it
-is priced, then drops it, and the reconstruction prices each row it
-needs again, bit for bit. Either way the table holds S[1 .. Kmax - 1]
-and, from row 0's prices, row 0 of S[Kmax], the one entry of it
-anything reads. That takes O((2n)^2 Kmax) time and O(n Kmax) memory
-beyond a constant: the suffix table and one work area, which holds the
-priced grid and the fold's sums within the byte budget, or a priced
-block and its min-plus work array beyond it; no (2n + 2)^2 matrix is
-held past the budget. It returns, for every segment count K up to
-Kmax, the optimum's change-point indices and its contrast.
-``brute_force`` enumerates every candidate subset and is the
+rows at once, on its upper triangle folded into a rectangle built past
+the priced rows, which it only reads, so that no add falls left of the
+diagonal and every reduction runs over long rows. A larger grid keeps
+none: a bottom-up sweep prices blocks of 32 rows, fills every layer of
+a block where it is priced, then drops it, and the reconstruction
+prices each row it needs again, bit for bit. Either way the table holds
+S[1 .. Kmax - 1] and, from row 0's prices, row 0 of S[Kmax], the one
+entry of it anything reads. That takes O((2n)^2 Kmax) time and O(n
+Kmax) memory beyond a constant: the suffix table and one work area,
+which holds the priced grid, its fold and the fold's sums within the
+byte budget, or a priced block and its min-plus work array beyond it;
+no (2n + 2)^2 matrix is held past the budget. It returns, for every
+segment count K up to Kmax, the optimum's change-point indices and its
+contrast. ``brute_force`` enumerates every candidate subset and is the
 independent oracle for small instances.
 
 Ties are broken toward the lexicographically smallest change-point
@@ -99,8 +99,8 @@ _BLOCK = 32
 
 # Bytes of cost rows kept for the reconstruction: 2 MiB, which is 512 rows
 # of 512 entries. A grid of up to 511 positions (n <= 255) keeps every row:
-# it is priced in one call, sweeps its layers over the priced rows,
-# folded, and never prices one again; a larger grid keeps none, and each
+# it is priced in one call, sweeps its layers over a fold of the priced
+# rows, and never prices one again; a larger grid keeps none, and each
 # reconstruction step prices the rows it needs again. The rows it needs
 # sit at the change-points of the optima, all over the grid, so the rows
 # of the first positions alone would answer few of them: at n = 985, 128
@@ -110,9 +110,9 @@ _KEPT_BYTES = 2 * 2**20
 # Peak bytes per entry of one priced block (its rows by the grid's 2n + 2
 # columns, the whole grid on a grid that keeps its rows) that ``solve``
 # allocates besides its suffix table: the work area, which also holds the
-# kept rows and the min-plus work array or the fold's sums, and the
-# formulas' boolean masks. A reconstruction step prices one row pair at a
-# time, in a work area of its own and far less. Traced solves of every
+# kept rows and the min-plus work array or the fold and its sums, and
+# the formulas' boolean masks. A reconstruction step prices one row pair
+# at a time, in a work area of its own and far less. Traced solves of every
 # kind at Kmax 12 and n = 80 to 2,933 peak at 18 to 30 bytes per block
 # entry beyond their suffix table.
 _BYTES_PER_BLOCK_ENTRY = 32
@@ -160,7 +160,9 @@ def _work_entries(rows: int, cols: int) -> int:
     the prices of up to rows // 2 + 1 row pairs, then the pricer's
     scratch, free once the call returns. The sweep keeps its min-plus
     work array in the last ``rows`` by ``cols`` entries, which the
-    prices of a block from an even row never reach."""
+    prices of a block from an even row never reach. A kept grid, 2n + 1 by
+    2n + 1, leaves 4n^2 + 10n + 6 entries past its (2n + 2)^2 prices for the
+    4n^2 + 10n + 2 of the fold, its sum with V and V (``_fold_layers``)."""
     pairs, width = rows // 2 + 1, 2 * (cols // 2 + 1)
     return width * (4 * pairs + 1)
 
@@ -254,31 +256,23 @@ def _fold_layers(area: np.ndarray, S: np.ndarray) -> None:
     rows from 0; row A + 1 only completes a row pair. Row i < n of the fold
     holds the A + 1 - i prices right of the diagonal of row i, then the
     i + 2 of row A - 1 - i reversed, so every fold row has A + 3 entries
-    and row 2n, which splits nothing, is left out. The fold is a strided
-    view of ``area``: row i's prices run on into row i + 1 up to its
-    diagonal, which holds row A - 1 - i reversed while the layers run and
-    +inf again after. The S operand of fold row i is a window of V:
-    S[r - 1, 1:], +inf twice for the segments to 1 at either end of a fold
-    row, then S[r - 1, 1:] reversed; +inf moves no minimum, so every S
-    entry is the minimum of the same sums as in a block, and one reduceat
-    takes each row's two. The fold's sum with V, and V, take the pricer's
-    scratch after the priced rows.
+    and row 2n, which splits nothing, is left out. The fold is the minimum
+    of two strided views of the priced rows, row i read on into row i + 1
+    and row A - 1 - i read back into row A - i: where one reads a price,
+    never NaN, the other reads the +inf on or left of a diagonal. The S
+    operand of fold row i is a window of V: S[r - 1, 1:], +inf twice for
+    the segments to 1 at either end of a fold row, then S[r - 1, 1:]
+    reversed; +inf moves no minimum, so every S entry is the minimum of
+    the same sums as in a block, and one reduceat takes each row's two.
     """
     A = S.shape[1] - 1
     n, width, item = A // 2, A + 3, area.itemsize
     at = (A + 2) ** 2
-    total = area[at:at + n * width].reshape(n, width)
-    v = area[at + n * width:at + n * width + 2 * A + 2]
-    fold = np.ndarray((n, width), area.dtype, area, item, (width * item, item))
-    # fold[i, k] is on or left of the diagonal where k >= A + 1 - i, that
-    # is where left[i + k]; there it takes row A - 1 - i at column
-    # 2A + 2 - i - k, staged through ``total``: a copy between two views
-    # that span ``area`` would go through a temporary outside it
-    left = np.arange(A + n + 2) > A
-    left = np.ndarray((n, width), left.dtype, left, 0, (1, 1))
-    np.copyto(total, np.ndarray((n, width), area.dtype, area, (A * A + 3 * A) * item,
-                                (-width * item, -item)))
-    np.copyto(fold, total, where=left)
+    fold, total = area[at:at + 2 * n * width].reshape(2, n, width)
+    v = area[at + 2 * n * width:at + 2 * n * width + 2 * A + 2]
+    np.minimum(np.ndarray((n, width), area.dtype, area, item, (width * item, item)),
+               np.ndarray((n, width), area.dtype, area, (A * A + 3 * A) * item,
+                          (-width * item, -item)), out=fold)
     v[A:A + 2] = np.inf
     h = np.ndarray((n, width), v.dtype, v, 0, (item, item))  # h[i, k] = v[i + k]
     # fold row i holds row i from i (A + 3) and row A - 1 - i from
@@ -291,7 +285,6 @@ def _fold_layers(area: np.ndarray, S: np.ndarray) -> None:
         np.minimum.reduceat(total.ravel(), idx, out=v[:A])
         S[r, :n] = v[:A:2]
         S[r, n:A] = v[A - 1::-2]
-    np.copyto(fold, np.inf, where=left)
 
 
 def _block_rows(A: int) -> int:
@@ -342,6 +335,7 @@ def _sweep(grid: CandidateGrid, spec: ContrastSpec, kmax: int):
             # the prices of a run from row 0 start the work area, each row
             # across all A + 2 columns
             keep = work[:(A + 1) * (A + 2)].reshape(A + 1, A + 2)[:, :-1]
+            keep.flags.writeable = False  # the reconstruction reads the prices as priced
             _fold_layers(work, S)
         elif lo < A:  # a block of row 2n alone has no segment left to split
             wb = w[:hi - lo, :A - lo]

@@ -52,7 +52,7 @@ def require_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def require_memory(what: str, need: int, held: str) -> None:
+def require_memory(what: str, need: float, held: str) -> None:
     """ValueError when ``need`` bytes, which ``what`` needs for ``held``,
     exceed the host's physical memory."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -62,7 +62,13 @@ def require_memory(what: str, need: int, held: str) -> None:
 
 
 def _validated_window(window) -> tuple[float, float]:
-    w0, w1 = float(window[0]), float(window[1])
+    try:
+        w = np.asarray(window, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # not numbers, or past the float range
+        w = np.empty(0)
+    if w.shape != (2,):
+        raise ValueError(f"window must be two numbers (t_min, t_max), got {window!r}")
+    w0, w1 = float(w[0]), float(w[1])
     if not np.isfinite(w1 - w0):
         raise ValueError("window bounds and width must be finite")
     if not w1 > w0:
@@ -212,11 +218,15 @@ def as_grid(data) -> CandidateGrid:
 def segment_stats(grid: CandidateGrid, indices):
     """Counts, lengths and mark sums of the segments cut by ``indices``.
 
-    ``indices`` are strictly increasing interior grid indices, else
-    ValueError; the boundaries 0 and 2n + 1 are implied. Returns one
-    entry per segment; the mark sums are None for unmarked data.
+    ``indices`` are strictly increasing interior grid indices, Python or
+    numpy integers, else ValueError; the boundaries 0 and 2n + 1 are
+    implied. Returns one entry per segment; the mark sums are None for
+    unmarked data.
     """
-    path = np.array([0, *indices, grid.last_index])
+    cuts = tuple(indices)
+    for p in cuts:
+        require_integer("a change-point index", p)
+    path = np.array([0, *cuts, grid.last_index])
     if np.any(path[1:] <= path[:-1]):
         raise ValueError("change-points must be strictly increasing interior grid indices")
     return grid.stats(path[:-1], path[1:])

@@ -16,11 +16,20 @@ their time average hits a requested mean intensity.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .model import EventSeries, PiecewiseIntensity
+from .model import EventSeries, PiecewiseIntensity, require_memory
 
 ALTERNATING_BREAKPOINTS = np.array([0.0, 7.0, 8.0, 14.0, 16.0, 20.0, 24.0]) / 24.0
+
+# Peak bytes per event of ``simulate_events`` and ``simulate_marked``,
+# traced with tracemalloc at 10^5 and 10^6 expected events: the times and
+# their sort, and with marks also the marks, the argsort and the
+# reordered times and marks
+EVENT_BYTES = 24
+MARKED_EVENT_BYTES = 72
 
 
 def derive_rates(mean_rate: float, ratio: float) -> tuple[float, float]:
@@ -63,6 +72,17 @@ def alternating_intensity(
     return PiecewiseIntensity(ALTERNATING_BREAKPOINTS.copy(), rates, mark_rates)
 
 
+def require_draw_memory(intensity: PiecewiseIntensity, per_event: int, held: str) -> None:
+    """ValueError, before any draw, when ``per_event`` bytes for each
+    event of a draw from ``intensity`` exceed physical memory. The count
+    is sized 8 standard deviations above its mean, the total mass: by the
+    Chernoff bound a Poisson count of mean 10^4 or more passes that with
+    probability below 1e-13."""
+    mass = intensity.total_mass
+    require_memory(f"a draw of {mass:.3g} expected events",
+                   per_event * (mass + 8.0 * math.sqrt(mass)), held)
+
+
 def _segment_draws(intensity: PiecewiseIntensity, rng: np.random.Generator):
     bp = intensity.breakpoints
     for k in range(intensity.k):
@@ -77,6 +97,7 @@ def _segment_draws(intensity: PiecewiseIntensity, rng: np.random.Generator):
 
 def simulate_events(intensity: PiecewiseIntensity, seed=None) -> EventSeries:
     """One realization of the process; `seed` may be an int or Generator."""
+    require_draw_memory(intensity, EVENT_BYTES, "its event times")
     rng = np.random.default_rng(seed)
     parts = [t for _, t in _segment_draws(intensity, rng)]
     times = np.sort(np.concatenate(parts)) if parts else np.empty(0)
@@ -87,6 +108,7 @@ def simulate_marked(intensity: PiecewiseIntensity, seed=None) -> EventSeries:
     """One realization with exponential marks drawn per segment."""
     if intensity.mark_rates is None:
         raise ValueError("intensity carries no mark rates")
+    require_draw_memory(intensity, MARKED_EVENT_BYTES, "its event times and marks")
     rng = np.random.default_rng(seed)
     time_parts = []
     mark_parts = []

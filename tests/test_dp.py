@@ -377,13 +377,14 @@ def test_blocked_tables_equal_the_dense_construction(n):
                     assert np.all(np.isposinf(suffix[12, 1:])), spec
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 31])
 def test_folded_layers_equal_the_dense_construction(n):
     # a kept grid sweeps S[2 .. kmax - 1] over its upper triangle folded
     # into n rows of 2n + 3 entries: row i, then row 2n - 1 - i reversed,
     # each with its segment to 1, which the reduceat takes as runs of 2 to
-    # 7 entries here, and which the priced rows hold up to their diagonal
-    # until the layers are done; at kmax 2 no layer is folded
+    # 2n + 1 entries; the fold is built past the priced rows, which the
+    # sweep only reads and hands on read-only, equal to the dense rows; at
+    # kmax 2 no layer is folded
     rng = np.random.default_rng(40 + n)
     times = np.sort(rng.uniform(0.01, 0.99, n))
     marks = rng.exponential(1.0, n)
@@ -399,6 +400,8 @@ def test_folded_layers_equal_the_dense_construction(n):
                     for kmax in (2, 3, 12):
                         suffix, keep = _sweep(grid, spec, kmax)
                         assert np.array_equal(keep.view(np.int64), dense[1:, :-1].view(np.int64))
+                        with pytest.raises(ValueError, match="read-only"):
+                            keep[-1, 0] = 0.0
                         got = suffix.view(np.int64)
                         assert np.array_equal(got[:kmax], want[:kmax]), spec
                         assert got[kmax, 0] == want[kmax, 0], spec

@@ -421,6 +421,25 @@ def test_cli_cv_curve_refuses_a_score_table_beyond_physical_memory(tmp_path, mon
     assert err.count("\n") == 1
 
 
+def test_cli_simulate_refuses_a_draw_beyond_physical_memory(monkeypatch, capsys):
+    # 10^15 expected events: ``simulate`` and ``bench`` refuse them in one
+    # line on stderr, not with a MemoryError traceback
+    for argv in (["simulate", "--design", "1e15,8", "--seed", "1"],
+                 ["simulate", "--design", "1e15,8", "--marks", "0.1", "--seed", "1"],
+                 ["bench", "--preset", "k-selection", "--means", "1e15", "--ratios", "8",
+                  "--samples", "1"]):
+        assert _run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a draw of 1e+15 expected events needs about "), argv
+        assert err.count("\n") == 1
+    # the host is made to report 1 MiB: the 10^4 events of a draw fit, but
+    # not with their text, about 180 bytes each
+    pages = {"SC_PHYS_PAGES": 2**8, "SC_PAGE_SIZE": 2**12}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert _run(["simulate", "--design", "1e4,8", "--seed", "1", "-o", os.devnull]) == 2
+    assert "for its events and their text" in capsys.readouterr().err
+
+
 def test_cli_bench_small_grid(tmp_path):
     out1 = tmp_path / "bench1.csv"
     out2 = tmp_path / "bench2.csv"

@@ -1,14 +1,18 @@
 """Series containers, grid arithmetic and piecewise intensities."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ppseg import (
+    ContrastSpec,
     EventSeries,
     PiecewiseIntensity,
     build_grid,
+    contrast,
     intensity_from_breaks,
     segment_stats,
 )
@@ -195,6 +199,40 @@ def test_mark_prefix_is_cumulative():
     plain = EventSeries(series.times)
     assert plain.marks is None and plain.mark_prefix is None
     assert build_grid(plain).mark_prefix is None
+
+
+@pytest.mark.parametrize("window", [(0.0,), 1.0, (0, 1, 2), ((0.0, 1.0),), ("a", 1.0),
+                                    (10**400, 1.0)])
+def test_window_must_be_exactly_two_numbers(window):
+    # one number, a bare float, three numbers, a nested pair, a string and
+    # an int past the float range are each refused, naming the window
+    message = re.escape(f"window must be two numbers (t_min, t_max), got {window!r}")
+    with pytest.raises(ValueError, match=message):
+        EventSeries(np.array([0.5]), window=window)
+    with pytest.raises(ValueError, match=message):
+        EventSeries.from_window([0.5], window=window)
+
+
+def test_window_takes_any_pair_of_numbers():
+    for window in ([2, 10], np.array([2.0, 10.0]), (np.int64(2), np.float32(10.0))):
+        series = EventSeries.from_window([4.0], window)
+        assert series.window == (2.0, 10.0) and type(series.window[0]) is float
+        assert series.times.tolist() == [0.25]
+
+
+def test_change_point_indices_must_be_integers():
+    # a float or a bool is no grid index, though numpy would read True as 1
+    grid = build_grid(EventSeries(np.array([0.2, 0.5, 0.9])))
+    spec = ContrastSpec("poisson")
+    for bad in ((1.0,), (1.5,), (True,), (2, np.float64(3.0))):
+        for call in (segment_stats, segmentation_from_indices,
+                     lambda g, idx: contrast(g, spec, idx)):
+            with pytest.raises(ValueError, match="change-point index must be an integer"):
+                call(grid, bad)
+    # numpy integers, in a tuple or an array, are indices like Python ones
+    assert contrast(grid, spec, (np.int64(3),)) == contrast(grid, spec, (3,))
+    assert contrast(grid, spec, np.array([3, 6])) == contrast(grid, spec, (3, 6))
+    assert segmentation_from_indices(grid, np.array([3, 6])).indices == (3, 6)
 
 
 def test_segmentation_from_indices_valid():

@@ -1,5 +1,7 @@
 """Sampling of the benchmark design and of general step intensities."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,23 @@ def test_silent_segment_needs_no_mark_rate():
 def test_simulate_requires_mark_rates_for_marked_draws():
     with pytest.raises(ValueError, match="no mark rates"):
         simulate_marked(alternating_intensity(100.0, 2.0), seed=0)
+
+
+def test_a_draw_beyond_physical_memory_is_refused(monkeypatch):
+    # 10^15 expected events, some 22 million GiB of times, are refused
+    # before any draw, not left to fail an allocation or to fill the host
+    for draw, rho, held in ((simulate_events, None, "event times"),
+                            (simulate_marked, 0.1, "event times and marks")):
+        with pytest.raises(ValueError, match=rf"^a draw of 1e\+15 expected events needs "
+                                             rf"about [0-9.]+ GiB for its {held}, more than"):
+            draw(alternating_intensity(1e15, 8.0, rho), seed=1)
+    # the host is made to report 1 MiB: 10^4 expected events, at 24 or 72
+    # bytes each and 8 standard deviations more, fit, and 5 x 10^4 do not
+    pages = {"SC_PHYS_PAGES": 2**8, "SC_PAGE_SIZE": 2**12}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert simulate_marked(alternating_intensity(1e4, 8.0, 0.1), seed=1).n > 9000
+    with pytest.raises(ValueError, match="a draw of 5e\\+04 expected events needs"):
+        simulate_events(alternating_intensity(5e4, 8.0), seed=1)
 
 
 def test_same_seed_reproduces_the_draw():
